@@ -9,7 +9,6 @@ from .network import (  # noqa: F401
     VarianceVector,
     forward,
     forward_batch,
-    grad_log_posterior_theta,
     log_likelihood,
     log_posterior_and_grad,
     log_prior,

@@ -106,7 +106,8 @@ def _run_chain(
 ) -> PosteriorSamples:
     """Shared outer loop for the hierarchical and fixed-variance samplers.
 
-    target_factory(sigma2) -> (logp, grad) callables for the current variance;
+    target_factory(sigma2) -> value_and_grad(theta) -> (logp, grad) for the
+    current variance;
     sigma2_step(theta, rng) -> next variance (or the same one when fixed);
     raw_theta(theta, sigma2) -> parameters in the raw parametrization.
     """
@@ -116,8 +117,7 @@ def _run_chain(
 
     sigma2 = init_sigma2
     theta = sample_prior_params(arch, variances, rng_init)
-    logp_fn, grad_fn = target_factory(sigma2)
-    eps = cfg.hmc.step_size or find_reasonable_epsilon(logp_fn, grad_fn, theta, gen)
+    eps = cfg.hmc.step_size or find_reasonable_epsilon(target_factory(sigma2), theta, gen)
     da = DualAveraging(eps, target=cfg.hmc.target_accept) if cfg.hmc.step_size is None else None
 
     n_outer = cfg.burn_in + cfg.n_samples * cfg.thinning
@@ -136,12 +136,11 @@ def _run_chain(
     for it in range(n_outer):
         if da is not None and it == cfg.burn_in:
             eps = da.adapted
-        logp_fn, grad_fn = target_factory(sigma2)
-        logp = logp_fn(theta)
-        g = grad_fn(theta)
+        value_and_grad = target_factory(sigma2)
+        logp, g = value_and_grad(theta)
         for _ in range(cfg.hmc_steps):
             theta, logp, g, acc, _, div = nuts_transition(
-                logp_fn, grad_fn, theta, logp, g, eps, cfg.hmc.max_tree_depth, gen
+                value_and_grad, theta, logp, g, eps, cfg.hmc.max_tree_depth, gen
             )
             n_div += int(div)
             n_trans += 1
@@ -193,19 +192,12 @@ def gibbs_run(
     b_prime = b + 0.5 * float(np.sum(data.y**2)) if data.k else b
 
     def target_factory(sigma2):
-        def logp(theta):
-            v, _ = log_posterior_and_grad(
-                arch, std_vars, theta, sigma2, data, output_scale=sqrt(sigma2)
-            )
-            return v
-
-        def grad(theta):
-            _, g = log_posterior_and_grad(
-                arch, std_vars, theta, sigma2, data, output_scale=sqrt(sigma2)
-            )
-            return g
-
-        return logp, grad
+        output_scale = sqrt(sigma2)
+        # log_posterior_and_grad is looked up at call time, so a wrapper set
+        # on this module (e.g. for tracing) sees every evaluation
+        return lambda theta: log_posterior_and_grad(
+            arch, std_vars, theta, sigma2, data, output_scale=output_scale
+        )
 
     def sigma2_step(theta, rng_sigma):
         c_prime = (
@@ -243,15 +235,7 @@ def gibbs_run_fixed_variance(
         raise ValueError("noise_var must be strictly positive")
 
     def target_factory(sigma2):
-        def logp(theta):
-            v, _ = log_posterior_and_grad(arch, variances, theta, sigma2, data)
-            return v
-
-        def grad(theta):
-            _, g = log_posterior_and_grad(arch, variances, theta, sigma2, data)
-            return g
-
-        return logp, grad
+        return lambda theta: log_posterior_and_grad(arch, variances, theta, sigma2, data)
 
     def sigma2_step(theta, rng_sigma):
         return noise_var

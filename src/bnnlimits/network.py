@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import erf as _erf
@@ -212,6 +213,19 @@ def prior_scales(arch: Architecture, variances: VarianceVector) -> np.ndarray:
     return scale
 
 
+@lru_cache(maxsize=64)
+def _target_constants(arch: Architecture, variances: VarianceVector):
+    """(scale, scale**2, sum(log scale), layout) of one prior, built once.
+
+    The arrays are read-only because every caller shares them.
+    """
+    scale = prior_scales(arch, variances)
+    scale2 = scale**2
+    scale.flags.writeable = False
+    scale2.flags.writeable = False
+    return scale, scale2, np.sum(np.log(scale)), tuple(arch.layout())
+
+
 def sample_prior_params(
     arch: Architecture,
     variances: VarianceVector,
@@ -329,49 +343,35 @@ def log_posterior_and_grad(
     """
     if sigma2 <= 0:
         raise ValueError("sigma2 must be strictly positive")
-    if data.k == 0:
-        lp = log_prior(arch, variances, theta)
-        scale = prior_scales(arch, variances)
-        return lp, -np.asarray(theta, dtype=float) / scale**2
-
+    scale, scale2, sum_log_scale, layout = _target_constants(arch, variances)
     theta = np.asarray(theta, dtype=float)
+    if theta.shape != scale.shape:
+        raise ValueError(f"theta has shape {theta.shape}, expected {scale.shape}")
+    z = theta / scale
+    logpri = float(
+        -0.5 * z @ z - sum_log_scale - 0.5 * len(scale) * math.log(2 * math.pi)
+    )
+    grad = -theta / scale2
+    if data.k == 0:
+        return logpri, grad
+
     out, cache = forward_with_cache(arch, theta, data.x)
     resid = data.y - output_scale * out
     loglik = (
         -0.5 * data.y.size * math.log(2.0 * math.pi * sigma2)
         - float(np.sum(resid**2)) / (2.0 * sigma2)
     )
-    scale = prior_scales(arch, variances)
-    z = theta / scale
-    logpri = float(
-        -0.5 * z @ z - np.sum(np.log(scale)) - 0.5 * len(scale) * math.log(2 * math.pi)
-    )
 
     # Backprop d loglik / d theta. d loglik/d out = output_scale * resid / sigma2.
-    grad = -theta / scale**2
     g_out = output_scale * resid / sigma2
-    layers = arch.unpack(theta)
-    layout = arch.layout()
     for l in range(arch.n_layers - 1, -1, -1):
-        W, _ = layers[l]
         h, a = cache[l]
         ws, bs = layout[l]
         grad[ws] += np.ravel(g_out @ a.T)
         grad[bs] += g_out.sum(axis=1)
         if l > 0:
+            W = theta[ws].reshape(arch.widths[l + 1], arch.widths[l])
             _, dphi = ACTIVATIONS[arch.activations[l]]
             g_out = (W.T @ g_out) * dphi(h)
     return logpri + loglik, grad
 
-
-def grad_log_posterior_theta(
-    arch: Architecture,
-    variances: VarianceVector,
-    theta: np.ndarray,
-    sigma2: float,
-    data: Dataset,
-) -> np.ndarray:
-    """Gradient of log p(theta | sigma2, D) in the centered parametrization."""
-    variances = variances.with_last_layer(sigma2)
-    _, grad = log_posterior_and_grad(arch, variances, theta, sigma2, data)
-    return grad

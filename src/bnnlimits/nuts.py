@@ -1,9 +1,10 @@
 """Hamiltonian Monte Carlo with a no-U-turn trajectory criterion.
 
 Recursive doubling with multinomial state selection, identity mass matrix,
-and dual-averaged step size during warmup. Generic over (log_density, grad)
-callables so the same sampler serves both parametrizations of the network
-posterior and scalar test targets.
+and dual-averaged step size during warmup. Generic over one value-and-gradient
+callable, value_and_grad(theta) -> (log_density, grad), so the same sampler
+serves both parametrizations of the network posterior and scalar test
+targets. Each leapfrog step evaluates the target exactly once.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .rng import RngStream
 
@@ -55,23 +55,22 @@ class _Tree:
     )
 
 
-def _leapfrog(grad_fn, theta, r, grad, eps):
+def _leapfrog(value_and_grad, theta, r, grad, eps):
     r = r + 0.5 * eps * grad
     theta = theta + eps * r
-    grad = grad_fn(theta)
+    logp, grad = value_and_grad(theta)
     r = r + 0.5 * eps * grad
-    return theta, r, grad
+    return theta, r, grad, logp
 
 
 def _hamiltonian(logp, r):
     return logp - 0.5 * float(r @ r)
 
 
-def _build_tree(logp_fn, grad_fn, theta, r, grad, logp, depth, direction, eps, h0, gen):
+def _build_tree(value_and_grad, theta, r, grad, depth, direction, eps, h0, gen):
     if depth == 0:
-        theta1, r1, grad1 = _leapfrog(grad_fn, theta, r * direction, grad, eps)
+        theta1, r1, grad1, logp1 = _leapfrog(value_and_grad, theta, r * direction, grad, eps)
         r1 *= direction
-        logp1 = logp_fn(theta1)
         h1 = _hamiltonian(logp1, r1)
         t = _Tree()
         t.theta_minus, t.r_minus, t.grad_minus = theta1, r1, grad1
@@ -85,9 +84,7 @@ def _build_tree(logp_fn, grad_fn, theta, r, grad, logp, depth, direction, eps, h
         t.turning = False
         return t
 
-    first = _build_tree(
-        logp_fn, grad_fn, theta, r, grad, logp, depth - 1, direction, eps, h0, gen
-    )
+    first = _build_tree(value_and_grad, theta, r, grad, depth - 1, direction, eps, h0, gen)
     if first.turning or first.divergent:
         return first
     if direction == 1:
@@ -95,8 +92,7 @@ def _build_tree(logp_fn, grad_fn, theta, r, grad, logp, depth, direction, eps, h
     else:
         inner_theta, inner_r, inner_grad = first.theta_minus, first.r_minus, first.grad_minus
     second = _build_tree(
-        logp_fn, grad_fn, inner_theta, inner_r, inner_grad, logp,
-        depth - 1, direction, eps, h0, gen,
+        value_and_grad, inner_theta, inner_r, inner_grad, depth - 1, direction, eps, h0, gen
     )
     t = _Tree()
     if direction == 1:
@@ -105,7 +101,7 @@ def _build_tree(logp_fn, grad_fn, theta, r, grad, logp, depth, direction, eps, h
     else:
         t.theta_minus, t.r_minus, t.grad_minus = second.theta_minus, second.r_minus, second.grad_minus
         t.theta_plus, t.r_plus, t.grad_plus = first.theta_plus, first.r_plus, first.grad_plus
-    t.log_weight = logsumexp([first.log_weight, second.log_weight])
+    t.log_weight = np.logaddexp(first.log_weight, second.log_weight)
     # multinomial selection between subtrees (divergent states carry no weight)
     chosen = first
     if not second.divergent and math.log(gen.uniform(1e-300, 1.0)) < (
@@ -127,7 +123,7 @@ def _build_tree(logp_fn, grad_fn, theta, r, grad, logp, depth, direction, eps, h
     return t
 
 
-def nuts_transition(logp_fn, grad_fn, theta, logp, grad, eps, max_depth, gen):
+def nuts_transition(value_and_grad, theta, logp, grad, eps, max_depth, gen):
     """One no-U-turn transition. Returns (theta, logp, grad, mean_accept, depth, divergent)."""
     r0 = gen.standard_normal(theta.shape[0])
     h0 = _hamiltonian(logp, r0)
@@ -143,14 +139,12 @@ def nuts_transition(logp_fn, grad_fn, theta, logp, grad, eps, max_depth, gen):
         direction = 1 if gen.uniform() < 0.5 else -1
         if direction == 1:
             sub = _build_tree(
-                logp_fn, grad_fn, t.theta_plus, t.r_plus, t.grad_plus,
-                logp, depth, 1, eps, h0, gen,
+                value_and_grad, t.theta_plus, t.r_plus, t.grad_plus, depth, 1, eps, h0, gen
             )
             t.theta_plus, t.r_plus, t.grad_plus = sub.theta_plus, sub.r_plus, sub.grad_plus
         else:
             sub = _build_tree(
-                logp_fn, grad_fn, t.theta_minus, t.r_minus, t.grad_minus,
-                logp, depth, -1, eps, h0, gen,
+                value_and_grad, t.theta_minus, t.r_minus, t.grad_minus, depth, -1, eps, h0, gen
             )
             t.theta_minus, t.r_minus, t.grad_minus = sub.theta_minus, sub.r_minus, sub.grad_minus
         sum_accept += sub.sum_accept
@@ -165,7 +159,7 @@ def nuts_transition(logp_fn, grad_fn, theta, logp, grad, eps, max_depth, gen):
             t.theta_prop, t.grad_prop, t.logp_prop = (
                 sub.theta_prop, sub.grad_prop, sub.logp_prop,
             )
-        t.log_weight = logsumexp([t.log_weight, sub.log_weight])
+        t.log_weight = np.logaddexp(t.log_weight, sub.log_weight)
         depth += 1
         dtheta = t.theta_plus - t.theta_minus
         if float(dtheta @ t.r_minus) < 0 or float(dtheta @ t.r_plus) < 0:
@@ -174,22 +168,21 @@ def nuts_transition(logp_fn, grad_fn, theta, logp, grad, eps, max_depth, gen):
     return t.theta_prop, t.logp_prop, t.grad_prop, mean_accept, depth, divergent
 
 
-def find_reasonable_epsilon(logp_fn, grad_fn, theta, gen) -> float:
+def find_reasonable_epsilon(value_and_grad, theta, gen) -> float:
     """Heuristic initial step size: leapfrog acceptance near 0.5."""
     eps = 1.0
     r = gen.standard_normal(theta.shape[0])
-    logp = logp_fn(theta)
-    grad = grad_fn(theta)
+    logp, grad = value_and_grad(theta)
     h0 = _hamiltonian(logp, r)
-    theta1, r1, _ = _leapfrog(grad_fn, theta, r, grad, eps)
-    h1 = _hamiltonian(logp_fn(theta1), r1)
+    _, r1, _, logp1 = _leapfrog(value_and_grad, theta, r, grad, eps)
+    h1 = _hamiltonian(logp1, r1)
     if not np.isfinite(h1):
         h1 = -np.inf
     direction = 1.0 if (h1 - h0) > math.log(0.5) else -1.0
     for _ in range(50):
         eps *= 2.0**direction
-        theta1, r1, _ = _leapfrog(grad_fn, theta, r, grad, eps)
-        h1 = _hamiltonian(logp_fn(theta1), r1)
+        _, r1, _, logp1 = _leapfrog(value_and_grad, theta, r, grad, eps)
+        h1 = _hamiltonian(logp1, r1)
         if not np.isfinite(h1):
             h1 = -np.inf
         if direction * (h1 - h0) < direction * math.log(0.5):
@@ -206,7 +199,9 @@ class DualAveraging:
         self.target = target
         self.gamma, self.t0, self.kappa = gamma, t0, kappa
         self.log_eps = math.log(eps0)
-        self.log_eps_bar = 0.0
+        # adapted is eps0 until the first update, which overwrites the
+        # average exactly (its weight w is 1 at t = 1)
+        self.log_eps_bar = self.log_eps
         self.h_bar = 0.0
         self.t = 0
 
@@ -225,8 +220,7 @@ class DualAveraging:
 
 
 def hmc_sample(
-    log_density,
-    grad,
+    value_and_grad,
     init: np.ndarray,
     cfg: HmcConfig,
     n_draws: int,
@@ -235,19 +229,21 @@ def hmc_sample(
 ) -> tuple[np.ndarray, HmcDiagnostics]:
     """Run NUTS from init; returns (chain of shape (n_draws, d), diagnostics).
 
-    Warmup iterations adapt the step size (when cfg.step_size is None) and
-    are discarded. n_draws = 0 returns an empty chain.
+    value_and_grad(theta) -> (log density, gradient) is evaluated once at
+    init and then once per leapfrog step. Warmup iterations adapt the step
+    size (when cfg.step_size is None) and are discarded; with no warmup the
+    heuristic initial step is kept. n_draws = 0 returns an empty chain.
     """
     theta = np.ravel(np.asarray(init, dtype=float)).copy()
     d = theta.shape[0]
     gen = rng.gen
     if check_grad:
-        g = grad(theta)
+        _, g = value_and_grad(theta)
         h = 1e-5
         for i in range(min(d, 5)):
             e = np.zeros(d)
             e[i] = h
-            fd = (log_density(theta + e) - log_density(theta - e)) / (2 * h)
+            fd = (value_and_grad(theta + e)[0] - value_and_grad(theta - e)[0]) / (2 * h)
             if abs(fd - g[i]) > 1e-3 * max(1.0, abs(fd)):
                 raise ValueError(
                     f"gradient check failed at coordinate {i}: {g[i]} vs fd {fd}"
@@ -257,13 +253,13 @@ def hmc_sample(
     if n_draws == 0 and cfg.warmup == 0:
         return np.empty((0, d)), diag
 
-    logp = float(log_density(theta))
-    g = grad(theta)
+    logp, g = value_and_grad(theta)
+    logp = float(logp)
     if cfg.step_size is not None:
         eps = cfg.step_size
         da = None
     else:
-        eps = find_reasonable_epsilon(log_density, grad, theta, gen)
+        eps = find_reasonable_epsilon(value_and_grad, theta, gen)
         da = DualAveraging(eps, target=cfg.target_accept)
 
     chain = np.empty((n_draws, d))
@@ -272,7 +268,7 @@ def hmc_sample(
         if da is not None and it == cfg.warmup:
             eps = da.adapted
         theta, logp, g, acc, depth, div = nuts_transition(
-            log_density, grad, theta, logp, g, eps, cfg.max_tree_depth, gen
+            value_and_grad, theta, logp, g, eps, cfg.max_tree_depth, gen
         )
         if it < cfg.warmup:
             if da is not None:

@@ -12,9 +12,9 @@ from bnnlimits import (
     VarianceVector,
     forward,
     forward_batch,
-    grad_log_posterior_theta,
     log_likelihood,
     log_posterior_and_grad,
+    log_prior,
     sample_prior_params,
 )
 from bnnlimits.network import prior_scales
@@ -204,8 +204,9 @@ class TestGradient:
     def test_zero_theta_zero_data_gradient_vanishes(self):
         arch = Architecture((1, 2, 1), ("identity", "erf"))
         data = Dataset(np.array([[0.5, -0.5]]), np.zeros((1, 2)))
-        g = grad_log_posterior_theta(
-            arch, VarianceVector.constant(1.0, 2), np.zeros(arch.n_params), 1.0, data
+        _, g = log_posterior_and_grad(
+            arch, VarianceVector.constant(1.0, 2).with_last_layer(1.0),
+            np.zeros(arch.n_params), 1.0, data,
         )
         assert np.allclose(g, 0.0, atol=1e-14)
 
@@ -224,7 +225,7 @@ class TestGradient:
             )
             return val
 
-        g = grad_log_posterior_theta(arch, v, theta, sigma2, data)
+        _, g = log_posterior_and_grad(arch, v.with_last_layer(sigma2), theta, sigma2, data)
         fd = _fd_gradient(fun, theta)
         assert np.allclose(g, fd, rtol=1e-4, atol=1e-6)
 
@@ -244,6 +245,25 @@ class TestGradient:
 
         _, g = log_posterior_and_grad(arch, v, theta, sigma2, data, output_scale=scale)
         assert np.allclose(g, _fd_gradient(fun, theta), rtol=1e-4, atol=1e-6)
+
+    def test_value_matches_prior_plus_likelihood_as_variances_change(self):
+        # the prior constants are cached per (architecture, variances); the
+        # value must follow every change of variances, with and without data
+        arch = Architecture((2, 3, 1), ("identity", "erf"))
+        rng = RngStream(13)
+        theta = rng.gen.standard_normal(arch.n_params)
+        data = Dataset(rng.gen.standard_normal((2, 5)), rng.gen.standard_normal((1, 5)))
+        empty = Dataset(np.zeros((2, 0)), np.zeros((1, 0)))
+        out = forward(arch, theta, data.x)
+        v1 = VarianceVector((1.5, 0.8), (0.5, 2.0))
+        v2 = v1.with_last_layer(3.0)
+        for v in (v1, v2, v1):
+            lp = log_prior(arch, v, theta)
+            val, g = log_posterior_and_grad(arch, v, theta, 0.7, data)
+            assert val == pytest.approx(lp + log_likelihood(out, data.y, 0.7), rel=1e-12)
+            val0, g0 = log_posterior_and_grad(arch, v, theta, 0.7, empty)
+            assert val0 == pytest.approx(lp, rel=1e-12)
+            assert np.allclose(g0, -theta / prior_scales(arch, v) ** 2, rtol=1e-12)
 
     def test_doubling_sigma2_halves_residual_term(self):
         arch = Architecture((1, 2, 1), ("identity", "tanh"))

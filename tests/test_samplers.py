@@ -229,7 +229,8 @@ class TestHmc:
         logp = lambda th: -0.5 * float(th @ th)
         grad = lambda th: -th
         chain, diag = hmc_sample(
-            logp, grad, np.zeros(2), HmcConfig(warmup=300), 10_000, RngStream(16)
+            lambda th: (logp(th), grad(th)), np.zeros(2), HmcConfig(warmup=300), 10_000,
+            RngStream(16),
         )
         assert np.max(np.abs(chain.mean(0))) < 0.05
         assert np.max(np.abs(np.cov(chain.T) - np.eye(2))) < 0.1
@@ -246,15 +247,15 @@ class TestHmc:
         def grad(th):
             return np.array([-a + b * math.exp(-th[0])])
 
-        chain, _ = hmc_sample(logp, grad, np.zeros(1), HmcConfig(warmup=300),
-                              20_000, RngStream(17))
+        chain, _ = hmc_sample(lambda th: (logp(th), grad(th)), np.zeros(1),
+                              HmcConfig(warmup=300), 20_000, RngStream(17))
         s = np.exp(chain[::4, 0])  # thin to reduce autocorrelation
         stat, pval = stats.kstest(s, lambda x: stats.invgamma.cdf(x, a, scale=b))
         assert pval > 0.01
 
     def test_zero_draws_empty_chain(self):
         chain, _ = hmc_sample(
-            lambda th: -0.5 * float(th @ th), lambda th: -th,
+            lambda th: (-0.5 * float(th @ th), -th),
             np.zeros(3), HmcConfig(warmup=0), 0, RngStream(18)
         )
         assert chain.shape == (0, 3)
@@ -262,15 +263,41 @@ class TestHmc:
     def test_bit_reproducible(self):
         logp = lambda th: -0.5 * float(th @ th)
         grad = lambda th: -th
-        c1, _ = hmc_sample(logp, grad, np.zeros(2), HmcConfig(warmup=50), 100,
-                           RngStream(19))
-        c2, _ = hmc_sample(logp, grad, np.zeros(2), HmcConfig(warmup=50), 100,
-                           RngStream(19))
+        c1, _ = hmc_sample(lambda th: (logp(th), grad(th)), np.zeros(2),
+                           HmcConfig(warmup=50), 100, RngStream(19))
+        c2, _ = hmc_sample(lambda th: (logp(th), grad(th)), np.zeros(2),
+                           HmcConfig(warmup=50), 100, RngStream(19))
         assert np.array_equal(c1, c2)
 
     def test_gradient_check_catches_mismatch(self):
         with pytest.raises(ValueError):
             hmc_sample(
-                lambda th: -0.5 * float(th @ th), lambda th: +th,
+                lambda th: (-0.5 * float(th @ th), +th),
                 np.ones(2), HmcConfig(warmup=10), 10, RngStream(20), check_grad=True,
             )
+
+    def test_one_target_evaluation_per_leapfrog_step(self):
+        calls = []
+
+        def value_and_grad(th):
+            calls.append(1)
+            return -0.5 * float(th @ th), -th
+
+        hmc_sample(
+            value_and_grad, np.zeros(2),
+            HmcConfig(step_size=0.1, max_tree_depth=1, warmup=0), 50, RngStream(21),
+        )
+        # one evaluation at init, then one leapfrog step per depth-1 transition
+        assert len(calls) == 51
+
+    def test_no_warmup_keeps_heuristic_step(self):
+        # with adaptation on but no warmup, the step must come from the
+        # heuristic, not from an average that has not been updated (1.0)
+        var = 1e-6
+        chain, diag = hmc_sample(
+            lambda th: (-0.5 * float(th @ th) / var, -th / var),
+            np.zeros(2), HmcConfig(warmup=0), 20, RngStream(22),
+        )
+        assert diag.step_size < 0.01
+        assert diag.n_divergent == 0
+        assert np.all(np.abs(chain) < 0.01)
