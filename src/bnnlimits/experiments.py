@@ -9,6 +9,7 @@ a fitted log-log slope.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import logging
@@ -26,13 +27,19 @@ from . import __version__
 from .gibbs import GibbsConfig, PosteriorSamples, gibbs_run, gibbs_run_fixed_variance
 from .kernels import (
     ConstraintReport,
+    KernelMatrix,
     check_hyperparams,
     kernel_recursion,
     rescaled_kernel,
 )
 from .network import Architecture, Dataset, VarianceVector, forward_batch, sample_prior_params
 from .nuts import HmcConfig
-from .posteriors import gp_posterior, tp_posterior_predict
+from .posteriors import (
+    GaussianPosterior,
+    StudentTPosterior,
+    gp_posterior,
+    tp_posterior_predict,
+)
 from .rng import RngStream
 from .samplers import sample_mvn, sample_mvt
 from .wasserstein import w1_exact, sliced_w1
@@ -90,8 +97,14 @@ class ExperimentConfig:
             raise ConfigError(f"unknown reference function {self.reference_fn!r}")
         if self.k < 0 or self.test_grid < 0 or self.n_reps < 1:
             raise ConfigError("k, test_grid must be >= 0 and n_reps >= 1")
-        if self.w1_grid > max(self.test_grid, 0):
-            raise ConfigError("w1_grid cannot exceed test_grid")
+        if self.w1_grid < 0 or self.w1_grid > max(self.test_grid, 0):
+            raise ConfigError("w1_grid must lie in [0, test_grid]")
+        if not (self.a > 0 and self.b > 0 and self.noise_var > 0):
+            raise ConfigError("a, b and noise_var must be > 0")
+        if not (self.weight_variance > 0 and self.bias_variance > 0):
+            raise ConfigError("weight_variance and bias_variance must be > 0")
+        if self.burn_in < 0 or self.thinning < 1 or self.hmc_steps < 1:
+            raise ConfigError("need burn_in >= 0, thinning >= 1 and hmc_steps >= 1")
         if self.activation not in ("identity", "erf", "relu", "tanh"):
             raise ConfigError(f"unknown activation {self.activation!r}")
         if self.kernel_method == "analytic_erf" and self.activation != "erf":
@@ -179,41 +192,70 @@ def fit_loglog_slope(widths, w1) -> float | None:
     return float(coef[0])
 
 
+def _limit_kernel(cfg: ExperimentConfig, x_train: np.ndarray,
+                  x_test: np.ndarray | None = None,
+                  rescaled: bool = False) -> KernelMatrix:
+    """Infinite-width kernel K (or K' if rescaled) over x_train then x_test.
+
+    The limit reads only depth, activations and variances, so a width-1
+    architecture stands in for every width.
+    """
+    inputs = x_train if x_test is None else np.concatenate([x_train, x_test], axis=1)
+    build = rescaled_kernel if rescaled else kernel_recursion
+    return build(cfg.architecture(1), cfg.variances(), inputs,
+                 method=cfg.kernel_method, n_train=x_train.shape[1])
+
+
+def _t_limit(cfg: ExperimentConfig, data: Dataset, grid: np.ndarray) -> StudentTPosterior:
+    """Student-t posterior predictive of the hierarchical limit at the grid."""
+    kprime = _limit_kernel(cfg, data.x, grid, rescaled=True)
+    return tp_posterior_predict(kprime, data.y, cfg.a, cfg.b)
+
+
+def _gp_limit(cfg: ExperimentConfig, data: Dataset, grid: np.ndarray) -> GaussianPosterior:
+    """GP posterior of the fixed-variance limit at the grid."""
+    k = _limit_kernel(cfg, data.x, grid)
+    return gp_posterior(k.train, k.cross, k.test, data.y, cfg.noise_var)
+
+
 def _log_constraint(cfg: ExperimentConfig, data: Dataset) -> ConstraintReport | None:
     if data.k == 0:
         return None
-    arch = cfg.architecture(cfg.widths[-1])
-    kp = rescaled_kernel(arch, cfg.variances(), data.x, method=cfg.kernel_method)
+    kp = _limit_kernel(cfg, data.x, rescaled=True)
     report = check_hyperparams(cfg.a, cfg.b, data.y, kp)
     log.info(report.summary())
     return report
 
 
-def _band(values: np.ndarray) -> tuple[float, float, float]:
-    return float(np.mean(values)), float(np.min(values)), float(np.max(values))
+def _w1_row(width: int, reps: list[float], sliced: list[float],
+            diagnostics: dict | None = None) -> dict:
+    """One width's mean W1 with its (min, max) band over the repetitions."""
+    v = np.asarray(reps)
+    return {
+        "width": width, "w1": float(np.mean(v)), "w1_lo": float(np.min(v)),
+        "w1_hi": float(np.max(v)), "reps": reps, "sliced": float(np.mean(sliced)),
+        "diagnostics": diagnostics,
+    }
 
 
-def _chain_seed(seed: int, width: int, kind: int) -> int:
-    """Distinct 63-bit chain seed per (experiment seed, width, sweep kind)."""
-    h = hashlib.sha256(f"{seed}:{width}:{kind}".encode()).digest()
-    return int.from_bytes(h[:8], "little") >> 1
-
-
-def _limit_kernel_full(cfg: ExperimentConfig, data: Dataset, grid: np.ndarray):
-    """Rescaled kernel over train+test inputs with the train partition first."""
-    arch = cfg.architecture(cfg.widths[-1])
-    inputs = np.concatenate([data.x, grid], axis=1) if data.k else grid
-    return rescaled_kernel(
-        arch, cfg.variances(), inputs, method=cfg.kernel_method, n_train=data.k
+def _gibbs_config(cfg: ExperimentConfig, width: int, kind: int) -> GibbsConfig:
+    """MCMC schedule of one width, seeded per (experiment seed, width, sweep kind)."""
+    h = hashlib.sha256(f"{cfg.seed}:{width}:{kind}".encode()).digest()
+    return GibbsConfig(
+        n_samples=cfg.draws,
+        burn_in=cfg.burn_in,
+        thinning=cfg.thinning,
+        hmc=HmcConfig(warmup=0),
+        hmc_steps=cfg.hmc_steps,
+        seed=int.from_bytes(h[:8], "little") >> 1,
     )
 
 
-def _prior_width_job(cfg: ExperimentConfig, width: int) -> dict:
-    """Per-width W1 between prior network draws and NNGP draws."""
+def _prior_width_job(cfg: ExperimentConfig, kernel: KernelMatrix, width: int) -> dict:
+    """Per-width W1 between prior network draws and draws of the NNGP `kernel`."""
     grid = cfg.make_test_grid()
     idx = cfg.w1_subgrid_idx()
     arch = cfg.architecture(width)
-    kernel = kernel_recursion(arch, cfg.variances(), grid, method=cfg.kernel_method)
     ksub = kernel.values[np.ix_(idx, idx)]
     rng = RngStream(cfg.seed, (width,))
     reps = []
@@ -228,75 +270,37 @@ def _prior_width_job(cfg: ExperimentConfig, width: int) -> dict:
             np.zeros(grid.shape[1]), kernel.values, r_gp.child(0), size=cfg.draws
         )
         sl.append(sliced_w1(bnn, gp_full, 128, r_gp.child(1)))
-    mean, lo, hi = _band(np.asarray(reps))
-    return {
-        "width": width, "w1": mean, "w1_lo": lo, "w1_hi": hi,
-        "reps": reps, "sliced": float(np.mean(sl)),
-    }
+    return _w1_row(width, reps, sl)
 
 
-def _posterior_width_job(cfg: ExperimentConfig, width: int) -> dict:
-    """Per-width W1 between Gibbs posterior draws and Student-t limit draws."""
+def _posterior_width_job(cfg: ExperimentConfig, tp: StudentTPosterior, width: int) -> dict:
+    """Per-width W1 between Gibbs posterior draws and draws of the t limit `tp`."""
     data = cfg.make_dataset()
     grid = cfg.make_test_grid()
     idx = cfg.w1_subgrid_idx()
     arch = cfg.architecture(width)
-    gcfg = GibbsConfig(
-        n_samples=cfg.draws,
-        burn_in=cfg.burn_in,
-        thinning=cfg.thinning,
-        hmc=HmcConfig(warmup=0),
-        hmc_steps=cfg.hmc_steps,
-        seed=_chain_seed(cfg.seed, width, 1),
-    )
+    gcfg = _gibbs_config(cfg, width, 1)
     samples = gibbs_run(arch, cfg.variances(), cfg.a, cfg.b, data, grid, gcfg)
-    kfull = _limit_kernel_full(cfg, data, grid)
-    tp = tp_posterior_predict(kfull, data.y, cfg.a, cfg.b)
     rng = RngStream(cfg.seed, (width, 2))
     reps, sl = _resampled_w1(cfg, samples.evals, idx, rng,
                              lambda r, n: sample_mvt(tp.nu, tp.location, tp.scale, r, size=n))
-    mean, lo, hi = _band(np.asarray(reps))
-    return {
-        "width": width, "w1": mean, "w1_lo": lo, "w1_hi": hi,
-        "reps": reps, "sliced": float(np.mean(sl)),
-        "diagnostics": samples.diagnostics,
-    }
+    return _w1_row(width, reps, sl, diagnostics=samples.diagnostics)
 
 
-def _baseline_width_job(cfg: ExperimentConfig, width: int) -> dict:
-    """Per-width W1 between fixed-variance posterior draws and the GP limit."""
+def _baseline_width_job(cfg: ExperimentConfig, gp: GaussianPosterior, width: int) -> dict:
+    """Per-width W1 between fixed-variance posterior draws and the GP limit `gp`."""
     data = cfg.make_dataset()
     grid = cfg.make_test_grid()
     idx = cfg.w1_subgrid_idx()
     arch = cfg.architecture(width)
-    gcfg = GibbsConfig(
-        n_samples=cfg.draws,
-        burn_in=cfg.burn_in,
-        thinning=cfg.thinning,
-        hmc=HmcConfig(warmup=0),
-        hmc_steps=cfg.hmc_steps,
-        seed=_chain_seed(cfg.seed, width, 3),
-    )
+    gcfg = _gibbs_config(cfg, width, 3)
     samples = gibbs_run_fixed_variance(
         arch, cfg.variances(), cfg.noise_var, data, grid, gcfg
-    )
-    inputs = np.concatenate([data.x, grid], axis=1) if data.k else grid
-    kernel = kernel_recursion(
-        cfg.architecture(cfg.widths[-1]), cfg.variances(), inputs,
-        method=cfg.kernel_method, n_train=data.k,
-    )
-    gp = gp_posterior(
-        kernel.train, kernel.cross, kernel.test, data.y, cfg.noise_var
     )
     rng = RngStream(cfg.seed, (width, 4))
     reps, sl = _resampled_w1(cfg, samples.evals, idx, rng,
                              lambda r, n: sample_mvn(gp.mean, gp.cov, r, size=n))
-    mean, lo, hi = _band(np.asarray(reps))
-    return {
-        "width": width, "w1": mean, "w1_lo": lo, "w1_hi": hi,
-        "reps": reps, "sliced": float(np.mean(sl)),
-        "diagnostics": samples.diagnostics,
-    }
+    return _w1_row(width, reps, sl, diagnostics=samples.diagnostics)
 
 
 def _resampled_w1(cfg, evals, idx, rng, limit_sampler):
@@ -313,11 +317,13 @@ def _resampled_w1(cfg, evals, idx, rng, limit_sampler):
     return reps, sl
 
 
-def _run_width_sweep(cfg: ExperimentConfig, job, jobs: int = 1) -> list[dict]:
+def _run_width_sweep(cfg: ExperimentConfig, job, limit, jobs: int = 1) -> list[dict]:
+    """job(cfg, limit, width) per width; the limit is built once by the caller."""
+    run = functools.partial(job, cfg, limit)
     if jobs > 1 and len(cfg.widths) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(job, [cfg] * len(cfg.widths), cfg.widths))
-    return [job(cfg, w) for w in cfg.widths]
+            return list(pool.map(run, cfg.widths))
+    return [run(w) for w in cfg.widths]
 
 
 def _assemble_report(cfg: ExperimentConfig, rows: list[dict],
@@ -346,11 +352,8 @@ def run_prior_convergence(cfg: ExperimentConfig, jobs: int = 1) -> ConvergenceRe
     data = cfg.make_dataset()
     constraint = _log_constraint(cfg, data)
     grid = cfg.make_test_grid()
-    kernel = kernel_recursion(
-        cfg.architecture(cfg.widths[-1]), cfg.variances(), grid,
-        method=cfg.kernel_method,
-    )
-    rows = _run_width_sweep(cfg, _prior_width_job, jobs)
+    kernel = _limit_kernel(cfg, grid)
+    rows = _run_width_sweep(cfg, _prior_width_job, kernel, jobs)
     return _assemble_report(
         cfg, rows, np.zeros(grid.shape[1]), np.diag(kernel.values), t0, constraint
     )
@@ -362,9 +365,8 @@ def run_posterior_convergence(cfg: ExperimentConfig, jobs: int = 1) -> Convergen
     data = cfg.make_dataset()
     constraint = _log_constraint(cfg, data)
     grid = cfg.make_test_grid()
-    kfull = _limit_kernel_full(cfg, data, grid)
-    tp = tp_posterior_predict(kfull, data.y, cfg.a, cfg.b)
-    rows = _run_width_sweep(cfg, _posterior_width_job, jobs)
+    tp = _t_limit(cfg, data, grid)
+    rows = _run_width_sweep(cfg, _posterior_width_job, tp, jobs)
     var = np.diag(tp.covariance()) if tp.nu > 2 else np.full(grid.shape[1], np.nan)
     return _assemble_report(cfg, rows, tp.location, var, t0, constraint)
 
@@ -375,13 +377,8 @@ def run_gaussian_baseline(cfg: ExperimentConfig, jobs: int = 1) -> ConvergenceRe
     data = cfg.make_dataset()
     constraint = _log_constraint(cfg, data)
     grid = cfg.make_test_grid()
-    inputs = np.concatenate([data.x, grid], axis=1) if data.k else grid
-    kernel = kernel_recursion(
-        cfg.architecture(cfg.widths[-1]), cfg.variances(), inputs,
-        method=cfg.kernel_method, n_train=data.k,
-    )
-    gp = gp_posterior(kernel.train, kernel.cross, kernel.test, data.y, cfg.noise_var)
-    rows = _run_width_sweep(cfg, _baseline_width_job, jobs)
+    gp = _gp_limit(cfg, data, grid)
+    rows = _run_width_sweep(cfg, _baseline_width_job, gp, jobs)
     return _assemble_report(cfg, rows, gp.mean, np.diag(gp.cov), t0, constraint)
 
 
@@ -406,27 +403,16 @@ def run_comparison(cfg: ExperimentConfig) -> ComparisonReport:
     if grid.shape[1] == 0:
         return ComparisonReport([], [], [], cfg.seed, cfg.hash(),
                                 time.perf_counter() - t0)
-    kprime = _limit_kernel_full(cfg, data, grid)
-    tp = tp_posterior_predict(kprime, data.y, cfg.a, cfg.b)
-    inputs = np.concatenate([data.x, grid], axis=1) if data.k else grid
-    kernel = kernel_recursion(
-        cfg.architecture(cfg.widths[-1]), cfg.variances(), inputs,
-        method=cfg.kernel_method, n_train=data.k,
-    )
-    gp = gp_posterior(kernel.train, kernel.cross, kernel.test, data.y, cfg.noise_var)
+    tp = _t_limit(cfg, data, grid)
+    gp = _gp_limit(cfg, data, grid)
     qs = (0.025, 0.5, 0.975)
     t_sd = np.sqrt(np.clip(np.diag(tp.scale), 0.0, None))
     g_sd = np.sqrt(np.clip(np.diag(gp.cov), 0.0, None))
-    tp_bands = [
-        tuple(float(tp.location[i] + t_sd[i] * stats.t.ppf(q, tp.nu)) for q in qs)
-        for i in range(grid.shape[1])
-    ]
-    gp_bands = [
-        tuple(float(gp.mean[i] + g_sd[i] * stats.norm.ppf(q)) for q in qs)
-        for i in range(grid.shape[1])
-    ]
+    tp_bands = tp.location[:, None] + t_sd[:, None] * stats.t.ppf(qs, tp.nu)
+    gp_bands = gp.mean[:, None] + g_sd[:, None] * stats.norm.ppf(qs)
     return ComparisonReport(
-        list(grid[0]), tp_bands, gp_bands, cfg.seed, cfg.hash(),
+        list(grid[0]), [tuple(b) for b in tp_bands.tolist()],
+        [tuple(b) for b in gp_bands.tolist()], cfg.seed, cfg.hash(),
         time.perf_counter() - t0,
     )
 

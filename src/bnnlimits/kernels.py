@@ -192,22 +192,16 @@ def _expect_mc(phi, k11, k12, k22, n_draws: int, rng: RngStream):
     return 0.5 * np.mean(vals, axis=-1)
 
 
-def kernel_recursion(
+def _recursion(
     arch: Architecture,
     variances: VarianceVector,
     inputs: np.ndarray,
     method: str = "analytic_erf",
-    n_train: int | None = None,
     gh_order: int = GH_DEFAULT_ORDER,
     mc_draws: int = MC_DEFAULT_DRAWS,
     rng: RngStream | None = None,
-) -> KernelMatrix:
-    """NNGP kernel K^{(L)} over all pairs of input columns.
-
-    method is one of analytic_erf (erf activations at layers 2..L only),
-    analytic_relu (relu activations at layers 2..L only), gauss_hermite,
-    or monte_carlo.
-    """
+) -> np.ndarray:
+    """Raw K^{(L)} over all pairs of input columns, before the PSD check."""
     _check_arch_vars(arch, variances)
     x = np.atleast_2d(np.asarray(inputs, dtype=float))
     if x.shape[0] != arch.d_in:
@@ -245,7 +239,25 @@ def kernel_recursion(
             E = _expect_mc(phi, k11, K, k22, mc_draws, rng.child(l))
         E = 0.5 * (E + E.T)
         K = variances.weight[l - 1] * E + variances.bias[l - 1]
-    return KernelMatrix(K, n_train=m if n_train is None else n_train, flavor="K")
+    return K
+
+
+def kernel_recursion(
+    arch: Architecture,
+    variances: VarianceVector,
+    inputs: np.ndarray,
+    method: str = "analytic_erf",
+    n_train: int | None = None,
+    **kwargs,
+) -> KernelMatrix:
+    """NNGP kernel K^{(L)} over all pairs of input columns.
+
+    method is one of analytic_erf (erf activations at layers 2..L only),
+    analytic_relu (relu activations at layers 2..L only), gauss_hermite,
+    or monte_carlo; kwargs (gh_order, mc_draws, rng) tune the last two.
+    """
+    K = _recursion(arch, variances, inputs, method=method, **kwargs)
+    return KernelMatrix(K, n_train=K.shape[0] if n_train is None else n_train)
 
 
 def rescaled_kernel(
@@ -262,15 +274,10 @@ def rescaled_kernel(
     K = sigma2 * K' when both last-layer variances equal sigma2, and
     K'(x, x) >= 1 because the unit bias variance adds a constant 1.
     """
-    k = kernel_recursion(
-        arch,
-        variances.unit_last_layer(),
-        inputs,
-        method=method,
-        n_train=n_train,
-        **kwargs,
+    K = _recursion(arch, variances.unit_last_layer(), inputs, method=method, **kwargs)
+    return KernelMatrix(
+        K, n_train=K.shape[0] if n_train is None else n_train, flavor="K_prime"
     )
-    return KernelMatrix(k.values, n_train=k.n_train, flavor="K_prime")
 
 
 def operator_norm(kernel: KernelMatrix | np.ndarray) -> float:

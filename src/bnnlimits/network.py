@@ -77,6 +77,17 @@ class Architecture:
         for tag in self.activations:
             if tag not in ACTIVATIONS:
                 raise ValueError(f"unknown activation {tag!r}")
+        # The layout is read on every target evaluation, so it is built once;
+        # n_params and _layout are plain attributes, outside eq and hash.
+        layout, pos = [], 0
+        for n_in, n_out in zip(self.widths, self.widths[1:]):
+            w = slice(pos, pos + n_out * n_in)
+            pos += n_out * n_in
+            b = slice(pos, pos + n_out)
+            pos += n_out
+            layout.append((w, b))
+        object.__setattr__(self, "_layout", tuple(layout))
+        object.__setattr__(self, "n_params", pos)
 
     @property
     def n_layers(self) -> int:
@@ -90,25 +101,9 @@ class Architecture:
     def d_out(self) -> int:
         return self.widths[-1]
 
-    @property
-    def n_params(self) -> int:
-        return sum(
-            self.widths[l] * (self.widths[l - 1] + 1)
-            for l in range(1, len(self.widths))
-        )
-
-    def layout(self) -> list[tuple[slice, slice]]:
+    def layout(self) -> tuple[tuple[slice, slice], ...]:
         """Per layer l=1..L, (weight slice, bias slice) into the flat vector."""
-        out = []
-        pos = 0
-        for l in range(1, len(self.widths)):
-            n_out, n_in = self.widths[l], self.widths[l - 1]
-            w = slice(pos, pos + n_out * n_in)
-            pos += n_out * n_in
-            b = slice(pos, pos + n_out)
-            pos += n_out
-            out.append((w, b))
-        return out
+        return self._layout
 
     def unpack(self, theta: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
         """Views of theta as per-layer (W, b) with W shaped (n_l, n_{l-1})."""
@@ -118,7 +113,7 @@ class Architecture:
                 f"theta has shape {theta.shape}, expected ({self.n_params},)"
             )
         out = []
-        for l, (ws, bs) in enumerate(self.layout(), start=1):
+        for l, (ws, bs) in enumerate(self._layout, start=1):
             n_out, n_in = self.widths[l], self.widths[l - 1]
             out.append((theta[ws].reshape(n_out, n_in), theta[bs]))
         return out
@@ -215,7 +210,7 @@ def prior_scales(arch: Architecture, variances: VarianceVector) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _target_constants(arch: Architecture, variances: VarianceVector):
-    """(scale, scale**2, sum(log scale), layout) of one prior, built once.
+    """(scale, scale**2, sum(log scale)) of one prior, built once.
 
     The arrays are read-only because every caller shares them.
     """
@@ -223,7 +218,7 @@ def _target_constants(arch: Architecture, variances: VarianceVector):
     scale2 = scale**2
     scale.flags.writeable = False
     scale2.flags.writeable = False
-    return scale, scale2, np.sum(np.log(scale)), tuple(arch.layout())
+    return scale, scale2, np.sum(np.log(scale))
 
 
 def sample_prior_params(
@@ -343,7 +338,7 @@ def log_posterior_and_grad(
     """
     if sigma2 <= 0:
         raise ValueError("sigma2 must be strictly positive")
-    scale, scale2, sum_log_scale, layout = _target_constants(arch, variances)
+    scale, scale2, sum_log_scale = _target_constants(arch, variances)
     theta = np.asarray(theta, dtype=float)
     if theta.shape != scale.shape:
         raise ValueError(f"theta has shape {theta.shape}, expected {scale.shape}")
@@ -366,7 +361,7 @@ def log_posterior_and_grad(
     g_out = output_scale * resid / sigma2
     for l in range(arch.n_layers - 1, -1, -1):
         h, a = cache[l]
-        ws, bs = layout[l]
+        ws, bs = arch.layout()[l]
         grad[ws] += np.ravel(g_out @ a.T)
         grad[bs] += g_out.sum(axis=1)
         if l > 0:

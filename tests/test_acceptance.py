@@ -171,6 +171,7 @@ class TestSigma2ConditionalSampler:
         assert stat < ks_threshold(n, n)
 
 
+@pytest.mark.slow
 class TestGibbsOracle:
     def test_posterior_means_match_importance_sampling(self):
         """4-parameter net, k=3: Gibbs matches a 1e7-draw IS oracle."""
@@ -256,6 +257,7 @@ class TestPriorConvergenceTrend:
         assert elapsed < 600.0
 
 
+@pytest.mark.slow
 class TestPosteriorConvergenceTrend:
     def test_width_128_at_least_3x_closer_than_width_1(self):
         """Hierarchical posterior vs Student-t limit across widths 1..128."""

@@ -8,6 +8,7 @@ import os
 import numpy as np
 import pytest
 
+from bnnlimits import experiments
 from bnnlimits.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from bnnlimits.experiments import (
     ComparisonReport,
@@ -64,6 +65,16 @@ class TestConfig:
             {"activation": "swish"},
             {"activation": "relu", "kernel_method": "analytic_erf"},
             {"activation": "erf", "kernel_method": "analytic_relu"},
+            {"a": 0.0},
+            {"b": 0.0},
+            {"b": float("nan")},
+            {"noise_var": 0.0},
+            {"weight_variance": -1.0},
+            {"bias_variance": 0.0},
+            {"w1_grid": -1},
+            {"burn_in": -1},
+            {"thinning": 0},
+            {"hmc_steps": 0},
         ],
     )
     def test_invalid_configs_rejected(self, bad):
@@ -145,6 +156,40 @@ class TestRunners:
     def test_comparison_empty_grid(self):
         rep = run_comparison(ExperimentConfig(k=3, test_grid=0, w1_grid=0))
         assert rep.grid == [] and rep.tp_bands == []
+
+    def test_width_jobs_in_a_process_pool_match_serial(self):
+        cfg = ExperimentConfig(**FAST)
+        for runner in (run_prior_convergence, run_posterior_convergence):
+            assert runner(cfg, jobs=2).w1 == runner(cfg, jobs=1).w1
+
+
+class TestLimitBuiltOnce:
+    """The limit does not depend on width, so each runner builds it once."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"kernel_recursion": 0, "rescaled_kernel": 0}
+        for name in counts:
+            def counted(*args, _name=name, _fn=getattr(experiments, name), **kwargs):
+                counts[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(experiments, name, counted)
+        return counts
+
+    # rescaled_kernel feeds the admissibility check once per run, and the
+    # Student-t limit once more in the posterior run.
+    @pytest.mark.parametrize(
+        "runner, expected",
+        [
+            (run_posterior_convergence, {"kernel_recursion": 0, "rescaled_kernel": 2}),
+            (run_prior_convergence, {"kernel_recursion": 1, "rescaled_kernel": 1}),
+            (run_gaussian_baseline, {"kernel_recursion": 1, "rescaled_kernel": 1}),
+        ],
+    )
+    def test_kernel_builds_per_run(self, calls, runner, expected):
+        runner(ExperimentConfig(**FAST))
+        assert calls == expected
 
 
 class TestBoundDiagnostics:
@@ -270,6 +315,9 @@ class TestCli:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"widths": [4, 2]}))
         assert main(["prior-convergence", "--config", str(path)]) == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+        path.write_text(json.dumps({"noise_var": 0}))
+        assert main(["gaussian-baseline", "--config", str(path)]) == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
 
     def test_unreadable_and_malformed_config_exit_2(self, tmp_path):

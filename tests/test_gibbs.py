@@ -88,6 +88,7 @@ class TestPriorRecovery:
         assert abs(np.mean(w**2) - 1.0) < 5 * mcmc_stderr(w**2)
 
 
+@pytest.mark.slow
 class TestOracleAgreement:
     def test_gibbs_matches_importance_sampling(self):
         # small version of the acceptance criterion (full size runs there)

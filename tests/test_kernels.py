@@ -16,6 +16,7 @@ from bnnlimits import (
     operator_norm,
     rescaled_kernel,
 )
+from bnnlimits import kernels
 from bnnlimits.kernels import (
     KernelMatrix,
     _expect_analytic_erf,
@@ -183,6 +184,18 @@ class TestKernelMatrix:
 
         with pytest.raises(KernelDegeneracyError):
             KernelMatrix(np.array([[1.0, 2.0], [2.0, 1.0]]), n_train=2)
+
+    def test_rescaled_kernel_checks_psd_once(self, monkeypatch):
+        built = []
+
+        class Counted(KernelMatrix):
+            def __post_init__(self):
+                built.append(self.flavor)
+                super().__post_init__()
+
+        monkeypatch.setattr(kernels, "KernelMatrix", Counted)
+        rescaled_kernel(ERF_ARCH, V5, np.array([[0.0, 0.3, 1.0]]))
+        assert built == ["K_prime"]
 
     def test_partition_blocks(self):
         vals = np.arange(16, dtype=float).reshape(4, 4)
