@@ -20,6 +20,9 @@ from .rng import RngStream
 
 PSD_FLOOR = -1e-10
 SYM_TOL = 1e-12
+# Diagonal jitter ladder, in units of a matrix's scale. KernelMatrix climbs
+# the rungs up to |PSD_FLOOR| to certify a kernel; solve_psd climbs them all.
+JITTERS = (0.0, 1e-12, 1e-10, 1e-8)
 
 GH_DEFAULT_ORDER = 32
 MC_DEFAULT_DRAWS = 200_000
@@ -35,6 +38,11 @@ class KernelMatrix:
 
     flavor is "K" for the full kernel or "K_prime" for the rescaled kernel
     (unit last-layer variances; diagonal >= 1).
+
+    The stored values always have a Cholesky factor: they are the
+    symmetrised input plus the first shift t * scale * I, with t on the
+    JITTERS ladder up to |PSD_FLOOR|, that factors. A positive definite input
+    is stored unchanged; a rounding-level violation gets the smallest shift.
     """
 
     values: np.ndarray
@@ -45,26 +53,29 @@ class KernelMatrix:
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 2 or v.shape[0] != v.shape[1]:
             raise ValueError("kernel matrix must be square")
-        scale = max(1.0, float(np.max(np.abs(v))))
-        if np.max(np.abs(v - v.T)) > SYM_TOL * scale:
-            raise ValueError("kernel matrix is not symmetric")
-        v = 0.5 * (v + v.T)
-        eigs = np.linalg.eigvalsh(v)
-        if eigs[0] < PSD_FLOOR * scale:
-            raise KernelDegeneracyError(
-                f"kernel matrix has eigenvalue {eigs[0]:.3e}; "
-                "inputs may be degenerate or the recursion lost PSD"
-            )
-        if eigs[0] < 0:
-            # symmetrize-and-clip repair for rounding-level violations
-            w, q = np.linalg.eigh(v)
-            v = (q * np.clip(w, 0.0, None)) @ q.T
-            v = 0.5 * (v + v.T)
         if not 0 <= self.n_train <= v.shape[0]:
             raise ValueError("n_train out of range")
         if self.flavor not in ("K", "K_prime"):
             raise ValueError("flavor must be 'K' or 'K_prime'")
-        object.__setattr__(self, "values", v)
+        if not np.all(np.isfinite(v)):
+            raise KernelDegeneracyError("kernel matrix has non-finite entries")
+        scale = float(np.max(np.abs(v), initial=1.0))
+        if np.max(np.abs(v - v.T), initial=0.0) > SYM_TOL * scale:
+            raise ValueError("kernel matrix is not symmetric")
+        v = 0.5 * (v + v.T)
+        for jit in (j for j in JITTERS if j <= -PSD_FLOOR):
+            shifted = v + jit * scale * np.eye(v.shape[0]) if jit else v
+            try:
+                np.linalg.cholesky(shifted)
+            except np.linalg.LinAlgError:
+                continue
+            object.__setattr__(self, "values", shifted)
+            return
+        # no rung factors, so the smallest eigenvalue is below PSD_FLOOR * scale
+        raise KernelDegeneracyError(
+            f"kernel matrix has eigenvalue {np.linalg.eigvalsh(v)[0]:.3e}; "
+            "inputs may be degenerate or the recursion lost PSD"
+        )
 
     @property
     def m(self) -> int:

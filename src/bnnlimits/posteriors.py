@@ -18,9 +18,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.special import gammaln
 
-from .kernels import KernelMatrix
-
-JITTERS = (0.0, 1e-12, 1e-10, 1e-8)
+from .kernels import JITTERS, KernelMatrix
 
 
 class LinearAlgebraError(RuntimeError):
@@ -116,6 +114,11 @@ def gp_posterior(
     k_cross = np.atleast_2d(np.asarray(k_cross, dtype=float))
     k_test = np.atleast_2d(np.asarray(k_test, dtype=float))
     y = np.ravel(np.asarray(y, dtype=float))
+    if y.shape[0] != k_train.shape[0]:
+        raise ValueError("y length must match the train kernel")
+    if y.shape[0] == 0:
+        # no data: the GP prior
+        return GaussianPosterior(np.zeros(k_test.shape[0]), k_test)
     A = k_train + noise_var * np.eye(k_train.shape[0])
     sol = solve_psd(A, np.column_stack([y[:, None], k_cross.T]))
     mean = k_cross @ sol[:, 0]

@@ -192,6 +192,21 @@ class TestLimitBuiltOnce:
         assert calls == expected
 
 
+class TestLimitKernelsFactor:
+    """The stored limit kernels of the 1024-point band grid have a Cholesky factor."""
+
+    @pytest.mark.parametrize("rescaled", [False, True])
+    def test_band_grid_kernels_factor(self, rescaled):
+        path = os.path.join(os.path.dirname(__file__), "..", "configs",
+                            "posterior_convergence.json")
+        with open(path) as f:
+            cfg = ExperimentConfig.from_dict({**json.load(f), "test_grid": 1024})
+        x = cfg.make_dataset().x
+        k = experiments._limit_kernel(cfg, x, cfg.make_test_grid(), rescaled=rescaled)
+        assert k.m == 1032
+        np.linalg.cholesky(k.values)
+
+
 class TestBoundDiagnostics:
     def test_formulas_standard_normal_case(self):
         # sigma2 = 1, n = 1: sup = 1/sqrt(2 pi), Lipschitz = e^{-1/2}/sqrt(2 pi)
@@ -288,6 +303,12 @@ class TestCli:
             main(["diagnostics", "--config", cfgp, "--out", str(tmp_path / "d")])
             == EXIT_OK
         )
+
+    @pytest.mark.parametrize("command", ["compare", "gaussian-baseline"])
+    def test_no_training_data_exit_ok(self, tmp_path, command):
+        # with k = 0 the limit is the prior: the GP posterior has no train block
+        cfgp = self._cfg_file(tmp_path, k=0, test_grid=16, w1_grid=2)
+        assert main([command, "--config", cfgp, "--out", str(tmp_path / "o")]) == EXIT_OK
 
     def test_seed_override(self, tmp_path):
         cfgp = self._cfg_file(tmp_path)

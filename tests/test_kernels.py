@@ -197,6 +197,68 @@ class TestKernelMatrix:
         rescaled_kernel(ERF_ARCH, V5, np.array([[0.0, 0.3, 1.0]]))
         assert built == ["K_prime"]
 
+    def test_large_violation_names_eigenvalue(self):
+        from bnnlimits.kernels import KernelDegeneracyError
+
+        with pytest.raises(KernelDegeneracyError, match=r"eigenvalue -1\.000e\+00"):
+            KernelMatrix(np.array([[1.0, 2.0], [2.0, 1.0]]), n_train=2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        from bnnlimits.kernels import KernelDegeneracyError
+
+        with pytest.raises(KernelDegeneracyError, match="non-finite"):
+            KernelMatrix(np.array([[1.0, bad], [bad, 1.0]]), n_train=2)
+        with pytest.raises(KernelDegeneracyError, match="non-finite"):
+            KernelMatrix(np.array([[bad, 0.0], [0.0, 1.0]]), n_train=2)
+
+    def test_cheap_checks_before_factorisation(self, monkeypatch):
+        def no_factor(*args, **kwargs):
+            raise AssertionError("factorised before the argument checks")
+
+        for name in ("cholesky", "eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, no_factor)
+        with pytest.raises(ValueError, match="n_train"):
+            KernelMatrix(np.eye(2), n_train=3)
+        with pytest.raises(ValueError, match="flavor"):
+            KernelMatrix(np.eye(2), n_train=2, flavor="Q")
+
+    def test_accepting_runs_no_eigendecomposition(self, monkeypatch):
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            def counted(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        KernelMatrix(np.array([[2.0, 0.5], [0.5, 1.0]]), n_train=2)
+        KernelMatrix(np.array([[1.0, 1.0], [1.0, 1.0 - 5e-11]]), n_train=2)
+        assert calls == []
+
+    def test_positive_definite_input_stored_unchanged(self):
+        rng = RngStream(3)
+        a = rng.gen.standard_normal((6, 6))
+        v = a @ a.T + 0.1 * np.eye(6)
+        v[0, 1] += 1e-14  # asymmetric within SYM_TOL
+        assert np.array_equal(KernelMatrix(v, n_train=6).values, 0.5 * (v + v.T))
+
+    @pytest.mark.parametrize(
+        "v",
+        [
+            np.array([[1.0, 1.0], [1.0, 1.0 - 5e-11]]),
+            np.ones((4, 4)) * 3.0,  # rank one, singular
+        ],
+    )
+    def test_shift_is_diagonal_and_within_floor(self, v):
+        stored = KernelMatrix(v, n_train=v.shape[0]).values
+        scale = max(1.0, np.max(np.abs(v)))
+        shift = np.diag(stored) - np.diag(v)
+        off = ~np.eye(v.shape[0], dtype=bool)
+        assert np.array_equal(stored[off], v[off])
+        assert np.all(shift > 0)
+        assert np.all(shift <= abs(kernels.PSD_FLOOR) * scale + 4 * np.spacing(scale))
+        np.linalg.cholesky(stored)
+
     def test_partition_blocks(self):
         vals = np.arange(16, dtype=float).reshape(4, 4)
         vals = (vals + vals.T) / 2 + 10 * np.eye(4)

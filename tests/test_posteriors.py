@@ -74,6 +74,16 @@ class TestGpPosterior:
         assert np.allclose(post.mean, mean, atol=1e-10)
         assert np.allclose(post.cov, cov, atol=1e-10)
 
+    def test_no_data_returns_prior(self):
+        kt = np.array([[2.0, 0.5], [0.5, 1.0]])
+        post = gp_posterior(np.empty((0, 0)), np.empty((2, 0)), kt, np.empty(0), 0.1)
+        assert np.array_equal(post.mean, np.zeros(2))
+        assert np.array_equal(post.cov, kt)
+
+    def test_rejects_y_of_wrong_length(self):
+        with pytest.raises(ValueError, match="y length"):
+            gp_posterior(np.eye(2), np.ones((1, 2)), np.eye(1), np.ones(3), 0.1)
+
 
 class TestNigPosterior:
     def test_identity_kernel_substitution(self):
