@@ -400,9 +400,6 @@ def run_comparison(cfg: ExperimentConfig) -> ComparisonReport:
     data = cfg.make_dataset()
     _log_constraint(cfg, data)
     grid = cfg.make_test_grid()
-    if grid.shape[1] == 0:
-        return ComparisonReport([], [], [], cfg.seed, cfg.hash(),
-                                time.perf_counter() - t0)
     tp = _t_limit(cfg, data, grid)
     gp = _gp_limit(cfg, data, grid)
     qs = (0.025, 0.5, 0.975)

@@ -20,8 +20,10 @@ from .rng import RngStream
 
 PSD_FLOOR = -1e-10
 SYM_TOL = 1e-12
-# Diagonal jitter ladder, in units of a matrix's scale. KernelMatrix climbs
-# the rungs up to |PSD_FLOOR| to certify a kernel; solve_psd climbs them all.
+# Diagonal jitter ladder, in units of a matrix's scale, climbed by
+# psd_cholesky: KernelMatrix climbs it up to |PSD_FLOOR| to certify a kernel,
+# posteriors.solve_psd and samplers.sample_mvn climb all of it, and
+# posteriors.student_t_logpdf stays on rung 0.
 JITTERS = (0.0, 1e-12, 1e-10, 1e-8)
 
 GH_DEFAULT_ORDER = 32
@@ -32,6 +34,27 @@ class KernelDegeneracyError(RuntimeError):
     """A kernel block violated positive semidefiniteness beyond tolerance."""
 
 
+def psd_cholesky(
+    a: np.ndarray, max_jitter: float = JITTERS[-1]
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Lower Cholesky factor of the first shift of `a` on the jitter ladder.
+
+    Tries a + t * scale * I for t in JITTERS up to max_jitter, with
+    scale = max(1, max|diag a|), and returns (L, shifted) for the first
+    shift that factors, or None if none does (or `a` is not finite).
+    """
+    if not np.all(np.isfinite(a)):
+        return None
+    scale = float(np.max(np.abs(np.diag(a)), initial=1.0))
+    for jit in (j for j in JITTERS if j <= max_jitter):
+        shifted = a + jit * scale * np.eye(a.shape[0]) if jit else a
+        try:
+            return np.linalg.cholesky(shifted), shifted
+        except np.linalg.LinAlgError:
+            continue
+    return None
+
+
 @dataclass(frozen=True)
 class KernelMatrix:
     """Symmetric PSD Gram matrix over an input set, with train/test partition.
@@ -40,9 +63,9 @@ class KernelMatrix:
     (unit last-layer variances; diagonal >= 1).
 
     The stored values always have a Cholesky factor: they are the
-    symmetrised input plus the first shift t * scale * I, with t on the
-    JITTERS ladder up to |PSD_FLOOR|, that factors. A positive definite input
-    is stored unchanged; a rounding-level violation gets the smallest shift.
+    symmetrised input plus the first shift of psd_cholesky's ladder, up to
+    |PSD_FLOOR|, that factors. A positive definite input is stored
+    unchanged; a rounding-level violation gets the smallest shift.
     """
 
     values: np.ndarray
@@ -63,19 +86,14 @@ class KernelMatrix:
         if np.max(np.abs(v - v.T), initial=0.0) > SYM_TOL * scale:
             raise ValueError("kernel matrix is not symmetric")
         v = 0.5 * (v + v.T)
-        for jit in (j for j in JITTERS if j <= -PSD_FLOOR):
-            shifted = v + jit * scale * np.eye(v.shape[0]) if jit else v
-            try:
-                np.linalg.cholesky(shifted)
-            except np.linalg.LinAlgError:
-                continue
-            object.__setattr__(self, "values", shifted)
-            return
-        # no rung factors, so the smallest eigenvalue is below PSD_FLOOR * scale
-        raise KernelDegeneracyError(
-            f"kernel matrix has eigenvalue {np.linalg.eigvalsh(v)[0]:.3e}; "
-            "inputs may be degenerate or the recursion lost PSD"
-        )
+        factor = psd_cholesky(v, -PSD_FLOOR)
+        if factor is None:
+            # no rung factors: indefinite beyond the largest shift, |PSD_FLOOR| * scale
+            raise KernelDegeneracyError(
+                f"kernel matrix has eigenvalue {np.linalg.eigvalsh(v)[0]:.3e}; "
+                "inputs may be degenerate or the recursion lost PSD"
+            )
+        object.__setattr__(self, "values", factor[1])
 
     @property
     def m(self) -> int:

@@ -125,11 +125,6 @@ class Architecture:
             theta[bs] = np.ravel(b)
         return theta
 
-    @property
-    def n_min(self) -> int:
-        """Minimum hidden-layer width; convergence rates scale as 1/sqrt(n_min)."""
-        return min(self.widths[1:-1])
-
 
 @dataclass(frozen=True)
 class VarianceVector:

@@ -3,8 +3,12 @@
 Under the hierarchical model the infinite-width posterior of the network
 output at the training inputs is Gaussian given sigma2 with covariance
 sigma2 * M^{-1}, M = I + K'^{-1}, while sigma2 | D is Inverse-Gamma;
-marginalizing gives a multivariate Student-t. Test-point predictions use
-the equivalent form with (K' + I)^{-1}, linked by M^{-1} = K'(K' + I)^{-1}.
+marginalizing gives a multivariate Student-t. Every posterior here is one
+Gaussian conditioning step (_condition) on a kernel with noise * I: the GP
+baseline on K with noise_var, the Student-t on K' with unit noise, its scale
+then multiplied by the Inverse-Gamma rate. At the training inputs the step
+gives M^{-1} = K'(K' + I)^{-1} = K' - K'(K' + I)^{-1}K', and
+I - M^{-1} = (K' + I)^{-1}, so the rate is beta = b + y^T (K' + I)^{-1} y / 2.
 Single-output networks only (n_L = 1).
 """
 
@@ -15,10 +19,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_solve
 from scipy.special import gammaln
 
-from .kernels import JITTERS, KernelMatrix
+from .kernels import KernelMatrix, psd_cholesky
 
 
 class LinearAlgebraError(RuntimeError):
@@ -26,24 +30,31 @@ class LinearAlgebraError(RuntimeError):
 
 
 def solve_psd(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Solve A X = B for symmetric PD A, escalating jitter 1e-12 -> 1e-8.
+    """Solve A X = B for symmetric PD A on the full jitter ladder (psd_cholesky).
 
     Raises with a hint to deduplicate inputs if the jitter budget fails.
     """
-    A = np.asarray(A, dtype=float)
-    scale = max(1.0, float(np.max(np.abs(np.diag(A)))))
-    for jit in JITTERS:
-        try:
-            c = cho_factor(A + jit * scale * np.eye(A.shape[0]), lower=True)
-            return cho_solve(c, B)
-        except np.linalg.LinAlgError:
-            continue
-        except ValueError:
-            continue
-    raise LinearAlgebraError(
-        "matrix is singular beyond the jitter budget; "
-        "add jitter explicitly or deduplicate near-identical inputs"
-    )
+    factor = psd_cholesky(np.asarray(A, dtype=float))
+    if factor is None:
+        raise LinearAlgebraError(
+            "matrix is singular beyond the jitter budget; "
+            "add jitter explicitly or deduplicate near-identical inputs"
+        )
+    return cho_solve((factor[0], True), B)
+
+
+def _condition(kd, kc, kt, y, noise):
+    """Condition a zero-mean Gaussian on y observed with noise * I.
+
+    With alpha = (kd + noise I)^{-1} y, returns (kc alpha,
+    kt - kc (kd + noise I)^{-1} kc^T, y^T alpha). No data (n = 0) gives
+    the prior (0, kt, 0).
+    """
+    A = kd + noise * np.eye(kd.shape[0])
+    sol = solve_psd(A, np.column_stack([y, kc.T]))
+    cov = kc @ sol[:, 1:]
+    np.subtract(kt, cov, out=cov)  # in place: one m x m temporary fewer
+    return kc @ sol[:, 0], cov, float(y @ sol[:, 0])
 
 
 @dataclass(frozen=True)
@@ -116,21 +127,20 @@ def gp_posterior(
     y = np.ravel(np.asarray(y, dtype=float))
     if y.shape[0] != k_train.shape[0]:
         raise ValueError("y length must match the train kernel")
-    if y.shape[0] == 0:
-        # no data: the GP prior
-        return GaussianPosterior(np.zeros(k_test.shape[0]), k_test)
-    A = k_train + noise_var * np.eye(k_train.shape[0])
-    sol = solve_psd(A, np.column_stack([y[:, None], k_cross.T]))
-    mean = k_cross @ sol[:, 0]
-    cov = k_test - k_cross @ sol[:, 1:]
+    mean, cov, _ = _condition(k_train, k_cross, k_test, y, noise_var)
     return GaussianPosterior(mean, cov)
 
 
-def _m_inverse(kprime_train: np.ndarray) -> np.ndarray:
-    """M^{-1} = K'(K' + I)^{-1}, computed without inverting K' itself."""
-    k = np.atleast_2d(np.asarray(kprime_train, dtype=float))
-    minv = solve_psd(k + np.eye(k.shape[0]), k.T).T
-    return 0.5 * (minv + minv.T)
+def _nig(kprime_train, y, a, b) -> tuple[np.ndarray, GaussianPosterior, IGPosterior]:
+    """K'_D, N(M^{-1} y, M^{-1}) and the IG posterior of sigma2, by _condition on K'_D."""
+    k = kprime_train.train if isinstance(kprime_train, KernelMatrix) else kprime_train
+    k = np.atleast_2d(np.asarray(k, dtype=float))
+    y = np.ravel(np.asarray(y, dtype=float))
+    if y.shape[0] != k.shape[0]:
+        raise ValueError("y length must match kernel size")
+    mean, minv, y_alpha = _condition(k, k, k, y, 1.0)
+    ig = IGPosterior(a + k.shape[0] / 2.0, b + 0.5 * y_alpha)
+    return k, GaussianPosterior(mean, minv), ig
 
 
 def nig_posterior(
@@ -143,18 +153,9 @@ def nig_posterior(
     M = I + K'^{-1}; mean = y M^{-1}; sigma2 | D ~ IG(a + k/2,
     b + y (I - M^{-1}) y^T / 2).
     """
-    k = kprime_train.train if isinstance(kprime_train, KernelMatrix) else kprime_train
-    k = np.atleast_2d(np.asarray(k, dtype=float))
-    y = np.ravel(np.asarray(y, dtype=float))
-    n = k.shape[0]
-    if y.shape[0] != n:
-        raise ValueError("y length must match kernel size")
-    kinv = solve_psd(k, np.eye(n))
-    M = np.eye(n) + 0.5 * (kinv + kinv.T)
-    minv = _m_inverse(k)
-    mean = minv @ y
-    rate = b + 0.5 * float(y @ (y - minv @ y))
-    return M, GaussianPosterior(mean, minv), IGPosterior(a + n / 2.0, rate)
+    k, gauss, ig = _nig(kprime_train, y, a, b)
+    kinv = solve_psd(k, np.eye(k.shape[0]))
+    return np.eye(k.shape[0]) + 0.5 * (kinv + kinv.T), gauss, ig
 
 
 def tp_posterior_train(
@@ -171,11 +172,8 @@ def tp_posterior_train(
             "the Student-t posterior may lack a mean",
             stacklevel=2,
         )
-    _, gauss, ig = nig_posterior(kprime_train, y, a, b)
-    k = gauss.mean.shape[0]
-    nu = 2.0 * a + k
-    scale = (2.0 * ig.rate / nu) * gauss.cov
-    return StudentTPosterior(nu, gauss.mean, scale)
+    _, gauss, ig = _nig(kprime_train, y, a, b)
+    return marginalize_nig_to_t(gauss.mean, gauss.cov, ig.shape, ig.rate)
 
 
 def tp_posterior_predict(
@@ -185,26 +183,17 @@ def tp_posterior_predict(
 
     location = K'_TD (K'_D + I)^{-1} y;
     scale = beta_post * (2/nu) * [K'_T - K'_TD (K'_D + I)^{-1} K'_DT];
-    nu = 2a + k, beta_post = b + y(I - M^{-1})y^T / 2.
+    nu = 2a + k, beta_post = b + y (K'_D + I)^{-1} y^T / 2; with no data
+    (k = 0) this is the marginal prior t_{2a}(0, (b/a) K'_T).
     """
-    kd = kprime_full.train
-    kc = kprime_full.cross
-    kt = kprime_full.test
     y = np.ravel(np.asarray(y, dtype=float))
-    n = kd.shape[0]
+    n = kprime_full.n_train
     if y.shape[0] != n:
         raise ValueError("y length must match the train partition")
-    if n == 0:
-        # no data: the marginal prior t_{2a}(0, (b/a) K'_T)
-        return StudentTPosterior(2.0 * a, np.zeros(kt.shape[0]), (b / a) * kt)
-    A = kd + np.eye(n)
-    sol = solve_psd(A, np.column_stack([y[:, None], kc.T]))
-    location = kc @ sol[:, 0]
-    schur = kt - kc @ sol[:, 1:]
-    minv_y = kd @ sol[:, 0]
-    beta_post = b + 0.5 * float(y @ (y - minv_y))
-    nu = 2.0 * a + n
-    return StudentTPosterior(nu, location, (2.0 * beta_post / nu) * schur)
+    location, schur, y_alpha = _condition(
+        kprime_full.train, kprime_full.cross, kprime_full.test, y, 1.0
+    )
+    return marginalize_nig_to_t(location, schur, a + n / 2.0, b + 0.5 * y_alpha)
 
 
 def marginalize_nig_to_t(
@@ -226,11 +215,13 @@ def student_t_logpdf(
     k = x.shape[0]
     if nu <= 0:
         raise ValueError("nu must be positive")
-    sign, logdet = np.linalg.slogdet(sigma)
-    if sign <= 0:
+    factor = psd_cholesky(sigma, 0.0)
+    if factor is None:
         raise LinearAlgebraError("scale matrix must be positive definite")
+    L = factor[0]
+    logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
     d = x - mu
-    q = float(d @ solve_psd(sigma, d))
+    q = float(d @ cho_solve((L, True), d))
     return float(
         gammaln((nu + k) / 2.0)
         - gammaln(nu / 2.0)

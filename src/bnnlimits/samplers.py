@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .kernels import psd_cholesky
 from .network import Architecture, Dataset, forward
 from .posteriors import LinearAlgebraError
 from .rng import RngStream
@@ -37,29 +38,22 @@ def sample_inverse_gamma(
 def sample_mvn(
     mean: np.ndarray, cov: np.ndarray, rng: RngStream, size: int | None = None
 ) -> np.ndarray:
-    """Multivariate normal draws; PSD covariances handled via eigen fallback.
+    """Multivariate normal draws through the Cholesky factor of cov.
 
-    Returns shape (d,) or (size, d).
+    A singular PSD covariance gets the smallest shift on the jitter ladder
+    that factors (kernels.psd_cholesky). Returns shape (d,) or (size, d).
     """
     mean = np.ravel(np.asarray(mean, dtype=float))
     cov = np.atleast_2d(np.asarray(cov, dtype=float))
     d = mean.shape[0]
     if cov.shape != (d, d):
         raise ValueError("covariance shape does not match mean")
-    cov = 0.5 * (cov + cov.T)
-    scale = max(1.0, float(np.max(np.abs(np.diag(cov)))))
-    try:
-        L = np.linalg.cholesky(cov + 1e-14 * scale * np.eye(d))
-    except np.linalg.LinAlgError:
-        w, q = np.linalg.eigh(cov)
-        if w[0] < -1e-10 * scale:
-            raise LinearAlgebraError(
-                f"covariance has eigenvalue {w[0]:.3e}; not PSD"
-            )
-        L = q * np.sqrt(np.clip(w, 0.0, None))
+    factor = psd_cholesky(0.5 * (cov + cov.T))
+    if factor is None:
+        raise LinearAlgebraError("covariance is not PSD within the jitter budget")
     n = 1 if size is None else size
     z = rng.gen.standard_normal((n, d))
-    draws = mean + z @ L.T
+    draws = mean + z @ factor[0].T
     return draws[0] if size is None else draws
 
 

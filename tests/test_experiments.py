@@ -310,6 +310,19 @@ class TestCli:
         cfgp = self._cfg_file(tmp_path, k=0, test_grid=16, w1_grid=2)
         assert main([command, "--config", cfgp, "--out", str(tmp_path / "o")]) == EXIT_OK
 
+    @pytest.mark.parametrize(
+        "command",
+        ["prior-convergence", "posterior-convergence", "gaussian-baseline", "compare"],
+    )
+    def test_empty_grid_exit_ok(self, tmp_path, command, capsys):
+        # no test or W1 grid points: every limit draw has dimension zero
+        cfgp = self._cfg_file(tmp_path, test_grid=0, w1_grid=0)
+        assert main([command, "--config", cfgp, "--out", str(tmp_path / "o")]) == EXIT_OK
+        written = capsys.readouterr().out.splitlines()
+        assert written
+        for path in written:
+            assert "nan" not in open(path).read().lower()
+
     def test_seed_override(self, tmp_path):
         cfgp = self._cfg_file(tmp_path)
         for seed, sub in ((1, "s1"), (2, "s2")):

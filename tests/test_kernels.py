@@ -1,6 +1,9 @@
 """Kernel recursion, operator norm, and hyperparameter-constraint tests."""
 
+import ast
 import math
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -267,6 +270,46 @@ class TestKernelMatrix:
         assert k.test.shape == (1, 1)
         assert k.cross.shape == (1, 3)
         assert np.array_equal(k.cross, vals[3:, :3])
+
+
+def _matching_lines(pattern: str) -> list[tuple[str, str]]:
+    """(innermost enclosing def or class, line) for each package source line matching pattern."""
+    found = []
+    for path in sorted(pathlib.Path(kernels.__file__).parent.glob("*.py")):
+        text = path.read_text()
+        spans = []
+
+        def visit(node, prefix=""):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                    name = prefix + child.name
+                    spans.append((child.lineno, child.end_lineno, name))
+                    visit(child, name + ".")
+                else:
+                    visit(child, prefix)
+
+        visit(ast.parse(text))
+        for i, line in enumerate(text.splitlines(), start=1):
+            if re.search(pattern, line):
+                inner = [s for s in spans if s[0] <= i <= s[1]]
+                found.append((max(inner)[2] if inner else path.name, line))
+    return found
+
+
+class TestOneFactorisationPath:
+    """Every factorisation in the package goes through kernels.psd_cholesky."""
+
+    def test_cholesky_only_in_psd_cholesky(self):
+        # any cholesky, whether np.linalg's, scipy.linalg's or an imported name
+        assert [d for d, _ in _matching_lines(r"\bcholesky\b")] == ["psd_cholesky"]
+
+    def test_no_other_factorisation(self):
+        assert _matching_lines(r"\bcho_factor\b|\bslogdet\b|\beigh\b") == []
+
+    def test_eigvalsh_only_in_operator_norm_and_kernel_error(self):
+        found = _matching_lines(r"\beigvalsh\b")
+        assert [d for d, _ in found] == ["KernelMatrix.__post_init__", "operator_norm"]
+        assert "kernel matrix has eigenvalue" in found[0][1]
 
 
 class TestOperatorNorm:

@@ -81,6 +81,27 @@ class TestMvn:
         stderr = np.sqrt((cov**2 + np.outer(np.diag(cov), np.diag(cov))) / n)
         assert np.all(np.abs(emp - cov) < 4 * stderr)
 
+    @pytest.mark.parametrize("dip", [0.0, 3e-13])
+    def test_singular_covariance_without_eigendecomposition(self, monkeypatch, dip):
+        calls = []
+
+        def counted(*args, _fn=np.linalg.eigh, **kwargs):
+            calls.append("eigh")
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        # rank one, or indefinite at rounding level (an eigenvalue of order -dip)
+        cov = 3.0 * np.ones((3, 3)) - dip * np.diag([0.0, 0.0, 1.0])
+        n = 200_000
+        d = sample_mvn(np.zeros(3), cov, RngStream(8), size=n)
+        assert calls == []
+        emp = np.cov(d.T)
+        stderr = np.sqrt((cov**2 + np.outer(np.diag(cov), np.diag(cov))) / n)
+        assert np.all(np.abs(emp - cov) < 4 * stderr)
+
+    def test_empty_covariance(self):
+        assert sample_mvn(np.zeros(0), np.zeros((0, 0)), RngStream(9), size=5).shape == (5, 0)
+
     def test_indefinite_rejected(self):
         from bnnlimits.posteriors import LinearAlgebraError
 
