@@ -42,7 +42,7 @@ from .posteriors import (
 )
 from .rng import RngStream
 from .samplers import sample_mvn, sample_mvt
-from .wasserstein import w1_exact, sliced_w1
+from .wasserstein import ASSIGNMENT_CAP, w1_exact, sliced_w1
 
 log = logging.getLogger("bnnlimits")
 
@@ -52,6 +52,11 @@ REFERENCE_FUNCTIONS = {
     "identity": lambda x: x,
     "zero": lambda x: np.zeros_like(x),
 }
+
+
+# Bytes of prior parameters one width job holds at a time: the prior draws
+# are drawn and evaluated in blocks of whole draws of about this size.
+PRIOR_BLOCK_BYTES = 2 << 20
 
 
 class ConfigError(ValueError):
@@ -89,8 +94,9 @@ class ExperimentConfig:
         object.__setattr__(self, "domain", tuple(float(v) for v in self.domain))
         if any(b <= a for a, b in zip(self.widths, self.widths[1:])):
             raise ConfigError("widths must be strictly increasing")
-        if self.draws < 2:
-            raise ConfigError("draws must be >= 2")
+        if not 2 <= self.draws <= ASSIGNMENT_CAP:
+            raise ConfigError(f"draws must lie in [2, {ASSIGNMENT_CAP}] "
+                              "(the exact-assignment cap of the W1)")
         if self.n_hidden_layers < 1:
             raise ConfigError("need at least one hidden layer")
         if self.reference_fn not in REFERENCE_FUNCTIONS:
@@ -252,18 +258,29 @@ def _gibbs_config(cfg: ExperimentConfig, width: int, kind: int) -> GibbsConfig:
 
 
 def _prior_width_job(cfg: ExperimentConfig, kernel: KernelMatrix, width: int) -> dict:
-    """Per-width W1 between prior network draws and draws of the NNGP `kernel`."""
+    """Per-width W1 between prior network draws and draws of the NNGP `kernel`.
+
+    The prior parameters are drawn and evaluated in blocks of whole draws of
+    about PRIOR_BLOCK_BYTES, so only the (draws, m) outputs are kept; the
+    draws are the same for any block size.
+    """
     grid = cfg.make_test_grid()
     idx = cfg.w1_subgrid_idx()
     arch = cfg.architecture(width)
+    variances = cfg.variances()
+    block = max(1, PRIOR_BLOCK_BYTES // (8 * arch.n_params))
+    sizes = [min(block, cfg.draws - start) for start in range(0, cfg.draws, block)]
     ksub = kernel.values[np.ix_(idx, idx)]
     rng = RngStream(cfg.seed, (width,))
     reps = []
     sl = []
     for rep_rng in rng.split(cfg.n_reps):
         r_bnn, r_gp = rep_rng.split(2)
-        theta = sample_prior_params(arch, cfg.variances(), r_bnn, n_draws=cfg.draws)
-        bnn = forward_batch(arch, theta, grid)[:, 0, :]
+        bnn = np.concatenate([
+            forward_batch(arch, sample_prior_params(arch, variances, r_bnn, n_draws=n),
+                          grid)[:, 0, :]
+            for n in sizes
+        ])
         gp = sample_mvn(np.zeros(len(idx)), ksub, r_gp, size=cfg.draws)
         reps.append(w1_exact(bnn[:, idx], gp))
         gp_full = sample_mvn(

@@ -229,13 +229,18 @@ def sample_prior_params(
     hierarchical model conditions the last layer on a shared variance).
     Draws are standard normals scaled per coordinate, so two calls with the
     same stream and different variances are coupled by an exact rescaling.
+    The scale is applied in place, so a call allocates one array of the
+    returned shape. Consecutive calls on one stream give the same draws as
+    one call for their total, which lets callers draw in blocks.
     Returns shape (n_params,) or (n_draws, n_params).
     """
     if sigma2 is not None:
         variances = variances.with_last_layer(sigma2)
     scale = prior_scales(arch, variances)
     shape = (arch.n_params,) if n_draws is None else (n_draws, arch.n_params)
-    return rng.gen.standard_normal(shape) * scale
+    theta = rng.gen.standard_normal(shape)
+    theta *= scale
+    return theta
 
 
 def forward(arch: Architecture, theta: np.ndarray, inputs: np.ndarray) -> np.ndarray:
@@ -271,7 +276,10 @@ def forward_batch(
     """Evaluate many parameter vectors at once.
 
     thetas has shape (n, n_params); returns (n, d_out, m). Used by prior
-    Monte Carlo where per-draw python loops would dominate.
+    Monte Carlo where per-draw python loops would dominate. Each draw is
+    evaluated independently of the others in the batch, so the prior sweep
+    passes one block of draws at a time and its memory stays bounded by one
+    block of parameters.
     """
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     x = np.atleast_2d(np.asarray(inputs, dtype=float))

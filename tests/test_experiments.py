@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -75,6 +76,7 @@ class TestConfig:
             {"burn_in": -1},
             {"thinning": 0},
             {"hmc_steps": 0},
+            {"draws": 2049},
         ],
     )
     def test_invalid_configs_rejected(self, bad):
@@ -161,6 +163,35 @@ class TestRunners:
         cfg = ExperimentConfig(**FAST)
         for runner in (run_prior_convergence, run_posterior_convergence):
             assert runner(cfg, jobs=2).w1 == runner(cfg, jobs=1).w1
+
+
+class TestPriorBlocks:
+    """The prior sweep draws its parameters in blocks of whole draws."""
+
+    def test_block_size_does_not_change_the_draws(self, monkeypatch):
+        cfg = ExperimentConfig(**{**FAST, "widths": (8, 128)})
+        block = experiments.PRIOR_BLOCK_BYTES // (8 * cfg.architecture(128).n_params)
+        assert 1 <= block < cfg.draws and cfg.draws % block != 0
+        blocked = run_prior_convergence(cfg)
+        monkeypatch.setattr(experiments, "PRIOR_BLOCK_BYTES", 1 << 40)
+        whole = run_prior_convergence(cfg)
+        assert np.array_equal(blocked.w1, whole.w1)
+        assert np.array_equal(blocked.w1_reps, whole.w1_reps)
+        assert np.array_equal(blocked.sliced, whole.sliced)
+
+    def test_memory_does_not_grow_with_draws_times_params(self):
+        # All 200 width-128 draws of the pinned config hold 51 MiB of parameters.
+        path = os.path.join(os.path.dirname(__file__), "..", "configs",
+                            "prior_convergence.json")
+        with open(path) as f:
+            cfg = ExperimentConfig.from_dict({**json.load(f), "widths": [128], "n_reps": 1})
+        tracemalloc.start()
+        try:
+            run_prior_convergence(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestLimitBuiltOnce:
@@ -352,6 +383,10 @@ class TestCli:
         assert "config error" in capsys.readouterr().err
         path.write_text(json.dumps({"noise_var": 0}))
         assert main(["gaussian-baseline", "--config", str(path)]) == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+        path.write_text(json.dumps({"draws": 2049, "widths": [1, 2], "test_grid": 4,
+                                    "w1_grid": 2, "n_reps": 1, "k": 0}))
+        assert main(["prior-convergence", "--config", str(path)]) == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
 
     def test_unreadable_and_malformed_config_exit_2(self, tmp_path):
