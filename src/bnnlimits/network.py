@@ -77,16 +77,18 @@ class Architecture:
         for tag in self.activations:
             if tag not in ACTIVATIONS:
                 raise ValueError(f"unknown activation {tag!r}")
-        # The layout is read on every target evaluation, so it is built once;
-        # n_params and _layout are plain attributes, outside eq and hash.
-        layout, pos = [], 0
-        for n_in, n_out in zip(self.widths, self.widths[1:]):
+        # The layer plan is read on every target evaluation, so it is built
+        # once: per layer (weight slice, bias slice, n_out, n_in, activation,
+        # its derivative). n_params, _plan and _layout are plain attributes,
+        # outside eq and hash.
+        plan, pos = [], 0
+        for n_in, n_out, tag in zip(self.widths, self.widths[1:], self.activations):
             w = slice(pos, pos + n_out * n_in)
-            pos += n_out * n_in
-            b = slice(pos, pos + n_out)
-            pos += n_out
-            layout.append((w, b))
-        object.__setattr__(self, "_layout", tuple(layout))
+            b = slice(w.stop, w.stop + n_out)
+            pos = b.stop
+            plan.append((w, b, n_out, n_in) + ACTIVATIONS[tag])
+        object.__setattr__(self, "_plan", tuple(plan))
+        object.__setattr__(self, "_layout", tuple(p[:2] for p in plan))
         object.__setattr__(self, "n_params", pos)
 
     @property
@@ -112,11 +114,8 @@ class Architecture:
             raise ValueError(
                 f"theta has shape {theta.shape}, expected ({self.n_params},)"
             )
-        out = []
-        for l, (ws, bs) in enumerate(self._layout, start=1):
-            n_out, n_in = self.widths[l], self.widths[l - 1]
-            out.append((theta[ws].reshape(n_out, n_in), theta[bs]))
-        return out
+        return [(theta[ws].reshape(n_out, n_in), theta[bs])
+                for ws, bs, n_out, n_in, _, _ in self._plan]
 
     def pack(self, layers: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
         theta = np.empty(self.n_params)
@@ -205,15 +204,16 @@ def prior_scales(arch: Architecture, variances: VarianceVector) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _target_constants(arch: Architecture, variances: VarianceVector):
-    """(scale, scale**2, sum(log scale)) of one prior, built once.
+    """(scale, -scale**2, sum(log scale), (n/2) log(2 pi)) of one prior, built once.
 
     The arrays are read-only because every caller shares them.
     """
     scale = prior_scales(arch, variances)
-    scale2 = scale**2
+    neg_scale2 = -(scale**2)
     scale.flags.writeable = False
-    scale2.flags.writeable = False
-    return scale, scale2, np.sum(np.log(scale))
+    neg_scale2.flags.writeable = False
+    half_n_log2pi = 0.5 * len(scale) * math.log(2 * math.pi)
+    return scale, neg_scale2, float(np.sum(np.log(scale))), half_n_log2pi
 
 
 def sample_prior_params(
@@ -229,14 +229,15 @@ def sample_prior_params(
     hierarchical model conditions the last layer on a shared variance).
     Draws are standard normals scaled per coordinate, so two calls with the
     same stream and different variances are coupled by an exact rescaling.
-    The scale is applied in place, so a call allocates one array of the
-    returned shape. Consecutive calls on one stream give the same draws as
-    one call for their total, which lets callers draw in blocks.
+    The scale is the target's cached one, applied in place, so a call builds
+    no scale vector and allocates one array of the returned shape. Consecutive
+    calls on one stream give the same draws as one call for their total,
+    which lets callers draw in blocks.
     Returns shape (n_params,) or (n_draws, n_params).
     """
     if sigma2 is not None:
         variances = variances.with_last_layer(sigma2)
-    scale = prior_scales(arch, variances)
+    scale = _target_constants(arch, variances)[0]
     shape = (arch.n_params,) if n_draws is None else (n_draws, arch.n_params)
     theta = rng.gen.standard_normal(shape)
     theta *= scale
@@ -245,29 +246,15 @@ def sample_prior_params(
 
 def forward(arch: Architecture, theta: np.ndarray, inputs: np.ndarray) -> np.ndarray:
     """Evaluate the network on a (d_in, m) batch; returns (d_out, m)."""
-    h, _ = forward_with_cache(arch, theta, inputs)
+    h = np.atleast_2d(np.asarray(inputs, dtype=float))
+    if h.shape[0] != arch.d_in:
+        raise ValueError(f"inputs have {h.shape[0]} rows, expected d_in={arch.d_in}")
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape != (arch.n_params,):
+        raise ValueError(f"theta has shape {theta.shape}, expected ({arch.n_params},)")
+    for ws, bs, n_out, n_in, phi, _ in arch._plan:
+        h = theta[ws].reshape(n_out, n_in) @ phi(h) + theta[bs][:, None]
     return h
-
-
-def forward_with_cache(arch: Architecture, theta: np.ndarray, inputs: np.ndarray):
-    """Forward pass returning the output plus per-layer pre-activations.
-
-    The cache holds (activated inputs to layer l, pre-activation of layer l)
-    for each l, as needed by reverse-mode accumulation.
-    """
-    x = np.atleast_2d(np.asarray(inputs, dtype=float))
-    if x.shape[0] != arch.d_in:
-        raise ValueError(f"inputs have {x.shape[0]} rows, expected d_in={arch.d_in}")
-    layers = arch.unpack(theta)
-    cache = []
-    h = x
-    for (W, b), tag in zip(layers, arch.activations):
-        phi, _ = ACTIVATIONS[tag]
-        a = phi(h)
-        z = W @ a + b[:, None]
-        cache.append((h, a))
-        h = z
-    return h, cache
 
 
 def forward_batch(
@@ -285,12 +272,8 @@ def forward_batch(
     x = np.atleast_2d(np.asarray(inputs, dtype=float))
     n = thetas.shape[0]
     h = np.broadcast_to(x, (n,) + x.shape)
-    for l, ((ws, bs), tag) in enumerate(zip(arch.layout(), arch.activations), start=1):
-        n_out, n_in = arch.widths[l], arch.widths[l - 1]
-        W = thetas[:, ws].reshape(n, n_out, n_in)
-        b = thetas[:, bs]
-        phi, _ = ACTIVATIONS[tag]
-        h = W @ phi(h) + b[:, :, None]
+    for ws, bs, n_out, n_in, phi, _ in arch._plan:
+        h = thetas[:, ws].reshape(n, n_out, n_in) @ phi(h) + thetas[:, bs][:, :, None]
     return h
 
 
@@ -316,11 +299,9 @@ def log_prior(
     """Log density of theta under the layer-wise Gaussian prior."""
     if sigma2 is not None:
         variances = variances.with_last_layer(sigma2)
-    scale = prior_scales(arch, variances)
+    scale, _, sum_log_scale, half_n_log2pi = _target_constants(arch, variances)
     z = np.asarray(theta, dtype=float) / scale
-    return float(
-        -0.5 * z @ z - np.sum(np.log(scale)) - 0.5 * len(scale) * math.log(2 * math.pi)
-    )
+    return -0.5 * float(z @ z) - sum_log_scale - half_n_log2pi
 
 
 def log_posterior_and_grad(
@@ -337,39 +318,43 @@ def log_posterior_and_grad(
     With output_scale=1 and last-layer variances set to sigma2 this is the
     centered parametrization; with unit last-layer variances and
     output_scale=sqrt(sigma2) it is the standardized one. The gradient is
-    computed by reverse-mode accumulation through the network.
+    computed by reverse-mode accumulation through the network, walking the
+    architecture's layer plan with the cached prior constants.
     """
     if sigma2 <= 0:
         raise ValueError("sigma2 must be strictly positive")
-    scale, scale2, sum_log_scale = _target_constants(arch, variances)
+    scale, neg_scale2, sum_log_scale, half_n_log2pi = _target_constants(arch, variances)
     theta = np.asarray(theta, dtype=float)
     if theta.shape != scale.shape:
         raise ValueError(f"theta has shape {theta.shape}, expected {scale.shape}")
     z = theta / scale
-    logpri = float(
-        -0.5 * z @ z - sum_log_scale - 0.5 * len(scale) * math.log(2 * math.pi)
-    )
-    grad = -theta / scale2
+    logpri = -0.5 * float(z @ z) - sum_log_scale - half_n_log2pi
+    grad = theta / neg_scale2
     if data.k == 0:
         return logpri, grad
 
-    out, cache = forward_with_cache(arch, theta, data.x)
-    resid = data.y - output_scale * out
+    # Forward pass keeping each layer's input h and activation a = phi(h).
+    cache = []
+    h = data.x
+    for ws, bs, n_out, n_in, phi, _ in arch._plan:
+        a = phi(h)
+        cache.append((h, a))
+        h = theta[ws].reshape(n_out, n_in) @ a + theta[bs][:, None]
+    resid = data.y - output_scale * h
     loglik = (
         -0.5 * data.y.size * math.log(2.0 * math.pi * sigma2)
-        - float(np.sum(resid**2)) / (2.0 * sigma2)
+        - float((resid**2).sum()) / (2.0 * sigma2)
     )
 
     # Backprop d loglik / d theta. d loglik/d out = output_scale * resid / sigma2.
     g_out = output_scale * resid / sigma2
     for l in range(arch.n_layers - 1, -1, -1):
         h, a = cache[l]
-        ws, bs = arch.layout()[l]
-        grad[ws] += np.ravel(g_out @ a.T)
+        ws, bs, n_out, n_in, _, dphi = arch._plan[l]
+        gw = grad[ws].reshape(n_out, n_in)
+        gw += g_out @ a.T
         grad[bs] += g_out.sum(axis=1)
         if l > 0:
-            W = theta[ws].reshape(arch.widths[l + 1], arch.widths[l])
-            _, dphi = ACTIVATIONS[arch.activations[l]]
-            g_out = (W.T @ g_out) * dphi(h)
+            g_out = (theta[ws].reshape(n_out, n_in).T @ g_out) * dphi(h)
     return logpri + loglik, grad
 

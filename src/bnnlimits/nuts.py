@@ -17,6 +17,7 @@ import numpy as np
 from .rng import RngStream
 
 DIVERGENCE_THRESHOLD = 1000.0
+_LOG2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -47,79 +48,92 @@ class HmcDiagnostics:
 
 
 class _Tree:
-    __slots__ = (
-        "theta_minus", "r_minus", "grad_minus",
-        "theta_plus", "r_plus", "grad_plus",
-        "theta_prop", "grad_prop", "logp_prop",
-        "log_weight", "sum_accept", "n_accept", "turning", "divergent",
-    )
+    # minus and plus are the (theta, r, grad) ends of the trajectory; prop is
+    # the (theta, logp, grad) proposal
+    __slots__ = ("minus", "plus", "prop", "log_weight", "sum_accept", "n_accept",
+                 "turning", "divergent")
 
 
 def _leapfrog(value_and_grad, theta, r, grad, eps):
-    r = r + 0.5 * eps * grad
-    theta = theta + eps * r
-    logp, grad = value_and_grad(theta)
-    r = r + 0.5 * eps * grad
-    return theta, r, grad, logp
+    """One leapfrog step of signed size eps, kicking in place on fresh arrays.
+
+    IEEE add and multiply commute, so this rounds like r + 0.5 * eps * grad.
+    """
+    half = 0.5 * eps
+    r_new = grad * half
+    r_new += r
+    theta_new = r_new * eps
+    theta_new += theta
+    logp, grad_new = value_and_grad(theta_new)
+    r_new += grad_new * half
+    return theta_new, r_new, grad_new, logp
 
 
 def _hamiltonian(logp, r):
     return logp - 0.5 * float(r @ r)
 
 
-def _build_tree(value_and_grad, theta, r, grad, depth, direction, eps, h0, gen):
+def _logaddexp(x, y):
+    """np.logaddexp on two floats, branch for branch as numpy's npy_logaddexp."""
+    if x == y:
+        return x + _LOG2
+    tmp = x - y
+    if tmp > 0:
+        return x + math.log1p(math.exp(-tmp))
+    if tmp <= 0:
+        return y + math.log1p(math.exp(tmp))
+    return tmp  # NaN
+
+
+def _log_uniform(gen):
+    """log gen.uniform(1e-300, 1.0), which is 1e-300 + u: that is u for every u > 0."""
+    return math.log(gen.random() or 1e-300)
+
+
+def _u_turn(minus, plus):
+    dtheta = plus[0] - minus[0]
+    return float(dtheta @ minus[1]) < 0 or float(dtheta @ plus[1]) < 0
+
+
+def _build_tree(value_and_grad, edge, depth, direction, eps, h0, gen):
+    """Subtree of 2**depth leapfrog steps from edge = (theta, r, grad) along direction."""
     if depth == 0:
-        theta1, r1, grad1, logp1 = _leapfrog(value_and_grad, theta, r * direction, grad, eps)
-        r1 *= direction
+        # Negating eps is exact, so this equals stepping the flipped
+        # momentum forwards and flipping it back.
+        theta1, r1, grad1, logp1 = _leapfrog(value_and_grad, *edge, eps * direction)
         h1 = _hamiltonian(logp1, r1)
         t = _Tree()
-        t.theta_minus, t.r_minus, t.grad_minus = theta1, r1, grad1
-        t.theta_plus, t.r_plus, t.grad_plus = theta1, r1, grad1
-        t.theta_prop, t.grad_prop, t.logp_prop = theta1, grad1, logp1
+        t.minus = t.plus = (theta1, r1, grad1)
+        t.prop = (theta1, logp1, grad1)
         energy_err = h1 - h0
-        t.divergent = not np.isfinite(h1) or energy_err < -DIVERGENCE_THRESHOLD
-        t.log_weight = -np.inf if t.divergent else energy_err
-        t.sum_accept = min(1.0, math.exp(min(0.0, energy_err)))
+        t.divergent = not math.isfinite(h1) or energy_err < -DIVERGENCE_THRESHOLD
+        t.log_weight = -math.inf if t.divergent else energy_err
+        # a non-finite energy error is a failed step: acceptance 0, as in Stan
+        t.sum_accept = math.exp(min(0.0, energy_err)) if math.isfinite(energy_err) else 0.0
         t.n_accept = 1
         t.turning = False
         return t
 
-    first = _build_tree(value_and_grad, theta, r, grad, depth - 1, direction, eps, h0, gen)
+    first = _build_tree(value_and_grad, edge, depth - 1, direction, eps, h0, gen)
     if first.turning or first.divergent:
         return first
-    if direction == 1:
-        inner_theta, inner_r, inner_grad = first.theta_plus, first.r_plus, first.grad_plus
-    else:
-        inner_theta, inner_r, inner_grad = first.theta_minus, first.r_minus, first.grad_minus
-    second = _build_tree(
-        value_and_grad, inner_theta, inner_r, inner_grad, depth - 1, direction, eps, h0, gen
-    )
+    inner = first.plus if direction == 1 else first.minus
+    second = _build_tree(value_and_grad, inner, depth - 1, direction, eps, h0, gen)
     t = _Tree()
     if direction == 1:
-        t.theta_minus, t.r_minus, t.grad_minus = first.theta_minus, first.r_minus, first.grad_minus
-        t.theta_plus, t.r_plus, t.grad_plus = second.theta_plus, second.r_plus, second.grad_plus
+        t.minus, t.plus = first.minus, second.plus
     else:
-        t.theta_minus, t.r_minus, t.grad_minus = second.theta_minus, second.r_minus, second.grad_minus
-        t.theta_plus, t.r_plus, t.grad_plus = first.theta_plus, first.r_plus, first.grad_plus
-    t.log_weight = np.logaddexp(first.log_weight, second.log_weight)
+        t.minus, t.plus = second.minus, first.plus
+    t.log_weight = _logaddexp(first.log_weight, second.log_weight)
     # multinomial selection between subtrees (divergent states carry no weight)
     chosen = first
-    if not second.divergent and math.log(gen.uniform(1e-300, 1.0)) < (
-        second.log_weight - t.log_weight
-    ):
+    if not second.divergent and _log_uniform(gen) < second.log_weight - t.log_weight:
         chosen = second
-    t.theta_prop, t.grad_prop, t.logp_prop = (
-        chosen.theta_prop, chosen.grad_prop, chosen.logp_prop,
-    )
+    t.prop = chosen.prop
     t.sum_accept = first.sum_accept + second.sum_accept
     t.n_accept = first.n_accept + second.n_accept
     t.divergent = second.divergent
-    dtheta = t.theta_plus - t.theta_minus
-    t.turning = (
-        second.turning
-        or float(dtheta @ t.r_minus) < 0
-        or float(dtheta @ t.r_plus) < 0
-    )
+    t.turning = second.turning or _u_turn(t.minus, t.plus)
     return t
 
 
@@ -127,26 +141,20 @@ def nuts_transition(value_and_grad, theta, logp, grad, eps, max_depth, gen):
     """One no-U-turn transition. Returns (theta, logp, grad, mean_accept, depth, divergent)."""
     r0 = gen.standard_normal(theta.shape[0])
     h0 = _hamiltonian(logp, r0)
-    t = _Tree()
-    t.theta_minus, t.r_minus, t.grad_minus = theta, r0, grad
-    t.theta_plus, t.r_plus, t.grad_plus = theta, r0, grad
-    t.theta_prop, t.grad_prop, t.logp_prop = theta, grad, logp
-    t.log_weight = 0.0
+    minus = plus = (theta, r0, grad)
+    prop = (theta, logp, grad)
+    log_weight = 0.0
     sum_accept, n_accept = 0.0, 0
     divergent = False
     depth = 0
     while depth < max_depth:
-        direction = 1 if gen.uniform() < 0.5 else -1
+        direction = 1 if gen.random() < 0.5 else -1
+        sub = _build_tree(value_and_grad, plus if direction == 1 else minus, depth,
+                          direction, eps, h0, gen)
         if direction == 1:
-            sub = _build_tree(
-                value_and_grad, t.theta_plus, t.r_plus, t.grad_plus, depth, 1, eps, h0, gen
-            )
-            t.theta_plus, t.r_plus, t.grad_plus = sub.theta_plus, sub.r_plus, sub.grad_plus
+            plus = sub.plus
         else:
-            sub = _build_tree(
-                value_and_grad, t.theta_minus, t.r_minus, t.grad_minus, depth, -1, eps, h0, gen
-            )
-            t.theta_minus, t.r_minus, t.grad_minus = sub.theta_minus, sub.r_minus, sub.grad_minus
+            minus = sub.minus
         sum_accept += sub.sum_accept
         n_accept += sub.n_accept
         if sub.divergent:
@@ -155,17 +163,15 @@ def nuts_transition(value_and_grad, theta, logp, grad, eps, max_depth, gen):
         if sub.turning:
             break
         # accept the new subtree's proposal with prob weight ratio
-        if math.log(gen.uniform(1e-300, 1.0)) < sub.log_weight - t.log_weight:
-            t.theta_prop, t.grad_prop, t.logp_prop = (
-                sub.theta_prop, sub.grad_prop, sub.logp_prop,
-            )
-        t.log_weight = np.logaddexp(t.log_weight, sub.log_weight)
+        if _log_uniform(gen) < sub.log_weight - log_weight:
+            prop = sub.prop
+        log_weight = _logaddexp(log_weight, sub.log_weight)
         depth += 1
-        dtheta = t.theta_plus - t.theta_minus
-        if float(dtheta @ t.r_minus) < 0 or float(dtheta @ t.r_plus) < 0:
+        if _u_turn(minus, plus):
             break
     mean_accept = sum_accept / max(n_accept, 1)
-    return t.theta_prop, t.logp_prop, t.grad_prop, mean_accept, depth, divergent
+    theta, logp, grad = prop
+    return theta, logp, grad, mean_accept, depth, divergent
 
 
 def find_reasonable_epsilon(value_and_grad, theta, gen) -> float:
@@ -174,18 +180,16 @@ def find_reasonable_epsilon(value_and_grad, theta, gen) -> float:
     r = gen.standard_normal(theta.shape[0])
     logp, grad = value_and_grad(theta)
     h0 = _hamiltonian(logp, r)
-    _, r1, _, logp1 = _leapfrog(value_and_grad, theta, r, grad, eps)
-    h1 = _hamiltonian(logp1, r1)
-    if not np.isfinite(h1):
-        h1 = -np.inf
-    direction = 1.0 if (h1 - h0) > math.log(0.5) else -1.0
-    for _ in range(50):
-        eps *= 2.0**direction
+
+    def log_accept(eps):
         _, r1, _, logp1 = _leapfrog(value_and_grad, theta, r, grad, eps)
         h1 = _hamiltonian(logp1, r1)
-        if not np.isfinite(h1):
-            h1 = -np.inf
-        if direction * (h1 - h0) < direction * math.log(0.5):
+        return (h1 if math.isfinite(h1) else -math.inf) - h0
+
+    direction = 1.0 if log_accept(eps) > math.log(0.5) else -1.0
+    for _ in range(50):
+        eps *= 2.0**direction
+        if direction * log_accept(eps) < direction * math.log(0.5):
             break
     return eps
 

@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bnnlimits import experiments
+from bnnlimits import experiments, network
 from bnnlimits.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from bnnlimits.experiments import (
     ComparisonReport,
@@ -178,6 +178,31 @@ class TestPriorBlocks:
         assert np.array_equal(blocked.w1, whole.w1)
         assert np.array_equal(blocked.w1_reps, whole.w1_reps)
         assert np.array_equal(blocked.sliced, whole.sliced)
+
+    def test_prior_scales_built_once_per_prior(self, monkeypatch):
+        # width 128 takes 2 reps x 2 blocks; every block reads the cached scale
+        cfg = ExperimentConfig(**{**FAST, "widths": (8, 128)})
+        calls = {}
+
+        def counted(arch, variances):
+            calls[arch, variances] = calls.get((arch, variances), 0) + 1
+            return prior_scales(arch, variances)
+
+        prior_scales = network.prior_scales
+        network._target_constants.cache_clear()
+        monkeypatch.setattr(network, "prior_scales", counted)
+        cached = run_prior_convergence(cfg)
+        assert sorted(calls.values()) == [1, 1]
+        assert {a.widths[1] for a, _ in calls} == {8, 128}
+
+        uncached = network._target_constants.__wrapped__
+        monkeypatch.setattr(network, "_target_constants", uncached)
+        rebuilt = run_prior_convergence(cfg)
+        # uncached: one build per block, 2 reps x (1 block at width 8 + 2 at width 128)
+        assert sum(calls.values()) == 2 + 2 * (1 + 2)
+        assert np.array_equal(cached.w1, rebuilt.w1)
+        assert np.array_equal(cached.w1_reps, rebuilt.w1_reps)
+        assert np.array_equal(cached.sliced, rebuilt.sliced)
 
     def test_memory_does_not_grow_with_draws_times_params(self):
         # All 200 width-128 draws of the pinned config hold 51 MiB of parameters.

@@ -17,7 +17,7 @@ from bnnlimits import (
     log_prior,
     sample_prior_params,
 )
-from bnnlimits.network import prior_scales
+from bnnlimits.network import ACTIVATIONS, prior_scales
 from bnnlimits.rng import RngStream
 
 ARCH_121 = Architecture((1, 2, 1), ("identity", "erf"))
@@ -264,6 +264,42 @@ class TestGradient:
             val0, g0 = log_posterior_and_grad(arch, v, theta, 0.7, empty)
             assert val0 == pytest.approx(lp, rel=1e-12)
             assert np.allclose(g0, -theta / prior_scales(arch, v) ** 2, rtol=1e-12)
+
+    @pytest.mark.parametrize("act, scale", [("erf", 0.9), ("relu", 1.0), ("tanh", 1.3)])
+    def test_bitwise_equal_to_the_unpacked_formulation(self, act, scale):
+        # The target walks the layer plan with cached constants; every
+        # rewrite must round exactly like the plain formulation below.
+        arch = Architecture((1, 8, 8, 1), ("identity", act, act))
+        v = VarianceVector((2.0, 1.5, 1.0), (0.3, 0.2, 1.0))
+        rng = RngStream(14)
+        theta = rng.gen.standard_normal(arch.n_params)
+        data = Dataset(rng.gen.standard_normal((1, 6)), rng.gen.standard_normal((1, 6)))
+        sigma2 = 0.7
+        val, grad = log_posterior_and_grad(arch, v, theta, sigma2, data, output_scale=scale)
+
+        sc = prior_scales(arch, v)
+        z = theta / sc
+        ref_val = float(-0.5 * z @ z - np.sum(np.log(sc)) - 0.5 * len(sc) * math.log(2 * math.pi))
+        ref_grad = -theta / sc**2
+        cache, h = [], data.x
+        for (W, b), tag in zip(arch.unpack(theta), arch.activations):
+            phi, _ = ACTIVATIONS[tag]
+            cache.append((h, phi(h)))
+            h = W @ phi(h) + b[:, None]
+        resid = data.y - scale * h
+        ref_val += (-0.5 * data.y.size * math.log(2.0 * math.pi * sigma2)
+                    - float(np.sum(resid**2)) / (2.0 * sigma2))
+        g_out = scale * resid / sigma2
+        for l in range(arch.n_layers - 1, -1, -1):
+            h, a = cache[l]
+            ws, bs = arch.layout()[l]
+            ref_grad[ws] += np.ravel(g_out @ a.T)
+            ref_grad[bs] += g_out.sum(axis=1)
+            if l > 0:
+                W = theta[ws].reshape(arch.widths[l + 1], arch.widths[l])
+                g_out = (W.T @ g_out) * ACTIVATIONS[arch.activations[l]][1](h)
+        assert val == ref_val
+        assert grad.tobytes() == ref_grad.tobytes()
 
     def test_doubling_sigma2_halves_residual_term(self):
         arch = Architecture((1, 2, 1), ("identity", "tanh"))
