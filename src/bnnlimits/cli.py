@@ -30,10 +30,13 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
-RUNNERS = {
-    "prior-convergence": run_prior_convergence,
-    "posterior-convergence": run_posterior_convergence,
-    "gaussian-baseline": run_gaussian_baseline,
+# subcommand -> (runner, whether it sweeps widths and so takes --jobs)
+COMMANDS = {
+    "prior-convergence": (run_prior_convergence, True),
+    "posterior-convergence": (run_posterior_convergence, True),
+    "gaussian-baseline": (run_gaussian_baseline, True),
+    "compare": (run_comparison, False),
+    "diagnostics": (run_bound_diagnostics, False),
 }
 
 
@@ -44,18 +47,13 @@ def build_parser() -> argparse.ArgumentParser:
         "networks and their Gaussian/Student-t process limits.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in (
-        "prior-convergence",
-        "posterior-convergence",
-        "gaussian-baseline",
-        "compare",
-        "diagnostics",
-    ):
+    for name, (_, sweep) in COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON config file path")
         p.add_argument("--seed", type=int, default=None, help="override RNG seed")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--jobs", type=int, default=1, help="parallel width jobs")
+        if sweep:
+            p.add_argument("--jobs", type=int, default=1, help="parallel width jobs")
     return parser
 
 
@@ -84,16 +82,11 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
+    runner, sweep = COMMANDS[args.command]
     try:
-        if args.command in RUNNERS:
-            report = RUNNERS[args.command](cfg, jobs=args.jobs)
-        elif args.command == "compare":
-            report = run_comparison(cfg)
-        else:
-            report = run_bound_diagnostics(cfg)
+        report = runner(cfg, jobs=args.jobs) if sweep else runner(cfg)
         paths = emit_figure_data(report, args.out, cfg)
-    except (KernelDegeneracyError, LinearAlgebraError, SamplerError,
-            FloatingPointError, RuntimeError) as e:
+    except (KernelDegeneracyError, LinearAlgebraError, SamplerError) as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
     for p in paths:

@@ -14,25 +14,35 @@ import hashlib
 import json
 import logging
 import math
+import numbers
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy
 import scipy.optimize
-from scipy import stats
+from scipy import special
 
 from . import __version__
-from .gibbs import GibbsConfig, PosteriorSamples, gibbs_run, gibbs_run_fixed_variance
+from .gibbs import GibbsConfig, gibbs_run, gibbs_run_fixed_variance
 from .kernels import (
+    KERNEL_METHODS,
     ConstraintReport,
     KernelMatrix,
     check_hyperparams,
     kernel_recursion,
     rescaled_kernel,
 )
-from .network import Architecture, Dataset, VarianceVector, forward_batch, sample_prior_params
+from .network import (
+    ACTIVATIONS,
+    Architecture,
+    Dataset,
+    VarianceVector,
+    forward_batch,
+    sample_prior_params,
+)
 from .nuts import HmcConfig
 from .posteriors import (
     GaussianPosterior,
@@ -90,10 +100,15 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "widths", tuple(int(w) for w in self.widths))
-        object.__setattr__(self, "domain", tuple(float(v) for v in self.domain))
-        if any(b <= a for a, b in zip(self.widths, self.widths[1:])):
+        widths = tuple(int(w) for w in self.widths)
+        if not widths or widths[0] < 1 or widths != tuple(self.widths):
+            raise ConfigError("widths must be a non-empty list of integers >= 1")
+        if any(b <= a for a, b in zip(widths, widths[1:])):
             raise ConfigError("widths must be strictly increasing")
+        object.__setattr__(self, "widths", widths)
+        object.__setattr__(self, "domain", tuple(float(v) for v in self.domain))
+        if len(self.domain) != 2:
+            raise ConfigError("domain must be a pair (lo, hi)")
         if not 2 <= self.draws <= ASSIGNMENT_CAP:
             raise ConfigError(f"draws must lie in [2, {ASSIGNMENT_CAP}] "
                               "(the exact-assignment cap of the W1)")
@@ -111,8 +126,10 @@ class ExperimentConfig:
             raise ConfigError("weight_variance and bias_variance must be > 0")
         if self.burn_in < 0 or self.thinning < 1 or self.hmc_steps < 1:
             raise ConfigError("need burn_in >= 0, thinning >= 1 and hmc_steps >= 1")
-        if self.activation not in ("identity", "erf", "relu", "tanh"):
+        if self.activation not in ACTIVATIONS:
             raise ConfigError(f"unknown activation {self.activation!r}")
+        if self.kernel_method not in KERNEL_METHODS:
+            raise ConfigError(f"unknown kernel_method {self.kernel_method!r}")
         if self.kernel_method == "analytic_erf" and self.activation != "erf":
             raise ConfigError("analytic_erf kernel method requires erf activation")
         if self.kernel_method == "analytic_relu" and self.activation != "relu":
@@ -168,8 +185,22 @@ class ExperimentConfig:
         )
 
 
+@dataclass(kw_only=True)
+class Report:
+    """What every report writes to its .meta.json besides the config itself."""
+
+    seed: int
+    config_hash: str
+    runtime_s: float
+    constraint: ConstraintReport | None = None
+
+    def table(self) -> tuple[str, str, list[tuple]]:
+        """(file name without extension, CSV header, rows of numbers)."""
+        raise NotImplementedError
+
+
 @dataclass
-class ConvergenceReport:
+class ConvergenceReport(Report):
     """Per-width W1 estimates with resampling bands and a fitted slope."""
 
     widths: list[int]
@@ -181,10 +212,11 @@ class ConvergenceReport:
     slope: float | None
     limit_mean: list[float]
     limit_var: list[float]
-    seed: int
-    config_hash: str
-    runtime_s: float
-    constraint: ConstraintReport | None = None
+
+    def table(self):
+        rows = [(w, v, lo, hi, self.seed)
+                for w, v, lo, hi in zip(self.widths, self.w1, self.w1_lo, self.w1_hi)]
+        return "w1_vs_width", "width,w1,w1_lo,w1_hi,seed", rows
 
 
 def fit_loglog_slope(widths, w1) -> float | None:
@@ -233,17 +265,6 @@ def _log_constraint(cfg: ExperimentConfig, data: Dataset) -> ConstraintReport | 
     return report
 
 
-def _w1_row(width: int, reps: list[float], sliced: list[float],
-            diagnostics: dict | None = None) -> dict:
-    """One width's mean W1 with its (min, max) band over the repetitions."""
-    v = np.asarray(reps)
-    return {
-        "width": width, "w1": float(np.mean(v)), "w1_lo": float(np.min(v)),
-        "w1_hi": float(np.max(v)), "reps": reps, "sliced": float(np.mean(sliced)),
-        "diagnostics": diagnostics,
-    }
-
-
 def _gibbs_config(cfg: ExperimentConfig, width: int, kind: int) -> GibbsConfig:
     """MCMC schedule of one width, seeded per (experiment seed, width, sweep kind)."""
     h = hashlib.sha256(f"{cfg.seed}:{width}:{kind}".encode()).digest()
@@ -257,7 +278,8 @@ def _gibbs_config(cfg: ExperimentConfig, width: int, kind: int) -> GibbsConfig:
     )
 
 
-def _prior_width_job(cfg: ExperimentConfig, kernel: KernelMatrix, width: int) -> dict:
+def _prior_width_job(cfg: ExperimentConfig, kernel: KernelMatrix,
+                     width: int) -> tuple[list[float], list[float]]:
     """Per-width W1 between prior network draws and draws of the NNGP `kernel`.
 
     The prior parameters are drawn and evaluated in blocks of whole draws of
@@ -287,10 +309,11 @@ def _prior_width_job(cfg: ExperimentConfig, kernel: KernelMatrix, width: int) ->
             np.zeros(grid.shape[1]), kernel.values, r_gp.child(0), size=cfg.draws
         )
         sl.append(sliced_w1(bnn, gp_full, 128, r_gp.child(1)))
-    return _w1_row(width, reps, sl)
+    return reps, sl
 
 
-def _posterior_width_job(cfg: ExperimentConfig, tp: StudentTPosterior, width: int) -> dict:
+def _posterior_width_job(cfg: ExperimentConfig, tp: StudentTPosterior,
+                         width: int) -> tuple[list[float], list[float]]:
     """Per-width W1 between Gibbs posterior draws and draws of the t limit `tp`."""
     data = cfg.make_dataset()
     grid = cfg.make_test_grid()
@@ -299,12 +322,12 @@ def _posterior_width_job(cfg: ExperimentConfig, tp: StudentTPosterior, width: in
     gcfg = _gibbs_config(cfg, width, 1)
     samples = gibbs_run(arch, cfg.variances(), cfg.a, cfg.b, data, grid, gcfg)
     rng = RngStream(cfg.seed, (width, 2))
-    reps, sl = _resampled_w1(cfg, samples.evals, idx, rng,
-                             lambda r, n: sample_mvt(tp.nu, tp.location, tp.scale, r, size=n))
-    return _w1_row(width, reps, sl, diagnostics=samples.diagnostics)
+    return _resampled_w1(cfg, samples.evals, idx, rng,
+                         lambda r, n: sample_mvt(tp.nu, tp.location, tp.scale, r, size=n))
 
 
-def _baseline_width_job(cfg: ExperimentConfig, gp: GaussianPosterior, width: int) -> dict:
+def _baseline_width_job(cfg: ExperimentConfig, gp: GaussianPosterior,
+                        width: int) -> tuple[list[float], list[float]]:
     """Per-width W1 between fixed-variance posterior draws and the GP limit `gp`."""
     data = cfg.make_dataset()
     grid = cfg.make_test_grid()
@@ -315,9 +338,8 @@ def _baseline_width_job(cfg: ExperimentConfig, gp: GaussianPosterior, width: int
         arch, cfg.variances(), cfg.noise_var, data, grid, gcfg
     )
     rng = RngStream(cfg.seed, (width, 4))
-    reps, sl = _resampled_w1(cfg, samples.evals, idx, rng,
-                             lambda r, n: sample_mvn(gp.mean, gp.cov, r, size=n))
-    return _w1_row(width, reps, sl, diagnostics=samples.diagnostics)
+    return _resampled_w1(cfg, samples.evals, idx, rng,
+                         lambda r, n: sample_mvn(gp.mean, gp.cov, r, size=n))
 
 
 def _resampled_w1(cfg, evals, idx, rng, limit_sampler):
@@ -334,105 +356,99 @@ def _resampled_w1(cfg, evals, idx, rng, limit_sampler):
     return reps, sl
 
 
-def _run_width_sweep(cfg: ExperimentConfig, job, limit, jobs: int = 1) -> list[dict]:
-    """job(cfg, limit, width) per width; the limit is built once by the caller."""
+def _sweep(cfg: ExperimentConfig, jobs: int, limit_of, job) -> ConvergenceReport:
+    """Run job(cfg, limit, width) -> (W1 repetitions, sliced W1s) at every width.
+
+    limit_of(data, grid) -> (limit, marginal means, marginal variances) builds
+    the width-independent limit once; the width jobs run serially or in a
+    pool of `jobs` processes.
+    """
+    t0 = time.perf_counter()
+    data = cfg.make_dataset()
+    constraint = _log_constraint(cfg, data)
+    limit, mean, var = limit_of(data, cfg.make_test_grid())
     run = functools.partial(job, cfg, limit)
     if jobs > 1 and len(cfg.widths) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(run, cfg.widths))
-    return [run(w) for w in cfg.widths]
-
-
-def _assemble_report(cfg: ExperimentConfig, rows: list[dict],
-                     limit_mean, limit_var, t0: float,
-                     constraint=None) -> ConvergenceReport:
+            results = list(pool.map(run, cfg.widths))
+    else:
+        results = [run(w) for w in cfg.widths]
+    reps = [r for r, _ in results]
+    w1 = [float(np.mean(r)) for r in reps]
     return ConvergenceReport(
-        widths=[r["width"] for r in rows],
-        w1=[r["w1"] for r in rows],
-        w1_lo=[r["w1_lo"] for r in rows],
-        w1_hi=[r["w1_hi"] for r in rows],
-        w1_reps=[r["reps"] for r in rows],
-        sliced=[r["sliced"] for r in rows],
-        slope=fit_loglog_slope([r["width"] for r in rows], [r["w1"] for r in rows]),
-        limit_mean=list(np.ravel(limit_mean)),
-        limit_var=list(np.ravel(limit_var)),
-        seed=cfg.seed,
-        config_hash=cfg.hash(),
-        runtime_s=time.perf_counter() - t0,
+        widths=list(cfg.widths), w1=w1, w1_lo=[float(np.min(r)) for r in reps],
+        w1_hi=[float(np.max(r)) for r in reps], w1_reps=reps,
+        sliced=[float(np.mean(sl)) for _, sl in results],
+        slope=fit_loglog_slope(cfg.widths, w1),
+        limit_mean=list(np.ravel(mean)), limit_var=list(np.ravel(var)),
+        seed=cfg.seed, config_hash=cfg.hash(), runtime_s=time.perf_counter() - t0,
         constraint=constraint,
     )
 
 
 def run_prior_convergence(cfg: ExperimentConfig, jobs: int = 1) -> ConvergenceReport:
     """W1 between prior network draws and NNGP draws, per width."""
-    t0 = time.perf_counter()
-    data = cfg.make_dataset()
-    constraint = _log_constraint(cfg, data)
-    grid = cfg.make_test_grid()
-    kernel = _limit_kernel(cfg, grid)
-    rows = _run_width_sweep(cfg, _prior_width_job, kernel, jobs)
-    return _assemble_report(
-        cfg, rows, np.zeros(grid.shape[1]), np.diag(kernel.values), t0, constraint
-    )
+    def limit(data, grid):
+        kernel = _limit_kernel(cfg, grid)
+        return kernel, np.zeros(grid.shape[1]), np.diag(kernel.values)
+
+    return _sweep(cfg, jobs, limit, _prior_width_job)
 
 
 def run_posterior_convergence(cfg: ExperimentConfig, jobs: int = 1) -> ConvergenceReport:
     """W1 between Gibbs posterior draws and Student-t limit draws, per width."""
-    t0 = time.perf_counter()
-    data = cfg.make_dataset()
-    constraint = _log_constraint(cfg, data)
-    grid = cfg.make_test_grid()
-    tp = _t_limit(cfg, data, grid)
-    rows = _run_width_sweep(cfg, _posterior_width_job, tp, jobs)
-    var = np.diag(tp.covariance()) if tp.nu > 2 else np.full(grid.shape[1], np.nan)
-    return _assemble_report(cfg, rows, tp.location, var, t0, constraint)
+    def limit(data, grid):
+        tp = _t_limit(cfg, data, grid)
+        var = np.diag(tp.covariance()) if tp.nu > 2 else np.full(grid.shape[1], np.nan)
+        return tp, tp.location, var
+
+    return _sweep(cfg, jobs, limit, _posterior_width_job)
 
 
 def run_gaussian_baseline(cfg: ExperimentConfig, jobs: int = 1) -> ConvergenceReport:
     """W1 between fixed-variance posterior draws and the GP limit, per width."""
-    t0 = time.perf_counter()
-    data = cfg.make_dataset()
-    constraint = _log_constraint(cfg, data)
-    grid = cfg.make_test_grid()
-    gp = _gp_limit(cfg, data, grid)
-    rows = _run_width_sweep(cfg, _baseline_width_job, gp, jobs)
-    return _assemble_report(cfg, rows, gp.mean, np.diag(gp.cov), t0, constraint)
+    def limit(data, grid):
+        gp = _gp_limit(cfg, data, grid)
+        return gp, gp.mean, np.diag(gp.cov)
+
+    return _sweep(cfg, jobs, limit, _baseline_width_job)
 
 
 @dataclass
-class ComparisonReport:
+class ComparisonReport(Report):
     """Posterior-predictive quantile bands for the t and Gaussian limits."""
 
     grid: list[float]
     tp_bands: list[tuple[float, float, float]]  # (2.5%, 50%, 97.5%) per point
     gp_bands: list[tuple[float, float, float]]
-    seed: int
-    config_hash: str
-    runtime_s: float
+
+    def table(self):
+        rows = [(x, *tb, *gb) for x, tb, gb in zip(self.grid, self.tp_bands, self.gp_bands)]
+        return "predictive_bands", "x,tp_lo,tp_med,tp_hi,gp_lo,gp_med,gp_hi", rows
 
 
 def run_comparison(cfg: ExperimentConfig) -> ComparisonReport:
     """Paired 2.5/50/97.5% predictive bands for the Student-t and GP limits."""
     t0 = time.perf_counter()
     data = cfg.make_dataset()
-    _log_constraint(cfg, data)
+    constraint = _log_constraint(cfg, data)
     grid = cfg.make_test_grid()
     tp = _t_limit(cfg, data, grid)
     gp = _gp_limit(cfg, data, grid)
     qs = (0.025, 0.5, 0.975)
     t_sd = np.sqrt(np.clip(np.diag(tp.scale), 0.0, None))
     g_sd = np.sqrt(np.clip(np.diag(gp.cov), 0.0, None))
-    tp_bands = tp.location[:, None] + t_sd[:, None] * stats.t.ppf(qs, tp.nu)
-    gp_bands = gp.mean[:, None] + g_sd[:, None] * stats.norm.ppf(qs)
+    tp_bands = tp.location[:, None] + t_sd[:, None] * special.stdtrit(tp.nu, qs)
+    gp_bands = gp.mean[:, None] + g_sd[:, None] * special.ndtri(qs)
     return ComparisonReport(
         list(grid[0]), [tuple(b) for b in tp_bands.tolist()],
-        [tuple(b) for b in gp_bands.tolist()], cfg.seed, cfg.hash(),
-        time.perf_counter() - t0,
+        [tuple(b) for b in gp_bands.tolist()], seed=cfg.seed, config_hash=cfg.hash(),
+        runtime_s=time.perf_counter() - t0, constraint=constraint,
     )
 
 
 @dataclass
-class BoundDiagnostics:
+class BoundDiagnostics(Report):
     """Numerical verification of the likelihood sup and Lipschitz constants."""
 
     settings: list[tuple[float, int]]  # (sigma2, n_L * k)
@@ -441,8 +457,14 @@ class BoundDiagnostics:
     lip_formula: list[float]
     lip_numeric: list[float]
     argmax_resid2: list[float]  # ||y - z||^2 at the gradient-norm maximizer
-    constraint: ConstraintReport | None
-    runtime_s: float = 0.0
+
+    def table(self):
+        rows = [(float(s2), n, *v) for (s2, n), *v in zip(
+            self.settings, self.sup_formula, self.sup_numeric,
+            self.lip_formula, self.lip_numeric, self.argmax_resid2,
+        )]
+        return ("bound_diagnostics",
+                "sigma2,n,sup_formula,sup_numeric,lip_formula,lip_numeric,argmax_resid2", rows)
 
 
 def likelihood_sup(sigma2: float, n: int) -> float:
@@ -497,22 +519,33 @@ def run_bound_diagnostics(
         lip_n.append(best_g)
         res2.append(best_r)
     return BoundDiagnostics(
-        list(settings), sup_f, sup_n, lip_f, lip_n, res2, constraint,
-        time.perf_counter() - t0,
+        list(settings), sup_f, sup_n, lip_f, lip_n, res2, seed=cfg.seed,
+        config_hash=cfg.hash(), runtime_s=time.perf_counter() - t0, constraint=constraint,
     )
 
 
-def emit_figure_data(report, out_dir, cfg: ExperimentConfig | None = None) -> list[str]:
-    """Write plot-ready CSV plus JSON metadata; returns the written paths."""
-    import os
+def _cell(v) -> str:
+    """One CSV cell: the repr of v as a Python int or float."""
+    return repr(int(v)) if isinstance(v, numbers.Integral) else repr(float(v))
 
+
+def emit_figure_data(report: Report, out_dir, cfg: ExperimentConfig | None = None) -> list[str]:
+    """Write the report's plot-ready CSV and its .meta.json; returns both paths."""
+    if not isinstance(report, Report):
+        raise TypeError(f"unsupported report type {type(report).__name__}")
+    name, header, rows = report.table()
     os.makedirs(out_dir, exist_ok=True)
-    written = []
+    paths = [os.path.join(out_dir, name + ext) for ext in (".csv", ".meta.json")]
+    with open(paths[0], "w") as f:
+        f.write(header + "\n")
+        f.writelines(",".join(map(_cell, row)) + "\n" for row in rows)
     meta = {
-        "config_hash": getattr(report, "config_hash", None),
+        "config_hash": report.config_hash,
         "config": cfg.to_dict() if cfg is not None else None,
-        "seed": getattr(report, "seed", None),
-        "runtime_s": getattr(report, "runtime_s", None),
+        "seed": report.seed,
+        "runtime_s": report.runtime_s,
+        "constraint": (dataclasses.asdict(report.constraint)
+                       if report.constraint is not None else None),
         "versions": {
             "bnnlimits": __version__,
             "numpy": np.__version__,
@@ -520,47 +553,10 @@ def emit_figure_data(report, out_dir, cfg: ExperimentConfig | None = None) -> li
         },
     }
     if isinstance(report, ConvergenceReport):
-        path = os.path.join(out_dir, "w1_vs_width.csv")
-        with open(path, "w") as f:
-            f.write("width,w1,w1_lo,w1_hi,seed\n")
-            for w, v, lo, hi in zip(report.widths, report.w1, report.w1_lo, report.w1_hi):
-                f.write(f"{w},{float(v)!r},{float(lo)!r},{float(hi)!r},{report.seed}\n")
-        written.append(path)
         meta["slope"] = report.slope
-        if report.constraint is not None:
-            meta["constraint"] = dataclasses.asdict(report.constraint)
-    elif isinstance(report, ComparisonReport):
-        path = os.path.join(out_dir, "predictive_bands.csv")
-        with open(path, "w") as f:
-            f.write("x,tp_lo,tp_med,tp_hi,gp_lo,gp_med,gp_hi\n")
-            for x, tb, gb in zip(report.grid, report.tp_bands, report.gp_bands):
-                f.write(f"{float(x)!r},{tb[0]!r},{tb[1]!r},{tb[2]!r},"
-                        f"{gb[0]!r},{gb[1]!r},{gb[2]!r}\n")
-        written.append(path)
-    elif isinstance(report, BoundDiagnostics):
-        path = os.path.join(out_dir, "bound_diagnostics.csv")
-        with open(path, "w") as f:
-            f.write("sigma2,n,sup_formula,sup_numeric,lip_formula,lip_numeric,"
-                    "argmax_resid2\n")
-            for (s2, n), sf, sn, lf, ln, r2 in zip(
-                report.settings, report.sup_formula, report.sup_numeric,
-                report.lip_formula, report.lip_numeric, report.argmax_resid2,
-            ):
-                f.write(
-                    f"{float(s2)!r},{n},{float(sf)!r},{float(sn)!r},"
-                    f"{float(lf)!r},{float(ln)!r},{float(r2)!r}\n"
-                )
-        written.append(path)
-        if report.constraint is not None:
-            meta["constraint"] = dataclasses.asdict(report.constraint)
-    else:
-        raise TypeError(f"unsupported report type {type(report).__name__}")
-
-    meta_path = written[0].rsplit(".", 1)[0] + ".meta.json"
-    with open(meta_path, "w") as f:
+    with open(paths[1], "w") as f:
         json.dump(meta, f, indent=2, sort_keys=True)
-    written.append(meta_path)
-    return written
+    return paths
 
 
 def read_figure_csv(path: str) -> dict[str, list[float]]:

@@ -32,7 +32,12 @@ from .network import (
 )
 from .nuts import DualAveraging, HmcConfig, find_reasonable_epsilon, nuts_transition
 from .rng import RngStream
-from .samplers import Sigma2ConditionalParams, sample_inverse_gamma, sample_sigma2_conditional
+from .samplers import (
+    SamplerError,
+    Sigma2ConditionalParams,
+    sample_inverse_gamma,
+    sample_sigma2_conditional,
+)
 
 
 @dataclass(frozen=True)
@@ -157,7 +162,7 @@ def _run_chain(
             kept += 1
 
     if n_trans and n_div > 0.5 * n_trans:
-        raise RuntimeError(
+        raise SamplerError(
             f"persistent divergence: {n_div}/{n_trans} transitions diverged "
             f"(step size {eps:.3e}); reduce the step size or reparametrize"
         )

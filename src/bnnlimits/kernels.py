@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf as _erf
 
 from .network import ACTIVATIONS, Architecture, VarianceVector, _check_arch_vars
 from .rng import RngStream
@@ -26,6 +25,7 @@ SYM_TOL = 1e-12
 # posteriors.student_t_logpdf stays on rung 0.
 JITTERS = (0.0, 1e-12, 1e-10, 1e-8)
 
+KERNEL_METHODS = ("analytic_erf", "analytic_relu", "gauss_hermite", "monte_carlo")
 GH_DEFAULT_ORDER = 32
 MC_DEFAULT_DRAWS = 200_000
 
@@ -236,7 +236,7 @@ def _recursion(
     if x.shape[0] != arch.d_in:
         raise ValueError(f"inputs have {x.shape[0]} rows, expected {arch.d_in}")
     m = x.shape[1]
-    if method not in ("analytic_erf", "analytic_relu", "gauss_hermite", "monte_carlo"):
+    if method not in KERNEL_METHODS:
         raise ValueError(f"unknown method {method!r}")
     if method == "analytic_erf" and any(
         t != "erf" for t in arch.activations[1:]

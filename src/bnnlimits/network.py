@@ -9,7 +9,7 @@ vec() row-major. All forward/gradient code treats inputs and outputs as
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np

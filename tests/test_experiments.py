@@ -9,11 +9,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bnnlimits import experiments, network
-from bnnlimits.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
+from bnnlimits import experiments, gibbs, network
+from bnnlimits.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, build_parser, main
 from bnnlimits.experiments import (
+    BoundDiagnostics,
     ComparisonReport,
     ConfigError,
+    ConvergenceReport,
     ExperimentConfig,
     emit_figure_data,
     fit_loglog_slope,
@@ -77,6 +79,11 @@ class TestConfig:
             {"thinning": 0},
             {"hmc_steps": 0},
             {"draws": 2049},
+            {"kernel_method": "bogus"},
+            {"widths": (0, 1)},
+            {"domain": (0.0, 1.0, 2.0)},
+            {"widths": (1.5, 2)},
+            {"widths": ()},
         ],
     )
     def test_invalid_configs_rejected(self, bad):
@@ -328,6 +335,64 @@ class TestDataExport:
             emit_figure_data({"not": "a report"}, str(tmp_path))
 
 
+class TestWriter:
+    """One writer: the exact CSV text of each report type, and its .meta.json."""
+
+    META = dict(seed=3, config_hash="abc", runtime_s=1.5)
+    REPORTS = [
+        (
+            ConvergenceReport(
+                widths=[1, 8], w1=[0.5, 1 / 3], w1_lo=[0.25, 0.1], w1_hi=[0.75, 0.5],
+                w1_reps=[[0.25, 0.75], [0.1, 0.5]], sliced=[0.2, 0.1], slope=None,
+                limit_mean=[0.0], limit_var=[1.0], **META,
+            ),
+            "w1_vs_width.csv",
+            "width,w1,w1_lo,w1_hi,seed\n1,0.5,0.25,0.75,3\n8,0.3333333333333333,0.1,0.5,3\n",
+        ),
+        (
+            ComparisonReport(
+                grid=[np.float64(-1.0), 0.5],
+                tp_bands=[(-2.0, -1.0, 0.0), (0.1, 0.2, 0.1 + 0.2)],
+                gp_bands=[(-1.5, -1.0, -0.5), (0.0, 1e-300, 2.5e16)], **META,
+            ),
+            "predictive_bands.csv",
+            "x,tp_lo,tp_med,tp_hi,gp_lo,gp_med,gp_hi\n"
+            "-1.0,-2.0,-1.0,0.0,-1.5,-1.0,-0.5\n"
+            "0.5,0.1,0.2,0.30000000000000004,0.0,1e-300,2.5e+16\n",
+        ),
+        (
+            BoundDiagnostics(
+                settings=[(1.0, 1), (0.5, 3)], sup_formula=[0.3989422804014327, 0.125],
+                sup_numeric=[np.float64(0.39894228), 0.125], lip_formula=[0.25, 2.0],
+                lip_numeric=[0.25, 2.0], argmax_resid2=[1.0000000001, 0.5], **META,
+            ),
+            "bound_diagnostics.csv",
+            "sigma2,n,sup_formula,sup_numeric,lip_formula,lip_numeric,argmax_resid2\n"
+            "1.0,1,0.3989422804014327,0.39894228,0.25,0.25,1.0000000001\n"
+            "0.5,3,0.125,0.125,2.0,2.0,0.5\n",
+        ),
+    ]
+
+    @pytest.mark.parametrize("report, name, text", REPORTS)
+    def test_csv_text(self, tmp_path, report, name, text):
+        paths = emit_figure_data(report, str(tmp_path))
+        assert [os.path.basename(p) for p in paths] == [name, name[:-4] + ".meta.json"]
+        with open(paths[0]) as f:
+            assert f.read() == text
+
+    @pytest.mark.parametrize(
+        "run",
+        [run_prior_convergence, run_comparison, run_bound_diagnostics],
+    )
+    def test_meta_carries_hash_seed_and_constraint(self, tmp_path, run):
+        cfg = ExperimentConfig(**{**FAST, "seed": 5})
+        rep = run(cfg)
+        meta = json.load(open(emit_figure_data(rep, str(tmp_path), cfg)[1]))
+        assert meta["config_hash"] == cfg.hash() and meta["seed"] == 5
+        assert meta["constraint"] == dataclasses.asdict(rep.constraint)
+        assert meta["constraint"]["op_norm"] > 0
+
+
 class TestCli:
     def _cfg_file(self, tmp_path, **extra):
         d = dict(FAST)
@@ -413,6 +478,9 @@ class TestCli:
                                     "w1_grid": 2, "n_reps": 1, "k": 0}))
         assert main(["prior-convergence", "--config", str(path)]) == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
+        path.write_text(json.dumps({"kernel_method": "bogus"}))
+        assert main(["posterior-convergence", "--config", str(path)]) == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
 
     def test_unreadable_and_malformed_config_exit_2(self, tmp_path):
         assert main(["compare", "--config", str(tmp_path / "missing.json")]) == EXIT_CONFIG
@@ -440,6 +508,40 @@ class TestCli:
         rc = main(["prior-convergence", "--config", cfg, "--out", str(tmp_path / "o")])
         assert rc == EXIT_NUMERICAL
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_persistent_divergence_exit_3(self, tmp_path, monkeypatch, capsys):
+        def always_divergent(value_and_grad, theta, logp, grad, eps, max_depth, gen):
+            return theta, logp, grad, 0.0, 0, True
+
+        monkeypatch.setattr(gibbs, "nuts_transition", always_divergent)
+        argv = ["posterior-convergence", "--config", self._cfg_file(tmp_path),
+                "--out", str(tmp_path / "o")]
+        assert main(argv) == EXIT_NUMERICAL
+        assert "persistent divergence" in capsys.readouterr().err
+
+    def test_other_runtime_errors_propagate(self, tmp_path, monkeypatch):
+        # only the typed numerical errors map to exit 3; anything else is a bug
+        def broken(*args):
+            raise RuntimeError("not a numerical failure")
+
+        monkeypatch.setattr(gibbs, "nuts_transition", broken)
+        argv = ["posterior-convergence", "--config", self._cfg_file(tmp_path),
+                "--out", str(tmp_path / "o")]
+        with pytest.raises(RuntimeError, match="not a numerical failure"):
+            main(argv)
+
+    @pytest.mark.parametrize(
+        "command", ["prior-convergence", "posterior-convergence", "gaussian-baseline"]
+    )
+    def test_sweeps_take_jobs(self, command):
+        assert build_parser().parse_args([command, "--jobs", "2"]).jobs == 2
+
+    @pytest.mark.parametrize("command", ["compare", "diagnostics"])
+    def test_jobs_rejected_where_unused(self, tmp_path, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--jobs", "2", "--out", str(tmp_path)])
+        assert exc.value.code == 2  # argparse's usage error
+        assert "--jobs" in capsys.readouterr().err
 
 
 class TestConstraintReporting:

@@ -17,8 +17,10 @@ from bnnlimits import (
     gibbs_run_fixed_variance,
     sample_prior_params,
 )
+from bnnlimits import gibbs
 from bnnlimits.nuts import HmcConfig
 from bnnlimits.rng import RngStream
+from bnnlimits.samplers import SamplerError
 
 ARCH = Architecture((1, 1, 1), ("identity", "erf"))
 VARS = VarianceVector.constant(1.0, 2)
@@ -194,3 +196,15 @@ class TestMechanics:
                             GibbsConfig(n_samples=20, burn_in=20, seed=33))
         assert out.evals.shape == (20, 2)
         assert out.diagnostics["n_divergent"] <= 0.5 * out.diagnostics["n_transitions"]
+
+    def test_persistent_divergence_raises_sampler_error(self, monkeypatch):
+        def always_divergent(value_and_grad, theta, logp, grad, eps, max_depth, gen):
+            return theta, logp, grad, 0.0, 0, True
+
+        monkeypatch.setattr(gibbs, "nuts_transition", always_divergent)
+        data = Dataset(np.array([[0.2]]), np.array([[0.4]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(SamplerError, match="persistent divergence"):
+                gibbs_run(ARCH, VARS, 3.0, 2.0, data, TEST_X,
+                          GibbsConfig(n_samples=5, burn_in=5, seed=34))
