@@ -36,20 +36,16 @@ from .posteriors import (  # noqa: F401
 )
 from .samplers import (  # noqa: F401
     Sigma2ConditionalParams,
-    conditional_sigma2_params,
     sample_inverse_gamma,
     sample_mvn,
     sample_mvt,
     sample_sigma2_conditional,
 )
-from .nuts import HmcConfig, hmc_sample  # noqa: F401
 from .gibbs import GibbsConfig, PosteriorSamples, gibbs_run, gibbs_run_fixed_variance  # noqa: F401
 from .rng import RngStream  # noqa: F401
 from .wasserstein import (  # noqa: F401
-    SampleSet,
     sliced_w1,
     w1_1d,
     w1_exact,
     w1_weighted,
-    wp_1d,
 )

@@ -15,13 +15,11 @@ by scaling the last layer by sigma.
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import sqrt
 
 import numpy as np
 
-from .kernels import KernelDegeneracyError, check_hyperparams, rescaled_kernel
 from .network import (
     Architecture,
     Dataset,
@@ -30,7 +28,7 @@ from .network import (
     log_posterior_and_grad,
     sample_prior_params,
 )
-from .nuts import DualAveraging, HmcConfig, find_reasonable_epsilon, nuts_transition
+from .nuts import MAX_TREE_DEPTH, DualAveraging, find_reasonable_epsilon, nuts_transition
 from .rng import RngStream
 from .samplers import (
     SamplerError,
@@ -42,14 +40,16 @@ from .samplers import (
 
 @dataclass(frozen=True)
 class GibbsConfig:
-    """Outer-loop settings: n_samples retained draws after burn_in, thinned."""
+    """Outer-loop settings: n_samples retained draws after burn_in, thinned.
+
+    Each outer step makes hmc_steps NUTS transitions; the step size adapts
+    during burn_in and is then held at its dual average.
+    """
 
     n_samples: int = 100
     burn_in: int = 200
     thinning: int = 1
-    hmc: HmcConfig = field(default_factory=lambda: HmcConfig(warmup=0))
     hmc_steps: int = 5
-    init_sigma2: float | None = None
     seed: int = 0
 
     def __post_init__(self):
@@ -71,23 +71,6 @@ class PosteriorSamples:
     @property
     def n(self) -> int:
         return self.theta.shape[0]
-
-
-def _surface_constraint_warning(arch, variances, a, b, data):
-    if data.k == 0:
-        return None
-    try:
-        kp = rescaled_kernel(arch, variances, data.x, method="gauss_hermite")
-        report = check_hyperparams(a, b, data.y, kp)
-    except (KernelDegeneracyError, ValueError):
-        return None
-    if not report.ok:
-        warnings.warn(
-            "hyperparameters outside the admissible region for the "
-            f"convergence guarantee; {report.summary()} (run proceeds)",
-            stacklevel=3,
-        )
-    return report
 
 
 def _scale_last_layer(arch: Architecture, theta_std: np.ndarray, sigma: float):
@@ -122,8 +105,8 @@ def _run_chain(
 
     sigma2 = init_sigma2
     theta = sample_prior_params(arch, variances, rng_init)
-    eps = cfg.hmc.step_size or find_reasonable_epsilon(target_factory(sigma2), theta, gen)
-    da = DualAveraging(eps, target=cfg.hmc.target_accept) if cfg.hmc.step_size is None else None
+    eps = find_reasonable_epsilon(target_factory(sigma2), theta, gen)
+    da = DualAveraging(eps)
 
     n_outer = cfg.burn_in + cfg.n_samples * cfg.thinning
     test_inputs = np.atleast_2d(np.asarray(test_inputs, dtype=float))
@@ -139,18 +122,18 @@ def _run_chain(
     kept = 0
 
     for it in range(n_outer):
-        if da is not None and it == cfg.burn_in:
+        if it == cfg.burn_in:
             eps = da.adapted
         value_and_grad = target_factory(sigma2)
         logp, g = value_and_grad(theta)
         for _ in range(cfg.hmc_steps):
             theta, logp, g, acc, _, div = nuts_transition(
-                value_and_grad, theta, logp, g, eps, cfg.hmc.max_tree_depth, gen
+                value_and_grad, theta, logp, g, eps, MAX_TREE_DEPTH, gen
             )
             n_div += int(div)
             n_trans += 1
             accepts.append(acc)
-            if da is not None and it < cfg.burn_in:
+            if it < cfg.burn_in:
                 eps = da.update(acc)
         sigma2 = sigma2_step(theta, rng_sigma)
         sigma2_trace.append(sigma2)
@@ -190,7 +173,6 @@ def gibbs_run(
     """Posterior sampling under the hierarchical (Inverse-Gamma variance) model."""
     if a <= 0 or b <= 0:
         raise ValueError("a and b must be strictly positive")
-    _surface_constraint_warning(arch, variances, a, b, data)
     std_vars = variances.unit_last_layer()
     n_L = arch.d_out
     a_prime = a + data.k * n_L / 2.0
@@ -211,12 +193,7 @@ def gibbs_run(
         p = Sigma2ConditionalParams(a_prime, b_prime, c_prime)
         return float(sample_sigma2_conditional(p, rng_sigma))
 
-    init_rng = RngStream(cfg.seed, (999,))
-    init_sigma2 = (
-        cfg.init_sigma2
-        if cfg.init_sigma2 is not None
-        else float(sample_inverse_gamma(a, b, init_rng))
-    )
+    init_sigma2 = float(sample_inverse_gamma(a, b, RngStream(cfg.seed, (999,))))
 
     def raw_theta(theta, sigma2):
         return _scale_last_layer(arch, theta, sqrt(sigma2))

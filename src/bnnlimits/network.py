@@ -202,7 +202,13 @@ def prior_scales(arch: Architecture, variances: VarianceVector) -> np.ndarray:
     return scale
 
 
-@lru_cache(maxsize=64)
+# Priors whose target constants are kept. Every sampler and the prior sweep
+# read one prior per width, so one entry serves the width that runs, and the
+# next width's prior frees the arrays of the last one.
+TARGET_CACHE_SIZE = 1
+
+
+@lru_cache(maxsize=TARGET_CACHE_SIZE)
 def _target_constants(arch: Architecture, variances: VarianceVector):
     """(scale, -scale**2, sum(log scale), (n/2) log(2 pi)) of one prior, built once.
 

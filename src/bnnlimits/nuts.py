@@ -1,50 +1,21 @@
-"""Hamiltonian Monte Carlo with a no-U-turn trajectory criterion.
+"""No-U-turn transitions, the initial step-size heuristic and its adaptation.
 
 Recursive doubling with multinomial state selection, identity mass matrix,
-and dual-averaged step size during warmup. Generic over one value-and-gradient
-callable, value_and_grad(theta) -> (log_density, grad), so the same sampler
-serves both parametrizations of the network posterior and scalar test
-targets. Each leapfrog step evaluates the target exactly once.
+and dual-averaged step size. Generic over one value-and-gradient callable,
+value_and_grad(theta) -> (log_density, grad), so the same transition serves
+both parametrizations of the network posterior and scalar test targets.
+Each leapfrog step evaluates the target exactly once. The loop that drives
+these pieces is the Gibbs sampler's (gibbs._run_chain).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-
-import numpy as np
-
-from .rng import RngStream
 
 DIVERGENCE_THRESHOLD = 1000.0
+MAX_TREE_DEPTH = 8
+TARGET_ACCEPT = 0.8
 _LOG2 = math.log(2.0)
-
-
-@dataclass(frozen=True)
-class HmcConfig:
-    """Sampler settings; step_size=None enables dual-averaging adaptation."""
-
-    step_size: float | None = None
-    max_tree_depth: int = 8
-    warmup: int = 500
-    target_accept: float = 0.8
-
-    def __post_init__(self):
-        if self.max_tree_depth < 1:
-            raise ValueError("max_tree_depth must be >= 1")
-        if self.warmup < 0:
-            raise ValueError("warmup must be >= 0")
-        if self.step_size is not None and self.step_size <= 0:
-            raise ValueError("step_size must be positive")
-
-
-@dataclass
-class HmcDiagnostics:
-    accept_rate: float = 0.0
-    n_divergent: int = 0
-    n_transitions: int = 0
-    tree_depths: list = field(default_factory=list)
-    step_size: float = 0.0
 
 
 class _Tree:
@@ -195,13 +166,12 @@ def find_reasonable_epsilon(value_and_grad, theta, gen) -> float:
 
 
 class DualAveraging:
-    """Nesterov dual averaging towards a target acceptance rate."""
+    """Nesterov dual averaging towards TARGET_ACCEPT (Hoffman & Gelman 2014)."""
 
-    def __init__(self, eps0: float, target: float = 0.8,
-                 gamma: float = 0.05, t0: float = 10.0, kappa: float = 0.75):
+    gamma, t0, kappa = 0.05, 10.0, 0.75
+
+    def __init__(self, eps0: float):
         self.mu = math.log(10.0 * eps0)
-        self.target = target
-        self.gamma, self.t0, self.kappa = gamma, t0, kappa
         self.log_eps = math.log(eps0)
         # adapted is eps0 until the first update, which overwrites the
         # average exactly (its weight w is 1 at t = 1)
@@ -212,7 +182,7 @@ class DualAveraging:
     def update(self, accept: float) -> float:
         self.t += 1
         frac = 1.0 / (self.t + self.t0)
-        self.h_bar = (1 - frac) * self.h_bar + frac * (self.target - accept)
+        self.h_bar = (1 - frac) * self.h_bar + frac * (TARGET_ACCEPT - accept)
         self.log_eps = self.mu - math.sqrt(self.t) / self.gamma * self.h_bar
         w = self.t ** (-self.kappa)
         self.log_eps_bar = w * self.log_eps + (1 - w) * self.log_eps_bar
@@ -222,67 +192,3 @@ class DualAveraging:
     def adapted(self) -> float:
         return math.exp(self.log_eps_bar)
 
-
-def hmc_sample(
-    value_and_grad,
-    init: np.ndarray,
-    cfg: HmcConfig,
-    n_draws: int,
-    rng: RngStream,
-    check_grad: bool = False,
-) -> tuple[np.ndarray, HmcDiagnostics]:
-    """Run NUTS from init; returns (chain of shape (n_draws, d), diagnostics).
-
-    value_and_grad(theta) -> (log density, gradient) is evaluated once at
-    init and then once per leapfrog step. Warmup iterations adapt the step
-    size (when cfg.step_size is None) and are discarded; with no warmup the
-    heuristic initial step is kept. n_draws = 0 returns an empty chain.
-    """
-    theta = np.ravel(np.asarray(init, dtype=float)).copy()
-    d = theta.shape[0]
-    gen = rng.gen
-    if check_grad:
-        _, g = value_and_grad(theta)
-        h = 1e-5
-        for i in range(min(d, 5)):
-            e = np.zeros(d)
-            e[i] = h
-            fd = (value_and_grad(theta + e)[0] - value_and_grad(theta - e)[0]) / (2 * h)
-            if abs(fd - g[i]) > 1e-3 * max(1.0, abs(fd)):
-                raise ValueError(
-                    f"gradient check failed at coordinate {i}: {g[i]} vs fd {fd}"
-                )
-
-    diag = HmcDiagnostics()
-    if n_draws == 0 and cfg.warmup == 0:
-        return np.empty((0, d)), diag
-
-    logp, g = value_and_grad(theta)
-    logp = float(logp)
-    if cfg.step_size is not None:
-        eps = cfg.step_size
-        da = None
-    else:
-        eps = find_reasonable_epsilon(value_and_grad, theta, gen)
-        da = DualAveraging(eps, target=cfg.target_accept)
-
-    chain = np.empty((n_draws, d))
-    accepts = []
-    for it in range(cfg.warmup + n_draws):
-        if da is not None and it == cfg.warmup:
-            eps = da.adapted
-        theta, logp, g, acc, depth, div = nuts_transition(
-            value_and_grad, theta, logp, g, eps, cfg.max_tree_depth, gen
-        )
-        if it < cfg.warmup:
-            if da is not None:
-                eps = da.update(acc)
-        else:
-            chain[it - cfg.warmup] = theta
-            accepts.append(acc)
-            diag.tree_depths.append(depth)
-            diag.n_divergent += int(div)
-            diag.n_transitions += 1
-    diag.accept_rate = float(np.mean(accepts)) if accepts else 0.0
-    diag.step_size = eps
-    return chain, diag

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import psd_cholesky
-from .network import Architecture, Dataset, forward
 from .posteriors import LinearAlgebraError
 from .rng import RngStream
 
@@ -104,50 +103,6 @@ class Sigma2ConditionalParams:
             - self.b_prime * y * y
             + self.c_prime * y
         )
-
-
-def conditional_sigma2_params(
-    a: float,
-    b: float,
-    arch: Architecture,
-    params: np.ndarray,
-    data: Dataset,
-    sigma2: float = 1.0,
-) -> Sigma2ConditionalParams:
-    """Conditional-density parameters for the likelihood variance.
-
-    a' = a + (n_{L-1} + k + 1) n_L / 2;
-    b' = b + (n_{L-1} ||W_L||_F^2 + ||b_L||_F^2 + ||y||_F^2) / 2;
-    c' = <flatten(y), flatten(f_{theta'}(x))> where theta' has the last-layer
-    parameters divided by sqrt(sigma2) (unit-scale last layer).
-
-    `sigma2` is the scale currently attached to the last layer of `params`;
-    pass 1.0 when params are already standardized.
-    """
-    if a <= 0 or b <= 0:
-        raise ValueError("a and b must be strictly positive")
-    if sigma2 <= 0:
-        raise ValueError("sigma2 must be strictly positive")
-    theta = np.asarray(params, dtype=float)
-    layers = arch.unpack(theta)
-    W_L, b_L = layers[-1]
-    n_L = arch.widths[-1]
-    n_prev = arch.widths[-2]
-    k = data.k
-    a_prime = a + (n_prev + k + 1) * n_L / 2.0
-    b_prime = b + 0.5 * (
-        n_prev * float(np.sum(W_L**2))
-        + float(np.sum(b_L**2))
-        + float(np.sum(data.y**2))
-    )
-    ws, bs = arch.layout()[-1]
-    theta_std = theta.copy()
-    theta_std[ws] /= math.sqrt(sigma2)
-    theta_std[bs] /= math.sqrt(sigma2)
-    c_prime = float(
-        np.sum(data.y * forward(arch, theta_std, data.x))
-    ) if k > 0 else 0.0
-    return Sigma2ConditionalParams(a_prime, b_prime, c_prime)
 
 
 def _y_mode(p: Sigma2ConditionalParams) -> float:

@@ -8,7 +8,6 @@ empirical measures by replication to a common denominator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -21,36 +20,7 @@ ASSIGNMENT_CAP = 2048
 REPLICATION_CAP = 100_000
 
 
-@dataclass(frozen=True)
-class SampleSet:
-    """n draws of a d-dimensional evaluation vector, rows are draws."""
-
-    draws: np.ndarray
-    label: str = ""
-    seed: int | None = None
-
-    def __post_init__(self):
-        d = np.asarray(self.draws, dtype=float)
-        if d.ndim == 1:
-            d = d[:, None]
-        if d.ndim != 2 or d.shape[0] < 1:
-            raise ValueError("draws must be a nonempty (n, d) matrix")
-        if not np.all(np.isfinite(d)):
-            raise ValueError("draws must be finite")
-        object.__setattr__(self, "draws", d)
-
-    @property
-    def n(self) -> int:
-        return self.draws.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.draws.shape[1]
-
-
 def _as_array(xs) -> np.ndarray:
-    if isinstance(xs, SampleSet):
-        return xs.draws
     a = np.asarray(xs, dtype=float)
     return a[:, None] if a.ndim == 1 else a
 
@@ -62,17 +32,6 @@ def w1_1d(xs, ys) -> float:
     if x.shape[0] != y.shape[0]:
         raise ValueError("sample sizes must match")
     return float(np.mean(np.abs(np.sort(x) - np.sort(y))))
-
-
-def wp_1d(xs, ys, p: float) -> float:
-    """Exact 1-D W_p (p >= 1) for equal-size samples via sorted coupling."""
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    x = np.ravel(_as_array(xs))
-    y = np.ravel(_as_array(ys))
-    if x.shape[0] != y.shape[0]:
-        raise ValueError("sample sizes must match")
-    return float(np.mean(np.abs(np.sort(x) - np.sort(y)) ** p) ** (1.0 / p))
 
 
 def w1_exact(xs, ys, cap: int = ASSIGNMENT_CAP) -> float:

@@ -5,11 +5,12 @@ import json
 import math
 import os
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from bnnlimits import experiments, gibbs, network
+from bnnlimits import experiments, gibbs, kernels, network
 from bnnlimits.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, build_parser, main
 from bnnlimits.experiments import (
     BoundDiagnostics,
@@ -84,6 +85,10 @@ class TestConfig:
             {"domain": (0.0, 1.0, 2.0)},
             {"widths": (1.5, 2)},
             {"widths": ()},
+            {"widths": ["x"]},
+            {"domain": ("a", 1.0)},
+            {"seed": -1},
+            {"seed": 1.5},
         ],
     )
     def test_invalid_configs_rejected(self, bad):
@@ -146,7 +151,6 @@ class TestRunners:
         cfg = ExperimentConfig(**FAST)
         rep = run_posterior_convergence(cfg)
         assert len(rep.w1) == 2 and all(v > 0 for v in rep.w1)
-        assert len(rep.limit_mean) == cfg.test_grid
         assert rep.constraint is not None
 
     def test_gaussian_baseline_smoke(self):
@@ -210,6 +214,12 @@ class TestPriorBlocks:
         assert np.array_equal(cached.w1, rebuilt.w1)
         assert np.array_equal(cached.w1_reps, rebuilt.w1_reps)
         assert np.array_equal(cached.sliced, rebuilt.sliced)
+
+    def test_prior_cache_keeps_only_the_running_width(self):
+        network._target_constants.cache_clear()
+        run_prior_convergence(ExperimentConfig(**{**FAST, "widths": (1, 2, 4)}))
+        held = network._target_constants.cache_info().currsize
+        assert 1 <= held <= network.TARGET_CACHE_SIZE
 
     def test_memory_does_not_grow_with_draws_times_params(self):
         # All 200 width-128 draws of the pinned config hold 51 MiB of parameters.
@@ -344,7 +354,7 @@ class TestWriter:
             ConvergenceReport(
                 widths=[1, 8], w1=[0.5, 1 / 3], w1_lo=[0.25, 0.1], w1_hi=[0.75, 0.5],
                 w1_reps=[[0.25, 0.75], [0.1, 0.5]], sliced=[0.2, 0.1], slope=None,
-                limit_mean=[0.0], limit_var=[1.0], **META,
+                **META,
             ),
             "w1_vs_width.csv",
             "width,w1,w1_lo,w1_hi,seed\n1,0.5,0.25,0.75,3\n8,0.3333333333333333,0.1,0.5,3\n",
@@ -509,6 +519,12 @@ class TestCli:
         assert rc == EXIT_NUMERICAL
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_negative_seed_exit_2(self, tmp_path, capsys):
+        argv = ["prior-convergence", "--config", self._cfg_file(tmp_path),
+                "--seed", "-1", "--out", str(tmp_path / "o")]
+        assert main(argv) == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+
     def test_persistent_divergence_exit_3(self, tmp_path, monkeypatch, capsys):
         def always_divergent(value_and_grad, theta, logp, grad, eps, max_depth, gen):
             return theta, logp, grad, 0.0, 0, True
@@ -562,3 +578,26 @@ class TestConstraintReporting:
         assert set(meta["constraint"]) == {
             f.name for f in dataclasses.fields(type(rep.constraint))
         }
+
+    def test_constraint_violation_warns_but_runs(self, monkeypatch):
+        # b = 0.01 is far below the admissible bound for this dataset: one
+        # warning per run, and no kernel beyond the run's own two
+        builds = []
+
+        def counted(*args, _fn=kernels._recursion, **kwargs):
+            builds.append(1)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(kernels, "_recursion", counted)
+        cfg = ExperimentConfig(**{**FAST, "b": 0.01})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rep = run_posterior_convergence(cfg)
+        user = [w for w in caught if issubclass(w.category, UserWarning)]
+        assert len(user) == 1
+        assert "admissible" in str(user[0].message)
+        assert str(user[0].message).endswith("(run proceeds)")
+        assert not rep.constraint.ok
+        assert len(rep.w1) == 2
+        # one K' for the admissibility check, one for the Student-t limit
+        assert len(builds) == 2

@@ -18,7 +18,6 @@ from bnnlimits import (
     sample_prior_params,
 )
 from bnnlimits import gibbs
-from bnnlimits.nuts import HmcConfig
 from bnnlimits.rng import RngStream
 from bnnlimits.samplers import SamplerError
 
@@ -177,14 +176,6 @@ class TestMechanics:
             out = gibbs_run(ARCH, VARS, 3.0, 2.0, data, TEST_X,
                             GibbsConfig(n_samples=50, burn_in=20, seed=31))
         assert np.all(out.sigma2 > 0)
-
-    def test_constraint_violation_warns_but_runs(self):
-        # b = 0.01 is far below the admissible bound for this dataset
-        data = Dataset(np.array([[0.2, -0.3]]), np.array([[1.4, -1.1]]))
-        with pytest.warns(UserWarning, match="admissible"):
-            out = gibbs_run(ARCH, VARS, 3.0, 0.01, data, TEST_X,
-                            GibbsConfig(n_samples=10, burn_in=5, seed=32))
-        assert out.n == 10
 
     def test_wider_architecture_runs(self):
         arch = Architecture((1, 8, 8, 1), ("identity", "erf", "erf"))

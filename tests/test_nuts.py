@@ -1,4 +1,5 @@
-"""Bit-for-bit identities the NUTS hot loop relies on, and the leaf's acceptance."""
+"""Bit-for-bit identities the NUTS hot loop relies on, the leaf's acceptance,
+the cost of a transition and the step-size average before adaptation."""
 
 import math
 import struct
@@ -7,7 +8,14 @@ import numpy as np
 import pytest
 
 from bnnlimits import Architecture, Dataset, VarianceVector, log_posterior_and_grad
-from bnnlimits.nuts import _build_tree, _hamiltonian, _log_uniform, _logaddexp
+from bnnlimits.nuts import (
+    DualAveraging,
+    _build_tree,
+    _hamiltonian,
+    _log_uniform,
+    _logaddexp,
+    nuts_transition,
+)
 from bnnlimits.rng import RngStream
 
 
@@ -127,3 +135,28 @@ class TestLeaf:
                                np.random.default_rng(0))
             err = _hamiltonian(leaf.prop[1], leaf.plus[1]) - h0
             assert leaf.sum_accept == min(1.0, math.exp(min(0.0, err)))
+
+
+class TestTransition:
+    def test_one_target_evaluation_per_depth_one_transition(self):
+        calls = []
+
+        def value_and_grad(th):
+            calls.append(1)
+            return -0.5 * float(th @ th), -th
+
+        gen = np.random.default_rng(21)
+        theta = np.zeros(2)
+        logp, grad = -0.0, -theta
+        for _ in range(50):
+            theta, logp, grad, *_ = nuts_transition(value_and_grad, theta, logp, grad,
+                                                    0.1, 1, gen)
+        # one leapfrog step per transition; the caller supplies the start's value
+        assert len(calls) == 50
+
+
+class TestDualAveraging:
+    @pytest.mark.parametrize("eps0", [1e-6, 0.0731, 1.0, 4.0, 1e3])
+    def test_adapted_is_the_initial_step_before_any_update(self, eps0):
+        # a chain with no burn-in runs at this step: the heuristic one
+        assert math.isclose(DualAveraging(eps0).adapted, eps0, rel_tol=1e-15)

@@ -1,4 +1,4 @@
-"""Variate-generation tests: IG, MVN, MVT, the sigma2 conditional, and NUTS."""
+"""Variate-generation tests: IG, MVN, MVT and the sigma2 conditional."""
 
 import math
 
@@ -7,20 +7,12 @@ import pytest
 from scipy import integrate, stats
 
 from bnnlimits import (
-    Architecture,
-    Dataset,
-    HmcConfig,
     Sigma2ConditionalParams,
-    VarianceVector,
-    conditional_sigma2_params,
-    forward,
-    hmc_sample,
     sample_inverse_gamma,
     sample_mvn,
     sample_mvt,
     sample_sigma2_conditional,
 )
-from bnnlimits.network import log_likelihood, log_prior, sample_prior_params
 from bnnlimits.rng import RngStream
 
 KS_1PCT = 1.63  # critical value factor for the KS statistic at the 1% level
@@ -129,77 +121,6 @@ class TestMvt:
         assert d.var() == pytest.approx(nu / (nu - 2) * 2.0, rel=0.03)
 
 
-ARCH = Architecture((1, 4, 1), ("identity", "erf"))
-VARS = VarianceVector.constant(1.0, 2)
-
-
-class TestConditionalSigma2Params:
-    def test_a_prime_substitution(self):
-        # n_{L-1} = 4, k = 10, n_L = 1 -> a' = a + 15/2
-        data = Dataset(np.linspace(-1, 1, 10)[None, :], np.zeros((1, 10)))
-        p = conditional_sigma2_params(3.0, 2.0, ARCH, np.zeros(ARCH.n_params), data)
-        assert p.a_prime == pytest.approx(10.5)
-
-    def test_zero_last_layer_and_zero_y(self):
-        rng = RngStream(10)
-        theta = rng.gen.standard_normal(ARCH.n_params)
-        ws, bs = ARCH.layout()[-1]
-        theta[ws] = 0.0
-        theta[bs] = 0.0
-        data = Dataset(np.array([[0.1, 0.5]]), np.zeros((1, 2)))
-        p = conditional_sigma2_params(3.0, 2.0, ARCH, theta, data)
-        assert p.b_prime == pytest.approx(2.0)
-        assert p.c_prime == pytest.approx(0.0)
-
-    def test_density_ratio_oracle(self):
-        # p(s1)/p(s2) from the raw model factors must match the (a',b',c')
-        # form, where the raw factors are: IG(a,b) prior on s, last-layer
-        # Gaussian prior with variances (s, s), and a Gaussian likelihood
-        # with mean sqrt(s) * f_std evaluated at the standardized parameters.
-        rng = RngStream(11)
-        theta = rng.gen.standard_normal(ARCH.n_params)
-        data = Dataset(rng.gen.standard_normal((1, 5)),
-                       rng.gen.standard_normal((1, 5)))
-        a, b = 3.0, 2.0
-        p = conditional_sigma2_params(a, b, ARCH, theta, data)
-        ws, bs = ARCH.layout()[-1]
-        n_prev = ARCH.widths[-2]
-
-        def raw_log_kernel(s):
-            lp_s = -(a + 1) * math.log(s) - b / s
-            # last-layer prior at the raw parameters under variances (s, s)
-            w2 = float(np.sum(theta[ws] ** 2))
-            b2 = float(np.sum(theta[bs] ** 2))
-            nw = len(theta[ws])
-            nb = len(theta[bs])
-            lp_w = -0.5 * nw * math.log(s / n_prev) - n_prev * w2 / (2 * s)
-            lp_b = -0.5 * nb * math.log(s) - b2 / (2 * s)
-            out_std = forward(ARCH, theta, data.x)
-            ll = log_likelihood(math.sqrt(s) * out_std, data.y, s)
-            return lp_s + lp_w + lp_b + ll
-
-        for s1, s2 in [(0.5, 1.7), (0.2, 3.0), (1.0, 0.9)]:
-            raw = raw_log_kernel(s1) - raw_log_kernel(s2)
-            form = float(p.log_density(s1) - p.log_density(s2))
-            assert raw == pytest.approx(form, abs=1e-9)
-
-    def test_standardization_argument(self):
-        # passing sigma2 divides the last layer before computing c'
-        rng = RngStream(12)
-        theta = rng.gen.standard_normal(ARCH.n_params)
-        data = Dataset(rng.gen.standard_normal((1, 3)),
-                       rng.gen.standard_normal((1, 3)))
-        s = 4.0
-        scaled = theta.copy()
-        ws, bs = ARCH.layout()[-1]
-        scaled[ws] *= math.sqrt(s)
-        scaled[bs] *= math.sqrt(s)
-        p_std = conditional_sigma2_params(3.0, 2.0, ARCH, theta, data)
-        p_raw = conditional_sigma2_params(3.0, 2.0, ARCH, scaled, data, sigma2=s)
-        assert p_raw.c_prime == pytest.approx(p_std.c_prime, rel=1e-12)
-        assert p_raw.a_prime == p_std.a_prime
-
-
 def sigma2_quadrature_moments(p: Sigma2ConditionalParams):
     f = lambda s: np.exp(p.log_density(np.asarray(s)))
     z, _ = integrate.quad(f, 0, np.inf, limit=500)
@@ -243,82 +164,3 @@ class TestSampleSigma2Conditional:
                 - p.log_density(s2) - math.log(2.0 / y2**3)
             )
             assert lhs == pytest.approx(rhs, abs=1e-10)
-
-
-class TestHmc:
-    def test_standard_normal_target(self):
-        logp = lambda th: -0.5 * float(th @ th)
-        grad = lambda th: -th
-        chain, diag = hmc_sample(
-            lambda th: (logp(th), grad(th)), np.zeros(2), HmcConfig(warmup=300), 10_000,
-            RngStream(16),
-        )
-        assert np.max(np.abs(chain.mean(0))) < 0.05
-        assert np.max(np.abs(np.cov(chain.T) - np.eye(2))) < 0.1
-        assert diag.n_divergent == 0
-
-    def test_log_ig_target_matches_direct_sampler(self):
-        # sample log(s) with s ~ IG(3, 2); back-transform and compare by KS
-        a, b = 3.0, 2.0
-
-        def logp(th):
-            t = th[0]
-            return -a * t - b * math.exp(-t)  # log density of t = log s
-
-        def grad(th):
-            return np.array([-a + b * math.exp(-th[0])])
-
-        chain, _ = hmc_sample(lambda th: (logp(th), grad(th)), np.zeros(1),
-                              HmcConfig(warmup=300), 20_000, RngStream(17))
-        s = np.exp(chain[::4, 0])  # thin to reduce autocorrelation
-        stat, pval = stats.kstest(s, lambda x: stats.invgamma.cdf(x, a, scale=b))
-        assert pval > 0.01
-
-    def test_zero_draws_empty_chain(self):
-        chain, _ = hmc_sample(
-            lambda th: (-0.5 * float(th @ th), -th),
-            np.zeros(3), HmcConfig(warmup=0), 0, RngStream(18)
-        )
-        assert chain.shape == (0, 3)
-
-    def test_bit_reproducible(self):
-        logp = lambda th: -0.5 * float(th @ th)
-        grad = lambda th: -th
-        c1, _ = hmc_sample(lambda th: (logp(th), grad(th)), np.zeros(2),
-                           HmcConfig(warmup=50), 100, RngStream(19))
-        c2, _ = hmc_sample(lambda th: (logp(th), grad(th)), np.zeros(2),
-                           HmcConfig(warmup=50), 100, RngStream(19))
-        assert np.array_equal(c1, c2)
-
-    def test_gradient_check_catches_mismatch(self):
-        with pytest.raises(ValueError):
-            hmc_sample(
-                lambda th: (-0.5 * float(th @ th), +th),
-                np.ones(2), HmcConfig(warmup=10), 10, RngStream(20), check_grad=True,
-            )
-
-    def test_one_target_evaluation_per_leapfrog_step(self):
-        calls = []
-
-        def value_and_grad(th):
-            calls.append(1)
-            return -0.5 * float(th @ th), -th
-
-        hmc_sample(
-            value_and_grad, np.zeros(2),
-            HmcConfig(step_size=0.1, max_tree_depth=1, warmup=0), 50, RngStream(21),
-        )
-        # one evaluation at init, then one leapfrog step per depth-1 transition
-        assert len(calls) == 51
-
-    def test_no_warmup_keeps_heuristic_step(self):
-        # with adaptation on but no warmup, the step must come from the
-        # heuristic, not from an average that has not been updated (1.0)
-        var = 1e-6
-        chain, diag = hmc_sample(
-            lambda th: (-0.5 * float(th @ th) / var, -th / var),
-            np.zeros(2), HmcConfig(warmup=0), 20, RngStream(22),
-        )
-        assert diag.step_size < 0.01
-        assert diag.n_divergent == 0
-        assert np.all(np.abs(chain) < 0.01)

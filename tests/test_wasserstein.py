@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from bnnlimits import SampleSet, sliced_w1, w1_1d, w1_exact, wp_1d
+from bnnlimits import sliced_w1, w1_1d, w1_exact
 from bnnlimits.rng import RngStream
 from bnnlimits.wasserstein import replicate_weighted, w1_weighted
 
@@ -41,21 +41,6 @@ class TestW11d:
             w1_1d(np.zeros(3), np.zeros(4))
 
 
-class TestWp1d:
-    def test_w2_point_masses(self):
-        assert wp_1d(np.array([0.0]), np.array([3.0]), 2) == pytest.approx(3.0)
-
-    def test_w2_at_least_w1(self):
-        rng = RngStream(2)
-        x = rng.gen.standard_normal(20)
-        y = rng.gen.standard_normal(20) + 1.0
-        assert wp_1d(x, y, 2) >= w1_1d(x, y) - 1e-12
-
-    def test_rejects_p_below_one(self):
-        with pytest.raises(ValueError):
-            wp_1d(np.zeros(2), np.ones(2), 0.5)
-
-
 class TestW1Exact:
     def test_identical_sets_zero(self):
         x = RngStream(3).gen.standard_normal((8, 3))
@@ -86,11 +71,6 @@ class TestW1Exact:
         x = np.zeros((10, 1))
         with pytest.raises(ValueError, match="sliced_w1"):
             w1_exact(x, x, cap=5)
-
-    def test_sample_set_inputs(self):
-        x = SampleSet(np.zeros((3, 2)), label="a")
-        y = SampleSet(np.ones((3, 2)), label="b")
-        assert w1_exact(x, y) == pytest.approx(math.sqrt(2.0), abs=1e-12)
 
 
 class TestMetricAxioms:
