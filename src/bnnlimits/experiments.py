@@ -73,6 +73,14 @@ class ConfigError(ValueError):
     pass
 
 
+# python type of a config field's default -> (accepted value types, noun)
+FIELD_TYPES = {
+    int: (int, "an integer"),
+    float: ((int, float), "a number"),
+    str: (str, "a string"),
+}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Settings for the width-convergence experiments (single-output nets)."""
@@ -100,12 +108,21 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        try:
-            widths = tuple(int(w) for w in self.widths)
-            domain = tuple(float(v) for v in self.domain)
-        except (TypeError, ValueError) as e:
-            raise ConfigError(f"widths and domain must be lists of numbers ({e})") from e
-        if not widths or widths[0] < 1 or widths != tuple(self.widths):
+        # each field's default gives its type; a bool is never a number
+        for f in dataclasses.fields(self):
+            value, kind, what = getattr(self, f.name), type(f.default), f.name
+            if kind is tuple:
+                if not isinstance(value, (list, tuple)):
+                    raise ConfigError(f"{f.name} must be a list")
+                kind, what = type(f.default[0]), f"each entry of {f.name}"
+            else:
+                value = (value,)
+            allowed, noun = FIELD_TYPES[kind]
+            if not all(isinstance(v, allowed) and not isinstance(v, bool) for v in value):
+                raise ConfigError(f"{what} must be {noun}")
+        widths = tuple(self.widths)
+        domain = tuple(float(v) for v in self.domain)
+        if not widths or widths[0] < 1:
             raise ConfigError("widths must be a non-empty list of integers >= 1")
         if any(b <= a for a, b in zip(widths, widths[1:])):
             raise ConfigError("widths must be strictly increasing")
@@ -132,10 +149,15 @@ class ExperimentConfig:
             raise ConfigError("need burn_in >= 0, thinning >= 1 and hmc_steps >= 1")
         if self.activation not in ACTIVATIONS:
             raise ConfigError(f"unknown activation {self.activation!r}")
-        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+        if self.seed < 0:
             raise ConfigError("seed must be an integer >= 0")
         if self.kernel_method not in KERNEL_METHODS:
             raise ConfigError(f"unknown kernel_method {self.kernel_method!r}")
+        if self.kernel_method == "monte_carlo":
+            # its (m, m, mc_draws / 2) draw arrays take gigabytes at the
+            # default grid, and a config cannot set mc_draws
+            raise ConfigError("kernel_method monte_carlo is a test oracle, "
+                              "not a config method")
         if self.kernel_method == "analytic_erf" and self.activation != "erf":
             raise ConfigError("analytic_erf kernel method requires erf activation")
         if self.kernel_method == "analytic_relu" and self.activation != "relu":

@@ -118,7 +118,6 @@ def _run_chain(
     n_div = 0
     n_trans = 0
     accepts = []
-    sigma2_trace = []
     kept = 0
 
     for it in range(n_outer):
@@ -136,7 +135,6 @@ def _run_chain(
             if it < cfg.burn_in:
                 eps = da.update(acc)
         sigma2 = sigma2_step(theta, rng_sigma)
-        sigma2_trace.append(sigma2)
         if it >= cfg.burn_in and (it - cfg.burn_in) % cfg.thinning == 0:
             raw = raw_theta(theta, sigma2)
             thetas[kept] = raw
@@ -149,14 +147,11 @@ def _run_chain(
             f"persistent divergence: {n_div}/{n_trans} transitions diverged "
             f"(step size {eps:.3e}); reduce the step size or reparametrize"
         )
-    trace = np.asarray(sigma2_trace)
     diagnostics = {
         "accept_rate": float(np.mean(accepts)) if accepts else 0.0,
         "n_divergent": n_div,
         "n_transitions": n_trans,
         "step_size": eps,
-        "sigma2_trace_mean": float(trace.mean()),
-        "sigma2_trace_std": float(trace.std()),
     }
     return PosteriorSamples(thetas[:kept], sigma2s[:kept], evals[:kept], diagnostics)
 
@@ -176,7 +171,7 @@ def gibbs_run(
     std_vars = variances.unit_last_layer()
     n_L = arch.d_out
     a_prime = a + data.k * n_L / 2.0
-    b_prime = b + 0.5 * float(np.sum(data.y**2)) if data.k else b
+    b_prime = b + 0.5 * float(np.sum(data.y**2))
 
     def target_factory(sigma2):
         output_scale = sqrt(sigma2)
@@ -187,9 +182,7 @@ def gibbs_run(
         )
 
     def sigma2_step(theta, rng_sigma):
-        c_prime = (
-            float(np.sum(data.y * forward(arch, theta, data.x))) if data.k else 0.0
-        )
+        c_prime = float(np.sum(data.y * forward(arch, theta, data.x)))
         p = Sigma2ConditionalParams(a_prime, b_prime, c_prime)
         return float(sample_sigma2_conditional(p, rng_sigma))
 

@@ -95,69 +95,26 @@ class Sigma2ConditionalParams:
             + self.c_prime / np.sqrt(s)
         )
 
-    def log_density_y(self, y: np.ndarray) -> np.ndarray:
-        """Unnormalized log density after the substitution y = 1/sqrt(s)."""
-        y = np.asarray(y, dtype=float)
-        return (
-            (2.0 * self.a_prime - 1.0) * np.log(y)
-            - self.b_prime * y * y
-            + self.c_prime * y
-        )
-
-
-def _y_mode(p: Sigma2ConditionalParams) -> float:
-    """Mode of the y-substituted density (requires a' > 1/2)."""
-    a2 = 2.0 * p.a_prime - 1.0
-    return (p.c_prime + math.sqrt(p.c_prime**2 + 8.0 * p.b_prime * a2)) / (
-        4.0 * p.b_prime
-    )
-
-
-def _slice_sample_y(p: Sigma2ConditionalParams, rng: RngStream, n: int) -> np.ndarray:
-    """Slice sampler on the y-density; fallback when rejection stalls."""
-    y = _y_mode(p)
-    out = np.empty(n)
-    gen = rng.gen
-    for i in range(n * 10):
-        logu = p.log_density_y(y) + math.log(gen.uniform(1e-300, 1.0))
-        w = 1.0 / math.sqrt(p.b_prime)
-        lo, hi = max(y - w * gen.uniform(), 1e-300), y + w * gen.uniform()
-        while p.log_density_y(lo) > logu and lo > 1e-300:
-            lo = max(lo - w, 1e-300)
-        while p.log_density_y(hi) > logu:
-            hi += w
-        while True:
-            cand = gen.uniform(lo, hi)
-            if p.log_density_y(cand) > logu:
-                y = cand
-                break
-            if cand < y:
-                lo = cand
-            else:
-                hi = cand
-        if i % 10 == 9:  # thin to reduce slice-chain autocorrelation
-            out[(i + 1) // 10 - 1] = y
-    return out
-
 
 def sample_sigma2_conditional(
     p: Sigma2ConditionalParams, rng: RngStream, size: int | None = None
 ) -> float | np.ndarray:
-    """Exact draws from the sigma2 conditional.
+    """Exact draws from the sigma2 conditional, for every a' > 0.
 
     Substituting y = 1/sqrt(s) gives density ∝ y^{2a'-1} e^{-b' y^2 + c' y}.
-    Proposal: Gamma(2a', rate lambda) with lambda = (2a'-1)/y* matched at the
-    target mode y*; the acceptance probability is exp(-b'(y - y*)^2) <= 1
-    exactly. Falls back to slice sampling if the rejection budget is spent.
-    Returns s = y^{-2}.
+    Proposal: Gamma(2a', rate lam), with y* the positive root of
+    2b'y^2 - c'y - q = 0 and lam = q / y* = 2b'y* - c'; the acceptance
+    probability is then exp(-b'(y - y*)^2) <= 1 exactly for any q > 0.
+    q = 2a' - 1 makes y* the mode of the target; below a' = 1 it is floored
+    at a' to stay positive. Raises SamplerError if the rejection budget is
+    spent without an accepted draw. Returns s = y^{-2}.
     """
-    if 2.0 * p.a_prime <= 1.0:
-        y = _slice_sample_y(p, rng, 1 if size is None else size)
-        return float(y[0] ** -2) if size is None else y**-2.0
-
     n = 1 if size is None else int(size)
-    y_star = _y_mode(p)
-    lam = (2.0 * p.a_prime - 1.0) / y_star
+    q = max(2.0 * p.a_prime - 1.0, p.a_prime)
+    y_star = (p.c_prime + math.sqrt(p.c_prime**2 + 8.0 * p.b_prime * q)) / (
+        4.0 * p.b_prime
+    )
+    lam = q / y_star
     out = np.empty(n)
     filled = 0
     gen = rng.gen
@@ -172,7 +129,9 @@ def sample_sigma2_conditional(
         filled += take
         attempts += batch
         if attempts > REJECTION_BUDGET * max(n, 1) and filled == 0:
-            out[:] = _slice_sample_y(p, rng, n)
-            break
+            raise SamplerError(
+                f"sigma2 rejection step accepted none of {attempts} proposals "
+                f"(a'={p.a_prime:.3g}, b'={p.b_prime:.3g}, c'={p.c_prime:.3g})"
+            )
     s = out**-2.0
     return float(s[0]) if size is None else s

@@ -29,6 +29,7 @@ from bnnlimits.experiments import (
     run_posterior_convergence,
     run_prior_convergence,
 )
+from test_samplers import NeverAccepts
 
 FAST = dict(
     widths=(1, 2),
@@ -89,6 +90,19 @@ class TestConfig:
             {"domain": ("a", 1.0)},
             {"seed": -1},
             {"seed": 1.5},
+            {"seed": True},
+            {"k": True},
+            {"n_reps": True},
+            {"test_grid": True},
+            {"draws": 2.0},
+            {"widths": [True, 2]},
+            {"domain": ["-1", "1"]},
+            {"a": True},
+            {"widths": 4},
+            {"activation": ["erf"]},
+            # a test oracle only: at test_grid 64 plus k = 8 its draw arrays
+            # would take about 4 GB each
+            {"kernel_method": "monte_carlo", "activation": "tanh"},
         ],
     )
     def test_invalid_configs_rejected(self, bad):
@@ -524,6 +538,27 @@ class TestCli:
                 "--seed", "-1", "--out", str(tmp_path / "o")]
         assert main(argv) == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("a", [0.3, 0.5])
+    def test_no_training_data_small_a_exit_ok(self, tmp_path, a):
+        # k = 0 gives a' = a <= 1/2, where the sigma2 density in y has no mode
+        cfgp = self._cfg_file(tmp_path, k=0, a=a, widths=[1], draws=2, burn_in=0,
+                              n_reps=1, test_grid=2, w1_grid=1)
+        argv = ["posterior-convergence", "--config", cfgp, "--out", str(tmp_path / "o")]
+        assert main(argv) == EXIT_OK
+
+    def test_spent_rejection_budget_exit_3(self, tmp_path, monkeypatch, capsys):
+        real = gibbs.sample_sigma2_conditional
+
+        def never_accepts(p, rng, size=None):
+            rng.gen = NeverAccepts(rng.gen)
+            return real(p, rng, size)
+
+        monkeypatch.setattr(gibbs, "sample_sigma2_conditional", never_accepts)
+        argv = ["posterior-convergence", "--config", self._cfg_file(tmp_path),
+                "--out", str(tmp_path / "o")]
+        assert main(argv) == EXIT_NUMERICAL
+        assert "rejection step accepted none" in capsys.readouterr().err
 
     def test_persistent_divergence_exit_3(self, tmp_path, monkeypatch, capsys):
         def always_divergent(value_and_grad, theta, logp, grad, eps, max_depth, gen):

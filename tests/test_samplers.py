@@ -14,6 +14,7 @@ from bnnlimits import (
     sample_sigma2_conditional,
 )
 from bnnlimits.rng import RngStream
+from bnnlimits.samplers import SamplerError
 
 KS_1PCT = 1.63  # critical value factor for the KS statistic at the 1% level
 
@@ -129,11 +130,34 @@ def sigma2_quadrature_moments(p: Sigma2ConditionalParams):
     return m1 / z, m2 / z - (m1 / z) ** 2
 
 
+def inverse_sqrt_quadrature_moments(p: Sigma2ConditionalParams):
+    """Mean and variance of y = 1/sqrt(sigma2), integrated in y.
+
+    The y-density is the s-density times the Jacobian |ds/dy| = 2 y^{-3}.
+    """
+    f = lambda y: np.exp(p.log_density(y**-2.0)) * 2.0 * y**-3.0
+    z, _ = integrate.quad(f, 0, np.inf, limit=500)
+    m1, _ = integrate.quad(lambda y: y * f(y), 0, np.inf, limit=500)
+    m2, _ = integrate.quad(lambda y: y * y * f(y), 0, np.inf, limit=500)
+    return m1 / z, m2 / z - (m1 / z) ** 2
+
+
+class NeverAccepts:
+    """Generator stand-in whose uniforms are all 1: no proposal is accepted."""
+
+    def __init__(self, gen):
+        self.gamma = gen.gamma
+
+    def uniform(self, size=None):
+        return np.ones(size)
+
+
 class TestSampleSigma2Conditional:
-    def test_c_zero_reduces_to_inverse_gamma(self):
-        p = Sigma2ConditionalParams(4.0, 3.0, 0.0)
+    @pytest.mark.parametrize("a_prime", [4.0, 0.5, 0.3])
+    def test_c_zero_reduces_to_inverse_gamma(self, a_prime):
+        p = Sigma2ConditionalParams(a_prime, 3.0, 0.0)
         d = sample_sigma2_conditional(p, RngStream(13), size=100_000)
-        ig = sample_inverse_gamma(4.0, 3.0, RngStream(14), size=100_000)
+        ig = sample_inverse_gamma(a_prime, 3.0, RngStream(14), size=100_000)
         stat, pval = stats.ks_2samp(d, ig)
         assert pval > 0.01
 
@@ -150,17 +174,21 @@ class TestSampleSigma2Conditional:
         var_of_var = (m4 - var**2) / n
         assert abs(d.var() - var) < 3 * math.sqrt(var_of_var)
 
-    def test_internal_y_density_is_substituted_form(self):
-        # the y = 1/sqrt(s) substitution gives ∝ y^{2a'-1} e^{-b'y^2 + c'y}:
-        # check density ratios against the s-form with the Jacobian s^{-3/2}
-        p = Sigma2ConditionalParams(5.0, 2.0, 1.5)
-        pts = [0.3, 0.8, 1.0, 2.5, 7.0]
-        for y1, y2 in zip(pts, pts[1:]):
-            s1, s2 = y1**-2.0, y2**-2.0
-            lhs = float(p.log_density_y(y1) - p.log_density_y(y2))
-            # d s / d y = -2 y^{-3}; density transforms with |ds/dy| = 2/y^3
-            rhs = float(
-                p.log_density(s1) + math.log(2.0 / y1**3)
-                - p.log_density(s2) - math.log(2.0 / y2**3)
-            )
-            assert lhs == pytest.approx(rhs, abs=1e-10)
+    @pytest.mark.parametrize("abc", [(0.5, 2.0, -2.0), (0.5, 2.0, 2.0),
+                                     (0.3, 2.0, -2.0), (0.3, 2.0, 2.0)])
+    def test_small_a_inverse_sqrt_moments_match_quadrature(self, abc):
+        # sigma2 has no mean for a' <= 1; y = 1/sqrt(sigma2) has every moment
+        p = Sigma2ConditionalParams(*abc)
+        n = 1_000_000
+        y = sample_sigma2_conditional(p, RngStream(16), size=n) ** -0.5
+        m1, var = inverse_sqrt_quadrature_moments(p)
+        assert abs(y.mean() - m1) < 3 * math.sqrt(var / n)
+        m4 = np.mean((y - y.mean()) ** 4)
+        assert abs(y.var() - var) < 3 * math.sqrt((m4 - var**2) / n)
+
+    def test_spent_rejection_budget_raises(self):
+        p = Sigma2ConditionalParams(4.0, 3.0, 0.5)
+        rng = RngStream(17)
+        rng.gen = NeverAccepts(rng.gen)
+        with pytest.raises(SamplerError, match="accepted none"):
+            sample_sigma2_conditional(p, rng)
