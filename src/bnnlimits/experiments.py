@@ -16,6 +16,7 @@ import logging
 import math
 import numbers
 import os
+import sys
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -76,7 +77,7 @@ class ConfigError(ValueError):
 # python type of a config field's default -> (accepted value types, noun)
 FIELD_TYPES = {
     int: (int, "an integer"),
-    float: ((int, float), "a number"),
+    float: ((int, float), "a finite number"),
     str: (str, "a string"),
 }
 
@@ -118,7 +119,11 @@ class ExperimentConfig:
             else:
                 value = (value,)
             allowed, noun = FIELD_TYPES[kind]
-            if not all(isinstance(v, allowed) and not isinstance(v, bool) for v in value):
+            # abs(v) <= the largest float is false for nan, +-inf and ints
+            # too large for a float
+            if not all(isinstance(v, allowed) and not isinstance(v, bool)
+                       and (kind is not float or abs(v) <= sys.float_info.max)
+                       for v in value):
                 raise ConfigError(f"{what} must be {noun}")
         widths = tuple(self.widths)
         domain = tuple(float(v) for v in self.domain)
@@ -441,9 +446,9 @@ def run_gaussian_baseline(cfg: ExperimentConfig, jobs: int = 1) -> ConvergenceRe
 class ComparisonReport(Report):
     """Posterior-predictive quantile bands for the t and Gaussian limits."""
 
-    grid: list[float]
-    tp_bands: list[tuple[float, float, float]]  # (2.5%, 50%, 97.5%) per point
-    gp_bands: list[tuple[float, float, float]]
+    grid: np.ndarray  # (m,)
+    tp_bands: np.ndarray  # (m, 3): the 2.5%, 50% and 97.5% quantiles per point
+    gp_bands: np.ndarray  # (m, 3)
 
     def table(self):
         rows = [(x, *tb, *gb) for x, tb, gb in zip(self.grid, self.tp_bands, self.gp_bands)]
@@ -464,8 +469,7 @@ def run_comparison(cfg: ExperimentConfig) -> ComparisonReport:
     tp_bands = tp.location[:, None] + t_sd[:, None] * special.stdtrit(tp.nu, qs)
     gp_bands = gp.mean[:, None] + g_sd[:, None] * special.ndtri(qs)
     return ComparisonReport(
-        list(grid[0]), [tuple(b) for b in tp_bands.tolist()],
-        [tuple(b) for b in gp_bands.tolist()], seed=cfg.seed, config_hash=cfg.hash(),
+        grid[0], tp_bands, gp_bands, seed=cfg.seed, config_hash=cfg.hash(),
         runtime_s=time.perf_counter() - t0, constraint=constraint,
     )
 

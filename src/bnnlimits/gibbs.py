@@ -61,16 +61,16 @@ class GibbsConfig:
 
 @dataclass
 class PosteriorSamples:
-    """Retained draws plus the evaluation matrix f_theta(test) per draw."""
+    """Retained sigma2 draws and the evaluation f_theta(test) of each draw.
 
-    theta: np.ndarray  # (n, n_params), raw parametrization
+    The raw parameters of a draw are not kept: the W1 compares output
+    distributions, and a (draws, n_params) store would dominate memory at
+    large widths.
+    """
+
     sigma2: np.ndarray  # (n,)
     evals: np.ndarray  # (n, n_test * d_out)
     diagnostics: dict
-
-    @property
-    def n(self) -> int:
-        return self.theta.shape[0]
 
 
 def _scale_last_layer(arch: Architecture, theta_std: np.ndarray, sigma: float):
@@ -112,7 +112,6 @@ def _run_chain(
     test_inputs = np.atleast_2d(np.asarray(test_inputs, dtype=float))
     n_eval = test_inputs.shape[1] * arch.d_out
 
-    thetas = np.empty((cfg.n_samples, arch.n_params))
     sigma2s = np.empty(cfg.n_samples)
     evals = np.empty((cfg.n_samples, n_eval))
     n_div = 0
@@ -136,10 +135,8 @@ def _run_chain(
                 eps = da.update(acc)
         sigma2 = sigma2_step(theta, rng_sigma)
         if it >= cfg.burn_in and (it - cfg.burn_in) % cfg.thinning == 0:
-            raw = raw_theta(theta, sigma2)
-            thetas[kept] = raw
             sigma2s[kept] = sigma2
-            evals[kept] = np.ravel(forward(arch, raw, test_inputs))
+            evals[kept] = np.ravel(forward(arch, raw_theta(theta, sigma2), test_inputs))
             kept += 1
 
     if n_trans and n_div > 0.5 * n_trans:
@@ -153,7 +150,7 @@ def _run_chain(
         "n_transitions": n_trans,
         "step_size": eps,
     }
-    return PosteriorSamples(thetas[:kept], sigma2s[:kept], evals[:kept], diagnostics)
+    return PosteriorSamples(sigma2s, evals, diagnostics)
 
 
 def gibbs_run(

@@ -79,11 +79,6 @@ class IGPosterior:
         if self.shape <= 0 or self.rate <= 0:
             raise ValueError("Inverse-Gamma parameters must be strictly positive")
 
-    def mean(self) -> float:
-        if self.shape <= 1:
-            raise ValueError("mean requires shape > 1")
-        return self.rate / (self.shape - 1.0)
-
 
 @dataclass(frozen=True)
 class StudentTPosterior:

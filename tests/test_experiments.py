@@ -103,6 +103,17 @@ class TestConfig:
             # a test oracle only: at test_grid 64 plus k = 8 its draw arrays
             # would take about 4 GB each
             {"kernel_method": "monte_carlo", "activation": "tanh"},
+            # non-finite and float-overflowing values
+            {"data_noise": float("inf")},
+            {"data_noise": float("nan")},
+            {"a": float("inf")},
+            {"b": float("inf")},
+            {"weight_variance": float("inf")},
+            {"noise_var": float("inf")},
+            {"domain": (float("-inf"), 1.0)},
+            {"domain": (0.0, float("nan"))},
+            {"domain": (-(10**400), 1.0)},
+            {"bias_variance": 10**400},
         ],
     )
     def test_invalid_configs_rejected(self, bad):
@@ -182,7 +193,8 @@ class TestRunners:
 
     def test_comparison_empty_grid(self):
         rep = run_comparison(ExperimentConfig(k=3, test_grid=0, w1_grid=0))
-        assert rep.grid == [] and rep.tp_bands == []
+        assert rep.grid.shape == (0,) and rep.tp_bands.shape == (0, 3)
+        assert rep.gp_bands.shape == (0, 3)
 
     def test_width_jobs_in_a_process_pool_match_serial(self):
         cfg = ExperimentConfig(**FAST)
@@ -337,8 +349,8 @@ class TestDataExport:
         rep = run_comparison(ExperimentConfig(k=3, test_grid=8))
         paths = emit_figure_data(rep, str(tmp_path))
         cols = read_figure_csv(paths[0])
-        assert cols["x"] == rep.grid
-        assert cols["tp_med"] == [b[1] for b in rep.tp_bands]
+        assert cols["x"] == rep.grid.tolist()
+        assert cols["tp_med"] == rep.tp_bands[:, 1].tolist()
 
     def test_diagnostics_csv_round_trip(self, tmp_path):
         diag = run_bound_diagnostics(ExperimentConfig(k=2, test_grid=4, w1_grid=2))
@@ -375,9 +387,9 @@ class TestWriter:
         ),
         (
             ComparisonReport(
-                grid=[np.float64(-1.0), 0.5],
-                tp_bands=[(-2.0, -1.0, 0.0), (0.1, 0.2, 0.1 + 0.2)],
-                gp_bands=[(-1.5, -1.0, -0.5), (0.0, 1e-300, 2.5e16)], **META,
+                grid=np.array([-1.0, 0.5]),
+                tp_bands=np.array([(-2.0, -1.0, 0.0), (0.1, 0.2, 0.1 + 0.2)]),
+                gp_bands=np.array([(-1.5, -1.0, -0.5), (0.0, 1e-300, 2.5e16)]), **META,
             ),
             "predictive_bands.csv",
             "x,tp_lo,tp_med,tp_hi,gp_lo,gp_med,gp_hi\n"
@@ -505,6 +517,16 @@ class TestCli:
         path.write_text(json.dumps({"kernel_method": "bogus"}))
         assert main(["posterior-convergence", "--config", str(path)]) == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["data_noise", "a", "b", "weight_variance"])
+    def test_infinite_config_value_exit_2(self, tmp_path, capsys, field):
+        # Python's json reads the non-standard literal Infinity as float("inf")
+        path = tmp_path / "inf.json"
+        path.write_text(f'{{"k": 3, "widths": [1], "draws": 4, "burn_in": 2, '
+                        f'"n_reps": 1, "test_grid": 4, "w1_grid": 2, "{field}": Infinity}}')
+        argv = ["posterior-convergence", "--config", str(path), "--out", str(tmp_path / "o")]
+        assert main(argv) == EXIT_CONFIG
+        assert "finite number" in capsys.readouterr().err
 
     def test_unreadable_and_malformed_config_exit_2(self, tmp_path):
         assert main(["compare", "--config", str(tmp_path / "missing.json")]) == EXIT_CONFIG

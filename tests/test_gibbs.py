@@ -1,6 +1,7 @@
 """Gibbs trainer tests: prior recovery, oracle agreement, reproducibility."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -54,6 +55,23 @@ def importance_oracle(arch, variances, a, b, data, test, n, seed):
     return est_s2, est_f, se_s2, se_f, ess
 
 
+def record_raw_thetas(monkeypatch, test_x):
+    """Collect the raw theta of each kept draw, at its evaluation on test_x.
+
+    Returns a list that fills as the chain runs; np.array(list) is (n, n_params).
+    """
+    thetas = []
+    real_forward = gibbs.forward
+
+    def recorder(arch, theta, x):
+        if x.shape == test_x.shape and np.array_equal(x, test_x):
+            thetas.append(np.array(theta))
+        return real_forward(arch, theta, x)
+
+    monkeypatch.setattr(gibbs, "forward", recorder)
+    return thetas
+
+
 def mcmc_stderr(x):
     """Batch-means standard error for a correlated scalar chain."""
     n = len(x)
@@ -65,9 +83,10 @@ def mcmc_stderr(x):
 
 class TestPriorRecovery:
     @pytest.mark.parametrize("a", [3.0, 0.5, 0.3])
-    def test_empty_dataset_recovers_prior(self, a):
+    def test_empty_dataset_recovers_prior(self, a, monkeypatch):
         b = 2.0
         cfg = GibbsConfig(n_samples=2000, burn_in=100, seed=21)
+        thetas = record_raw_thetas(monkeypatch, TEST_X)
         out = gibbs_run(ARCH, VARS, a, b, EMPTY, TEST_X, cfg)
         # sigma2 is an exact IG(a, b) draw each outer step when k = 0
         stat, pval = stats.kstest(
@@ -77,16 +96,17 @@ class TestPriorRecovery:
         if a > 1:  # E[sigma2] is infinite for a <= 1
             # last-layer raw variance: E[W_L^2] = E[sigma2] = b/(a-1)
             ws, _ = ARCH.layout()[-1]
-            w = out.theta[:, ws].ravel()
+            w = np.array(thetas)[:, ws].ravel()
             target = b / (a - 1)
             assert abs(np.mean(w**2) - target) < 5 * mcmc_stderr(w**2)
 
-    def test_fixed_variance_empty_dataset(self):
+    def test_fixed_variance_empty_dataset(self, monkeypatch):
         cfg = GibbsConfig(n_samples=3000, burn_in=100, seed=22)
-        out = gibbs_run_fixed_variance(ARCH, VARS, 0.1, EMPTY, TEST_X, cfg)
+        thetas = record_raw_thetas(monkeypatch, TEST_X)
+        gibbs_run_fixed_variance(ARCH, VARS, 0.1, EMPTY, TEST_X, cfg)
         # theta is a prior Gaussian: check first-layer weight moments
         ws, _ = ARCH.layout()[0]
-        w = out.theta[:, ws].ravel()
+        w = np.array(thetas)[:, ws].ravel()
         assert abs(w.mean()) < 5 * mcmc_stderr(w)
         assert abs(np.mean(w**2) - 1.0) < 5 * mcmc_stderr(w**2)
 
@@ -150,14 +170,18 @@ class TestOracleAgreement:
 
 
 class TestMechanics:
-    def test_bit_reproducible(self):
+    def test_bit_reproducible(self, monkeypatch):
         data = Dataset(np.array([[0.2]]), np.array([[0.4]]))
         cfg = GibbsConfig(n_samples=20, burn_in=10, seed=29)
+        thetas = record_raw_thetas(monkeypatch, TEST_X)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             a = gibbs_run(ARCH, VARS, 3.0, 2.0, data, TEST_X, cfg)
+            theta_a = np.array(thetas)
+            thetas.clear()
             b = gibbs_run(ARCH, VARS, 3.0, 2.0, data, TEST_X, cfg)
-        assert np.array_equal(a.theta, b.theta)
+        assert theta_a.shape == (20, ARCH.n_params)
+        assert np.array_equal(theta_a, np.array(thetas))
         assert np.array_equal(a.sigma2, b.sigma2)
         assert np.array_equal(a.evals, b.evals)
 
@@ -189,6 +213,24 @@ class TestMechanics:
                             GibbsConfig(n_samples=20, burn_in=20, seed=33))
         assert out.evals.shape == (20, 2)
         assert out.diagnostics["n_divergent"] <= 0.5 * out.diagnostics["n_transitions"]
+
+    def test_chain_memory_does_not_grow_with_parameters_per_draw(self):
+        # 500 kept draws of 1153 parameters would take 4.6 MB if stored; the
+        # chain keeps sigma2 and the test evaluations only
+        arch = Architecture((1, 32, 32, 1), ("identity", "erf", "erf"))
+        data = Dataset(np.array([[0.2]]), np.array([[0.4]]))
+        cfg = GibbsConfig(n_samples=500, burn_in=5, hmc_steps=1, seed=35)
+        tracemalloc.start()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                out = gibbs_run(arch, VarianceVector.constant(1.0, 3), 3.0, 2.0,
+                                data, TEST_X, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.evals.shape == (500, 2)
+        assert peak < 0.5 * cfg.n_samples * arch.n_params * 8
 
     def test_persistent_divergence_raises_sampler_error(self, monkeypatch):
         def always_divergent(value_and_grad, theta, logp, grad, eps, max_depth, gen):
