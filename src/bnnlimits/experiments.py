@@ -24,10 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy
-import scipy.optimize
 from scipy import special
 
-from . import __version__
+from . import __version__, kernels
 from .gibbs import GibbsConfig, gibbs_run, gibbs_run_fixed_variance
 from .kernels import (
     KERNEL_METHODS,
@@ -461,12 +460,17 @@ def run_comparison(cfg: ExperimentConfig) -> ComparisonReport:
     data = cfg.make_dataset()
     constraint = _log_constraint(cfg, data)
     grid = cfg.make_test_grid()
-    tp = _t_limit(cfg, data, grid)
-    gp = _gp_limit(cfg, data, grid)
     qs = (0.025, 0.5, 0.975)
+    # one recursion's E: K' = E + 1 for the t bands, then K = s2_W E + s2_b in place
+    e = kernels._recursion(cfg.architecture(1), cfg.variances(),
+                           np.concatenate([data.x, grid], axis=1), method=cfg.kernel_method)
+    tp = tp_posterior_predict(KernelMatrix(e + 1.0, data.k, "K_prime"), data.y, cfg.a, cfg.b)
     t_sd = np.sqrt(np.clip(np.diag(tp.scale), 0.0, None))
-    g_sd = np.sqrt(np.clip(np.diag(gp.cov), 0.0, None))
     tp_bands = tp.location[:, None] + t_sd[:, None] * special.stdtrit(tp.nu, qs)
+    del tp
+    k = KernelMatrix(kernels._affine(e, cfg.weight_variance, cfg.bias_variance), data.k)
+    gp = gp_posterior(k.train, k.cross, k.test, data.y, cfg.noise_var)
+    g_sd = np.sqrt(np.clip(np.diag(gp.cov), 0.0, None))
     gp_bands = gp.mean[:, None] + g_sd[:, None] * special.ndtri(qs)
     return ComparisonReport(
         grid[0], tp_bands, gp_bands, seed=cfg.seed, config_hash=cfg.hash(),
@@ -512,6 +516,8 @@ def run_bound_diagnostics(
     The density maximum over z is the sup constant; the maximum gradient
     norm is the Lipschitz constant, attained where ||y - z||^2 = sigma2.
     """
+    import scipy.optimize  # a slow import, so only here
+
     t0 = time.perf_counter()
     data = cfg.make_dataset()
     constraint = _log_constraint(cfg, data)

@@ -4,7 +4,8 @@ K^{(1)}(x, x') = s2_W(1) x.x'/d_in + s2_b(1);
 K^{(l)}(x, x') = s2_W(l) E[phi(u) phi(v)] + s2_b(l), with (u, v) bivariate
 normal having the layer-(l-1) 2x2 kernel block as covariance. The rescaled
 kernel K' uses unit last-layer variances plus the implicit +1 bias block,
-so the full kernel factorizes as sigma2 * K'.
+so the full kernel factorizes as sigma2 * K'. One recursion's last-layer
+E gives both: K = s2_W(L) E + s2_b(L) and K' = E + 1.
 """
 
 from __future__ import annotations
@@ -46,8 +47,11 @@ def psd_cholesky(
     if not np.all(np.isfinite(a)):
         return None
     scale = float(np.max(np.abs(np.diag(a)), initial=1.0))
+    shifted = a
     for jit in (j for j in JITTERS if j <= max_jitter):
-        shifted = a + jit * scale * np.eye(a.shape[0]) if jit else a
+        if jit:  # every rung shifts the diagonal of one copy of a
+            shifted = a.copy() if shifted is a else shifted
+            np.fill_diagonal(shifted, np.diag(a) + jit * scale)
         try:
             return np.linalg.cholesky(shifted), shifted
         except np.linalg.LinAlgError:
@@ -65,7 +69,8 @@ class KernelMatrix:
     The stored values always have a Cholesky factor: they are the
     symmetrised input plus the first shift of psd_cholesky's ladder, up to
     |PSD_FLOOR|, that factors. A positive definite input is stored
-    unchanged; a rounding-level violation gets the smallest shift.
+    unchanged (an exactly symmetric float array without a copy); a
+    rounding-level violation gets the smallest shift.
     """
 
     values: np.ndarray
@@ -82,10 +87,11 @@ class KernelMatrix:
             raise ValueError("flavor must be 'K' or 'K_prime'")
         if not np.all(np.isfinite(v)):
             raise KernelDegeneracyError("kernel matrix has non-finite entries")
-        scale = float(np.max(np.abs(v), initial=1.0))
-        if np.max(np.abs(v - v.T), initial=0.0) > SYM_TOL * scale:
-            raise ValueError("kernel matrix is not symmetric")
-        v = 0.5 * (v + v.T)
+        if not np.array_equal(v, v.T):
+            scale = float(np.max(np.abs(v), initial=1.0))
+            if np.max(np.abs(v - v.T), initial=0.0) > SYM_TOL * scale:
+                raise ValueError("kernel matrix is not symmetric")
+            v = 0.5 * (v + v.T)
         factor = psd_cholesky(v, -PSD_FLOOR)
         if factor is None:
             # no rung factors: indefinite beyond the largest shift, |PSD_FLOOR| * scale
@@ -175,11 +181,13 @@ def _chol2(k11, k12, k22):
 
 
 def _check_block_psd(k11, k12, k22):
-    scale = np.maximum(1.0, np.maximum(k11, k22))
-    det = k11 * k22 - k12 * k12
-    bad = (k11 < PSD_FLOOR * scale) | (k22 < PSD_FLOOR * scale) | (
-        det < PSD_FLOOR * scale * scale
-    )
+    scale = np.maximum(np.maximum(1.0, k11), k22)
+    floor = PSD_FLOOR * scale
+    bad = (k11 < floor) | (k22 < floor)
+    floor *= scale  # PSD_FLOOR * scale * scale, without another (m, m) array
+    det = k11 * k22
+    det -= k12 * k12
+    bad |= det < floor
     if np.any(bad):
         raise KernelDegeneracyError(
             "non-PSD intermediate 2x2 kernel block beyond tolerance"
@@ -230,12 +238,14 @@ def _recursion(
     mc_draws: int = MC_DEFAULT_DRAWS,
     rng: RngStream | None = None,
 ) -> np.ndarray:
-    """Raw K^{(L)} over all pairs of input columns, before the PSD check."""
+    """Last-layer E over all pairs of input columns, a fresh symmetric array.
+
+    K = s2_W(L) E + s2_b(L) and K' = E + 1; the last-layer variances are not read.
+    """
     _check_arch_vars(arch, variances)
     x = np.atleast_2d(np.asarray(inputs, dtype=float))
     if x.shape[0] != arch.d_in:
         raise ValueError(f"inputs have {x.shape[0]} rows, expected {arch.d_in}")
-    m = x.shape[1]
     if method not in KERNEL_METHODS:
         raise ValueError(f"unknown method {method!r}")
     if method == "analytic_erf" and any(
@@ -251,10 +261,9 @@ def _recursion(
 
     K = variances.weight[0] * (x.T @ x) / arch.d_in + variances.bias[0]
     for l in range(2, arch.n_layers + 1):
-        tag = arch.activations[l - 1]
-        phi, _ = ACTIVATIONS[tag]
-        k11 = np.broadcast_to(np.diag(K)[:, None], (m, m))
-        k22 = np.broadcast_to(np.diag(K)[None, :], (m, m))
+        phi, _ = ACTIVATIONS[arch.activations[l - 1]]
+        d = np.diag(K)  # as a column and a row, so per-point terms stay O(m)
+        k11, k22 = d[:, None], d[None, :]
         if method == "analytic_erf":
             _check_block_psd(k11, K, k22)
             E = _expect_analytic_erf(k11, K, k22)
@@ -263,12 +272,21 @@ def _recursion(
             E = _expect_analytic_relu(k11, K, k22)
         elif method == "gauss_hermite":
             E = _expect_gh(phi, k11, K, k22, gh_order)
-            np.fill_diagonal(E, _expect_gh_diag(phi, np.diag(K), gh_order))
+            np.fill_diagonal(E, _expect_gh_diag(phi, d, gh_order))
         else:
             E = _expect_mc(phi, k11, K, k22, mc_draws, rng.child(l))
-        E = 0.5 * (E + E.T)
-        K = variances.weight[l - 1] * E + variances.bias[l - 1]
-    return K
+        if not np.array_equal(E, E.T):  # the closed forms are symmetric already
+            E = 0.5 * (E + E.T)
+        if l < arch.n_layers:
+            K = _affine(E, variances.weight[l - 1], variances.bias[l - 1])
+    return E
+
+
+def _affine(e: np.ndarray, weight: float, bias: float) -> np.ndarray:
+    """weight * e + bias, computed in e: the same floats, no second array."""
+    e *= weight
+    e += bias
+    return e
 
 
 def kernel_recursion(
@@ -285,7 +303,8 @@ def kernel_recursion(
     analytic_relu (relu activations at layers 2..L only), gauss_hermite,
     or monte_carlo; kwargs (gh_order, mc_draws, rng) tune the last two.
     """
-    K = _recursion(arch, variances, inputs, method=method, **kwargs)
+    K = _affine(_recursion(arch, variances, inputs, method=method, **kwargs),
+               variances.weight[-1], variances.bias[-1])
     return KernelMatrix(K, n_train=K.shape[0] if n_train is None else n_train)
 
 
@@ -303,7 +322,8 @@ def rescaled_kernel(
     K = sigma2 * K' when both last-layer variances equal sigma2, and
     K'(x, x) >= 1 because the unit bias variance adds a constant 1.
     """
-    K = _recursion(arch, variances.unit_last_layer(), inputs, method=method, **kwargs)
+    K = _recursion(arch, variances, inputs, method=method, **kwargs)
+    K += 1.0
     return KernelMatrix(
         K, n_train=K.shape[0] if n_train is None else n_train, flavor="K_prime"
     )

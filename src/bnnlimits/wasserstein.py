@@ -12,7 +12,6 @@ from fractions import Fraction
 from math import lcm
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .rng import RngStream
 
@@ -50,6 +49,8 @@ def w1_exact(xs, ys, cap: int = ASSIGNMENT_CAP) -> float:
         raise ValueError(
             f"n={n} exceeds the exact-assignment cap {cap}; use sliced_w1"
         )
+    from scipy.optimize import linear_sum_assignment  # a slow import, so only here
+
     cost = np.linalg.norm(x[:, None, :] - y[None, :, :], axis=2)
     rows, cols = linear_sum_assignment(cost)
     return float(cost[rows, cols].sum() / n)

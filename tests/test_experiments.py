@@ -4,6 +4,8 @@ import dataclasses
 import json
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -304,6 +306,77 @@ class TestLimitKernelsFactor:
         k = experiments._limit_kernel(cfg, x, cfg.make_test_grid(), rescaled=rescaled)
         assert k.m == 1032
         np.linalg.cholesky(k.values)
+
+
+def _band_config(**overrides) -> ExperimentConfig:
+    path = os.path.join(os.path.dirname(__file__), "..", "configs",
+                        "posterior_convergence.json")
+    with open(path) as f:
+        return ExperimentConfig.from_dict({**json.load(f), **overrides})
+
+
+class TestComparisonSharedBuild:
+    """run_comparison builds K' and K from one recursion, with unchanged bands."""
+
+    @pytest.mark.parametrize("cfg", [
+        ExperimentConfig(**FAST),
+        ExperimentConfig(**{**FAST, "k": 0}),
+        _band_config(test_grid=1024),
+    ], ids=["fast", "no-data", "band-grid"])
+    def test_bands_match_separate_limits(self, cfg):
+        from scipy import special
+
+        data, grid = cfg.make_dataset(), cfg.make_test_grid()
+        tp = experiments._t_limit(cfg, data, grid)
+        gp = experiments._gp_limit(cfg, data, grid)
+        qs = (0.025, 0.5, 0.975)
+        t_sd = np.sqrt(np.clip(np.diag(tp.scale), 0.0, None))
+        g_sd = np.sqrt(np.clip(np.diag(gp.cov), 0.0, None))
+        rep = run_comparison(cfg)
+        assert np.array_equal(
+            rep.tp_bands, tp.location[:, None] + t_sd[:, None] * special.stdtrit(tp.nu, qs))
+        assert np.array_equal(
+            rep.gp_bands, gp.mean[:, None] + g_sd[:, None] * special.ndtri(qs))
+
+    def test_two_recursions_per_run(self, monkeypatch):
+        # one K' for the admissibility check, one E shared by K' and K
+        builds = []
+
+        def counted(*args, _fn=kernels._recursion, **kwargs):
+            builds.append(1)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(kernels, "_recursion", counted)
+        run_comparison(ExperimentConfig(**FAST))
+        assert len(builds) == 2
+
+    def test_band_grid_memory_peak(self):
+        # one 1032 x 1032 array is 8.1 MiB: at most five may be alive at once
+        cfg = _band_config(test_grid=1024)
+        tracemalloc.start()
+        try:
+            run_comparison(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 45 * 2**20
+
+
+class TestImportCost:
+    def test_config_and_data_do_not_import_scipy_optimize(self):
+        # what every CLI call runs before any experiment work starts
+        src = os.path.dirname(os.path.dirname(os.path.abspath(experiments.__file__)))
+        code = (
+            "import sys; sys.path.insert(0, sys.argv[1]); "
+            "from bnnlimits.cli import load_config; "
+            "cfg = load_config(sys.argv[2], None); cfg.make_dataset(); cfg.make_test_grid(); "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))"
+        )
+        path = os.path.join(os.path.dirname(__file__), "..", "configs",
+                            "posterior_convergence.json")
+        out = subprocess.run([sys.executable, "-c", code, src, path],
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
 
 
 class TestBoundDiagnostics:

@@ -21,8 +21,14 @@ from bnnlimits import (
 )
 from bnnlimits import kernels
 from bnnlimits.kernels import (
+    JITTERS,
+    PSD_FLOOR,
+    SYM_TOL,
+    KernelDegeneracyError,
     KernelMatrix,
+    _check_block_psd,
     _expect_analytic_erf,
+    _expect_analytic_relu,
     _expect_gh,
     b_lower_bound,
 )
@@ -172,6 +178,89 @@ class TestRecursion:
         assert np.all(np.abs(cov - k.values) < 3 * stderr + 1e-12)
 
 
+def _two_recursions_k(arch, variances, inputs, method):
+    """Reference K^{(L)}, one full recursion per kernel: the diagonal as (m, m)
+    broadcasts, every E symmetrised, the last affine map fused."""
+    x = np.atleast_2d(np.asarray(inputs, dtype=float))
+    m = x.shape[1]
+    expect = {"analytic_erf": _expect_analytic_erf,
+              "analytic_relu": _expect_analytic_relu}[method]
+    K = variances.weight[0] * (x.T @ x) / arch.d_in + variances.bias[0]
+    for l in range(2, arch.n_layers + 1):
+        k11 = np.broadcast_to(np.diag(K)[:, None], (m, m))
+        k22 = np.broadcast_to(np.diag(K)[None, :], (m, m))
+        E = expect(k11, K, k22)
+        E = 0.5 * (E + E.T)
+        K = variances.weight[l - 1] * E + variances.bias[l - 1]
+    return K
+
+
+def _reference_shift(a, max_jitter):
+    """Reference jitter ladder: the first a + jit * scale * np.eye(m) that factors."""
+    scale = float(np.max(np.abs(np.diag(a)), initial=1.0))
+    for jit in (j for j in JITTERS if j <= max_jitter):
+        shifted = a + jit * scale * np.eye(a.shape[0]) if jit else a
+        try:
+            np.linalg.cholesky(shifted)
+            return shifted
+        except np.linalg.LinAlgError:
+            continue
+    return None
+
+
+class TestSharedRecursion:
+    """K and K' are two affine maps of one E, with the floats of two recursions."""
+
+    @pytest.mark.parametrize("method, act", [("analytic_erf", "erf"),
+                                             ("analytic_relu", "relu")])
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    @pytest.mark.parametrize("with_test", [False, True])
+    def test_bit_identical_to_two_recursions(self, method, act, depth, with_test):
+        arch = Architecture((1,) + (3,) * depth + (1,), ("identity",) + (act,) * depth)
+        v = VarianceVector(tuple(1.5 + 0.7 * i for i in range(depth + 1)),
+                           tuple(0.3 + 1.1 * i for i in range(depth + 1)))
+        x_train = np.linspace(-1.0, 1.0, 6)[None, :]
+        x = (np.concatenate([x_train, np.linspace(-1.3, 1.2, 11)[None, :]], axis=1)
+             if with_test else x_train)
+        kw = dict(method=method, n_train=x_train.shape[1])
+        k = kernel_recursion(arch, v, x, **kw)
+        kp = rescaled_kernel(arch, v, x, **kw)
+        for got, vs in ((k, v), (kp, v.unit_last_layer())):
+            old = _two_recursions_k(arch, vs, x, method)
+            assert np.array_equal(got.values, _reference_shift(old, -PSD_FLOOR))
+
+    def test_recursion_ignores_last_layer_variances(self):
+        x = np.linspace(-1.0, 1.0, 5)[None, :]
+        e = kernels._recursion(ERF_ARCH, V5, x)
+        assert np.array_equal(e, kernels._recursion(ERF_ARCH, V5.with_last_layer(0.3), x))
+        assert np.array_equal(e, e.T)
+
+
+class TestBlockCheck:
+    """The 2x2 block check reads the diagonal as a column and a row."""
+
+    def test_off_diagonal_determinant_alone_raises(self):
+        # unit diagonal, so only the determinant 1 - (1 + 1e-6)^2 fails
+        d = np.ones(3)
+        K = np.eye(3)
+        K[0, 2] = K[2, 0] = 1.0 + 1e-6
+        with pytest.raises(KernelDegeneracyError, match="2x2"):
+            _check_block_psd(d[:, None], K, d[None, :])
+        with pytest.raises(KernelDegeneracyError, match="2x2"):
+            _check_block_psd(np.broadcast_to(d[:, None], (3, 3)), K,
+                             np.broadcast_to(d[None, :], (3, 3)))
+
+    def test_determinant_within_floor_passes(self):
+        d = np.ones(2)
+        c = math.sqrt(1.0 - 0.5 * PSD_FLOOR)  # det = PSD_FLOOR / 2 < 0
+        _check_block_psd(d[:, None], np.array([[1.0, c], [c, 1.0]]), d[None, :])
+
+    def test_negative_diagonal_raises(self):
+        d = np.array([1.0, -1e-6])
+        with pytest.raises(KernelDegeneracyError):
+            _check_block_psd(d[:, None], np.diag(d), d[None, :])
+
+
 class TestKernelMatrix:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
@@ -244,6 +333,26 @@ class TestKernelMatrix:
         v = a @ a.T + 0.1 * np.eye(6)
         v[0, 1] += 1e-14  # asymmetric within SYM_TOL
         assert np.array_equal(KernelMatrix(v, n_train=6).values, 0.5 * (v + v.T))
+
+    def test_symmetric_input_stored_without_copy(self):
+        v = np.array([[2.0, 0.5], [0.5, 1.0]])
+        assert KernelMatrix(v, n_train=2).values is v
+
+    @pytest.mark.parametrize(
+        "v",
+        [
+            np.array([[2.0, 0.5], [0.5, 1.0]]),
+            np.array([[2.0, 0.5 + 1e-13], [0.5, 1.0]]),  # asymmetric within SYM_TOL
+            np.array([[1.0, 1.0], [1.0, 1.0 - 5e-11]]),  # needs a shift
+            np.array([[1.0, 1.0 + 5e-13], [1.0, 1.0 - 5e-11]]),  # both
+            np.ones((4, 4)) * 3.0,  # rank one, singular
+        ],
+    )
+    def test_stored_values_as_before(self, v):
+        # symmetrise within SYM_TOL, then the first shift a + jit * scale * I
+        assert np.max(np.abs(v - v.T)) <= SYM_TOL * max(1.0, np.max(np.abs(v)))
+        want = _reference_shift(0.5 * (v + v.T), -PSD_FLOOR)
+        assert np.array_equal(KernelMatrix(v, n_train=v.shape[0]).values, want)
 
     @pytest.mark.parametrize(
         "v",
