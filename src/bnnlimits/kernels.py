@@ -10,6 +10,7 @@ E gives both: K = s2_W(L) E + s2_b(L) and K' = E + 1.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -29,6 +30,10 @@ JITTERS = (0.0, 1e-12, 1e-10, 1e-8)
 KERNEL_METHODS = ("analytic_erf", "analytic_relu", "gauss_hermite", "monte_carlo")
 GH_DEFAULT_ORDER = 32
 MC_DEFAULT_DRAWS = 200_000
+# _recursion computes each layer's expectation over blocks of rows whose
+# per-entry temporaries (one float per point, or per quadrature node or
+# normal pair) come to about this many bytes per array
+KERNEL_BLOCK_BYTES = 1 << 17
 
 
 class KernelDegeneracyError(RuntimeError):
@@ -141,10 +146,14 @@ class ConstraintReport:
         )
 
 
+@functools.lru_cache(maxsize=4)
 def _gh_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
-    # probabilists' normalization: integrates against N(0, 1)
+    # probabilists' normalization: integrates against N(0, 1). Cached, since
+    # _recursion asks once per block of rows; read-only, since shared.
     x, w = np.polynomial.hermite_e.hermegauss(order)
-    return x, w / math.sqrt(2.0 * math.pi)
+    w = w / math.sqrt(2.0 * math.pi)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def _expect_analytic_erf(k11, k12, k22):
@@ -200,7 +209,6 @@ def _expect_gh(phi, k11, k12, k22, order: int):
     Diagonal entries (u = v) reduce to a 1-D rule.
     """
     x, w = _gh_nodes(order)
-    _check_block_psd(k11, k12, k22)
     l11, l21, l22 = _chol2(k11, k12, k22)
     # u = l11*z1, v = l21*z1 + l22*z2 over the tensor grid
     z1 = x[:, None]
@@ -217,12 +225,9 @@ def _expect_gh_diag(phi, kdiag, order: int):
     return np.sum(phi(u) ** 2 * w, axis=-1)
 
 
-def _expect_mc(phi, k11, k12, k22, n_draws: int, rng: RngStream):
-    """Monte-Carlo estimate with antithetic pairs."""
-    _check_block_psd(k11, k12, k22)
+def _expect_mc(phi, k11, k12, k22, z: np.ndarray):
+    """Monte-Carlo estimate with antithetic pairs over the (half, 2) normals z."""
     l11, l21, l22 = _chol2(k11, k12, k22)
-    half = n_draws // 2
-    z = rng.gen.standard_normal((half, 2))
     u = l11[..., None] * z[:, 0]
     v = l21[..., None] * z[:, 0] + l22[..., None] * z[:, 1]
     vals = phi(u) * phi(v) + phi(-u) * phi(-v)
@@ -259,27 +264,40 @@ def _recursion(
     if method == "monte_carlo" and rng is None:
         rng = RngStream(0)
 
-    K = variances.weight[0] * (x.T @ x) / arch.d_in + variances.bias[0]
+    K = x.T @ x  # the floats of s2_W * (x.T @ x) / d_in + s2_b, in one array
+    K *= variances.weight[0]
+    K /= arch.d_in
+    K += variances.bias[0]
+    m = K.shape[0]
     for l in range(2, arch.n_layers + 1):
         phi, _ = ACTIVATIONS[arch.activations[l - 1]]
-        d = np.diag(K)  # as a column and a row, so per-point terms stay O(m)
-        k11, k22 = d[:, None], d[None, :]
         if method == "analytic_erf":
-            _check_block_psd(k11, K, k22)
-            E = _expect_analytic_erf(k11, K, k22)
+            expect, point_bytes = _expect_analytic_erf, 8
         elif method == "analytic_relu":
-            _check_block_psd(k11, K, k22)
-            E = _expect_analytic_relu(k11, K, k22)
+            expect, point_bytes = _expect_analytic_relu, 8
         elif method == "gauss_hermite":
-            E = _expect_gh(phi, k11, K, k22, gh_order)
-            np.fill_diagonal(E, _expect_gh_diag(phi, d, gh_order))
-        else:
-            E = _expect_mc(phi, k11, K, k22, mc_draws, rng.child(l))
-        if not np.array_equal(E, E.T):  # the closed forms are symmetric already
-            E = 0.5 * (E + E.T)
+            expect = functools.partial(_expect_gh, phi, order=gh_order)
+            point_bytes = 8 * gh_order**2
+        else:  # one set of normals per layer, shared by every block
+            z = rng.child(l).gen.standard_normal((mc_draws // 2, 2))
+            expect = functools.partial(_expect_mc, phi, z=z)
+            point_bytes = 8 * z.shape[0]
+        # each entry's E reads only itself and the diagonal, so E overwrites K
+        # block by block; the diagonal, a column and a row, is read first
+        d = K.diagonal().copy()
+        k22 = d[None, :]
+        rows = max(1, KERNEL_BLOCK_BYTES // max(1, m * point_bytes))
+        for r in range(0, m, rows):
+            block, k11 = K[r : r + rows], d[r : r + rows, None]
+            _check_block_psd(k11, block, k22)
+            block[...] = expect(k11, block, k22)
+        if method == "gauss_hermite":
+            np.fill_diagonal(K, _expect_gh_diag(phi, d, gh_order))
+        if not np.array_equal(K, K.T):  # the closed forms are symmetric already
+            K = 0.5 * (K + K.T)
         if l < arch.n_layers:
-            K = _affine(E, variances.weight[l - 1], variances.bias[l - 1])
-    return E
+            _affine(K, variances.weight[l - 1], variances.bias[l - 1])
+    return K
 
 
 def _affine(e: np.ndarray, weight: float, bias: float) -> np.ndarray:

@@ -48,13 +48,21 @@ def _condition(kd, kc, kt, y, noise):
 
     With alpha = (kd + noise I)^{-1} y, returns (kc alpha,
     kt - kc (kd + noise I)^{-1} kc^T, y^T alpha). No data (n = 0) gives
-    the prior (0, kt, 0).
+    the prior (0, kt, 0). Raises LinearAlgebraError if y or y^T alpha is
+    not finite (observations too large for floating point).
     """
+    if not np.all(np.isfinite(y)):
+        raise LinearAlgebraError("observations are not finite: they overflow floating point")
     A = kd + noise * np.eye(kd.shape[0])
     sol = solve_psd(A, np.column_stack([y, kc.T]))
+    y_alpha = float(y @ sol[:, 0])
+    if not math.isfinite(y_alpha):
+        raise LinearAlgebraError(
+            f"y^T (K + noise I)^-1 y = {y_alpha}: the observations overflow floating point"
+        )
     cov = kc @ sol[:, 1:]
     np.subtract(kt, cov, out=cov)  # in place: one m x m temporary fewer
-    return kc @ sol[:, 0], cov, float(y @ sol[:, 0])
+    return kc @ sol[:, 0], cov, y_alpha
 
 
 @dataclass(frozen=True)
@@ -181,6 +189,16 @@ def tp_posterior_predict(
     nu = 2a + k, beta_post = b + y (K'_D + I)^{-1} y^T / 2; with no data
     (k = 0) this is the marginal prior t_{2a}(0, (b/a) K'_T).
     """
+    return marginalize_nig_to_t(*_t_predictive(kprime_full, y, a, b))
+
+
+def _t_predictive(
+    kprime_full: KernelMatrix, y: np.ndarray, a: float, b: float
+) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """(location, Schur complement, alpha, beta) of tp_posterior_predict.
+
+    Its scale is (beta / alpha) times the Schur complement, and nu = 2 alpha.
+    """
     y = np.ravel(np.asarray(y, dtype=float))
     n = kprime_full.n_train
     if y.shape[0] != n:
@@ -188,7 +206,7 @@ def tp_posterior_predict(
     location, schur, y_alpha = _condition(
         kprime_full.train, kprime_full.cross, kprime_full.test, y, 1.0
     )
-    return marginalize_nig_to_t(location, schur, a + n / 2.0, b + 0.5 * y_alpha)
+    return location, schur, a + n / 2.0, b + 0.5 * y_alpha
 
 
 def marginalize_nig_to_t(

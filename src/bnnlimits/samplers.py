@@ -27,10 +27,18 @@ class SamplerError(RuntimeError):
 def sample_inverse_gamma(
     a: float, b: float, rng: RngStream, size: int | None = None
 ) -> float | np.ndarray:
-    """Draws with density ∝ s^{-(a+1)} e^{-b/s} (reciprocal of Gamma(a, rate b))."""
+    """Draws with density ∝ s^{-(a+1)} e^{-b/s} (reciprocal of Gamma(a, rate b)).
+
+    Raises SamplerError if a Gamma draw is below the smallest normal float.
+    """
     if a <= 0 or b <= 0:
         raise ValueError("Inverse-Gamma parameters must be strictly positive")
     g = rng.gen.gamma(shape=a, scale=1.0 / b, size=size)
+    if not np.all(g >= np.finfo(float).tiny):  # a tiny shape underflows g
+        raise SamplerError(
+            f"Gamma(a={a:.3g}, rate {b:.3g}) draw underflowed, so the "
+            "Inverse-Gamma draw 1/g is out of floating-point range"
+        )
     return 1.0 / g
 
 
@@ -106,15 +114,24 @@ def sample_sigma2_conditional(
     2b'y^2 - c'y - q = 0 and lam = q / y* = 2b'y* - c'; the acceptance
     probability is then exp(-b'(y - y*)^2) <= 1 exactly for any q > 0.
     q = 2a' - 1 makes y* the mode of the target; below a' = 1 it is floored
-    at a' to stay positive. Raises SamplerError if the rejection budget is
-    spent without an accepted draw. Returns s = y^{-2}.
+    at a' to stay positive. Raises SamplerError if lam is not a positive
+    float (c'^2 overflows, or y* rounds to 0 or inf) or if the rejection
+    budget is spent without an accepted draw. Returns s = y^{-2}.
     """
     n = 1 if size is None else int(size)
     q = max(2.0 * p.a_prime - 1.0, p.a_prime)
-    y_star = (p.c_prime + math.sqrt(p.c_prime**2 + 8.0 * p.b_prime * q)) / (
-        4.0 * p.b_prime
-    )
-    lam = q / y_star
+    try:
+        y_star = (p.c_prime + math.sqrt(p.c_prime**2 + 8.0 * p.b_prime * q)) / (
+            4.0 * p.b_prime
+        )
+        lam = q / y_star
+    except (OverflowError, ZeroDivisionError):
+        lam = math.nan
+    if not 0.0 < lam < math.inf:
+        raise SamplerError(
+            f"sigma2 conditional (a'={p.a_prime:.3g}, b'={p.b_prime:.3g}, "
+            f"c'={p.c_prime:.3g}) has no finite proposal rate"
+        )
     out = np.empty(n)
     filled = 0
     gen = rng.gen

@@ -361,6 +361,33 @@ class TestComparisonSharedBuild:
             tracemalloc.stop()
         assert peak < 45 * 2**20
 
+    def test_band_pass_reads_only_the_scale_diagonals(self):
+        # the recursion's array, K' and its certification copy and factor
+        # (4 x 8.1 MiB); the t and GP scales are never copied or symmetrised
+        cfg = _band_config(test_grid=1024)
+        tracemalloc.start()
+        try:
+            run_comparison(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 36 * 2**20
+
+    @pytest.mark.parametrize("method, act", [("analytic_erf", "erf"),
+                                             ("analytic_relu", "relu")])
+    def test_recursion_memory_below_two_kernels(self, method, act):
+        # the 1032 x 1032 result is 8.1 MiB; each layer's expectation runs over
+        # blocks of rows written into it, not over whole-matrix temporaries
+        cfg = _band_config(test_grid=1024, activation=act, kernel_method=method)
+        x = np.concatenate([cfg.make_dataset().x, cfg.make_test_grid()], axis=1)
+        tracemalloc.start()
+        try:
+            e = kernels._recursion(cfg.architecture(1), cfg.variances(), x, method=method)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * e.nbytes
+
 
 class TestImportCost:
     def test_config_and_data_do_not_import_scipy_optimize(self):
@@ -600,6 +627,24 @@ class TestCli:
         argv = ["posterior-convergence", "--config", str(path), "--out", str(tmp_path / "o")]
         assert main(argv) == EXIT_CONFIG
         assert "finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, field, value", [
+        ("posterior-convergence", "a", 1e-300),  # the Gamma draw underflows to 0
+        ("posterior-convergence", "data_noise", 1e150),  # the sigma2 step's c'^2 overflows
+        ("compare", "data_noise", 1e200),  # the t rate b + y^T (K' + I)^-1 y / 2 overflows
+        ("compare", "data_noise", 1.7e308),  # some observations are inf
+    ])
+    def test_overflowing_config_exit_3(self, tmp_path, capsys, command, field, value):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"widths": [1, 2], "draws": 4, "burn_in": 2, "n_reps": 1,
+                                    "test_grid": 4, "w1_grid": 2, field: value}))
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the inadmissible (a, b) warning
+            rc = main([command, "--config", str(path), "--out", str(out)])
+        assert rc == EXIT_NUMERICAL
+        assert "numerical failure" in capsys.readouterr().err
+        assert not out.exists()  # no file, so no non-finite cell
 
     def test_unreadable_and_malformed_config_exit_2(self, tmp_path):
         assert main(["compare", "--config", str(tmp_path / "missing.json")]) == EXIT_CONFIG

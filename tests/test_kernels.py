@@ -27,12 +27,14 @@ from bnnlimits.kernels import (
     KernelDegeneracyError,
     KernelMatrix,
     _check_block_psd,
+    _chol2,
     _expect_analytic_erf,
     _expect_analytic_relu,
     _expect_gh,
+    _expect_gh_diag,
     b_lower_bound,
 )
-from bnnlimits.network import forward_batch, sample_prior_params
+from bnnlimits.network import ACTIVATIONS, forward_batch, sample_prior_params
 from bnnlimits.rng import RngStream
 
 ERF_ARCH = Architecture((1, 8, 1), ("identity", "erf"))
@@ -195,6 +197,33 @@ def _two_recursions_k(arch, variances, inputs, method):
     return K
 
 
+def _whole_matrix_e(arch, variances, x, method, gh_order, mc_draws, rng):
+    """Reference last-layer E with every layer's expectation over the whole
+    (m, m) matrix at once, in a fresh array per layer."""
+    K = variances.weight[0] * (x.T @ x) / arch.d_in + variances.bias[0]
+    for l in range(2, arch.n_layers + 1):
+        phi = ACTIVATIONS[arch.activations[l - 1]][0]
+        d = np.diag(K)
+        k11, k22 = d[:, None], d[None, :]
+        if method == "analytic_erf":
+            E = _expect_analytic_erf(k11, K, k22)
+        elif method == "analytic_relu":
+            E = _expect_analytic_relu(k11, K, k22)
+        elif method == "gauss_hermite":
+            E = _expect_gh(phi, k11, K, k22, gh_order)
+            np.fill_diagonal(E, _expect_gh_diag(phi, d, gh_order))
+        else:  # antithetic Monte Carlo over one set of normals per layer
+            z = rng.child(l).gen.standard_normal((mc_draws // 2, 2))
+            l11, l21, l22 = _chol2(k11, K, k22)
+            u = l11[..., None] * z[:, 0]
+            v = l21[..., None] * z[:, 0] + l22[..., None] * z[:, 1]
+            E = 0.5 * np.mean(phi(u) * phi(v) + phi(-u) * phi(-v), axis=-1)
+        if not np.array_equal(E, E.T):
+            E = 0.5 * (E + E.T)
+        K = variances.weight[l - 1] * E + variances.bias[l - 1]
+    return E
+
+
 def _reference_shift(a, max_jitter):
     """Reference jitter ladder: the first a + jit * scale * np.eye(m) that factors."""
     scale = float(np.max(np.abs(np.diag(a)), initial=1.0))
@@ -228,6 +257,31 @@ class TestSharedRecursion:
         for got, vs in ((k, v), (kp, v.unit_last_layer())):
             old = _two_recursions_k(arch, vs, x, method)
             assert np.array_equal(got.values, _reference_shift(old, -PSD_FLOOR))
+
+    # small quadrature and draw counts keep the whole-matrix reference at
+    # m = 1032 within a few (m, m, 4) arrays
+    BLOCK_METHODS = [("analytic_erf", "erf", 8), ("analytic_relu", "relu", 8),
+                     ("gauss_hermite", "tanh", 8 * 2**2), ("monte_carlo", "tanh", 8 * 4)]
+
+    @pytest.mark.parametrize("method, act, point_bytes", BLOCK_METHODS,
+                             ids=[m for m, *_ in BLOCK_METHODS])
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    @pytest.mark.parametrize("size", ["1", "rows-1", "rows", "rows+1", "1032"])
+    def test_row_blocks_bit_identical_to_whole_matrix(self, method, act, point_bytes,
+                                                      depth, size):
+        # m0 rows of m0 points fill one block; m0 - 1 points fit in one block,
+        # m0 + 1 points take a full block and a short one
+        m0 = math.isqrt(kernels.KERNEL_BLOCK_BYTES // point_bytes)
+        assert kernels.KERNEL_BLOCK_BYTES // (m0 * point_bytes) == m0
+        m = {"1": 1, "rows-1": m0 - 1, "rows": m0, "rows+1": m0 + 1, "1032": 1032}[size]
+        arch = Architecture((2,) + (3,) * depth + (1,), ("identity",) + (act,) * depth)
+        v = VarianceVector(tuple(0.8 + 0.3 * i for i in range(depth + 1)),
+                           tuple(0.2 + 0.4 * i for i in range(depth + 1)))
+        x = RngStream(m).gen.uniform(-1.0, 1.0, (2, m))
+        kw = dict(gh_order=2, mc_draws=8)
+        got = kernels._recursion(arch, v, x, method=method, rng=RngStream(4), **kw)
+        want = _whole_matrix_e(arch, v, x, method, rng=RngStream(4), **kw)
+        assert np.array_equal(got, want)
 
     def test_recursion_ignores_last_layer_variances(self):
         x = np.linspace(-1.0, 1.0, 5)[None, :]
