@@ -19,14 +19,14 @@ import os
 import sys
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 import scipy
 from scipy import special
 
-from . import __version__, kernels, posteriors
+from . import __version__, kernels, network, posteriors
 from .gibbs import GibbsConfig, gibbs_run, gibbs_run_fixed_variance
 from .kernels import (
     KERNEL_METHODS,
@@ -64,8 +64,9 @@ REFERENCE_FUNCTIONS = {
 }
 
 
-# Bytes of prior parameters one width job holds at a time: the prior draws
-# are drawn and evaluated in blocks of whole draws of about this size.
+# Bytes of prior draws one width job holds at a time: each of its threads
+# draws and evaluates the prior in blocks of whole draws, whose parameters
+# and layer activations take about this size divided by the thread count.
 PRIOR_BLOCK_BYTES = 2 << 20
 
 
@@ -307,25 +308,58 @@ def _gibbs_config(cfg: ExperimentConfig, width: int, kind: int) -> GibbsConfig:
     )
 
 
-def _prior_width_job(cfg: ExperimentConfig, kernel: KernelMatrix,
-                     width: int) -> tuple[list[float], list[float]]:
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
+def _width_processes(cfg: ExperimentConfig, jobs: int) -> int:
+    """Processes a sweep runs its width jobs in."""
+    return min(jobs, len(cfg.widths)) if jobs > 1 else 1
+
+
+def _prior_threads(cfg: ExperimentConfig, jobs: int) -> int:
+    """Threads each prior width job runs its repetitions on.
+
+    The CPUs are shared among the width processes, so a process pool is
+    not oversubscribed, and no thread is left without a repetition.
+    """
+    return max(1, min(cfg.n_reps, _cpu_count() // _width_processes(cfg, jobs)))
+
+
+def _prior_block_draws(arch: Architecture, m: int, threads: int) -> int:
+    """Draws per block: PRIOR_BLOCK_BYTES shared among the threads.
+
+    A draw holds its parameters and its layer activations at the m points.
+    """
+    per_draw = 8 * (arch.n_params + m * sum(arch.widths[1:]))
+    return max(1, PRIOR_BLOCK_BYTES // (threads * per_draw))
+
+
+def _prior_width_job(cfg: ExperimentConfig, kernel: KernelMatrix, width: int,
+                     threads: int) -> tuple[list[float], list[float]]:
     """Per-width W1 between prior network draws and draws of the NNGP `kernel`.
 
-    The prior parameters are drawn and evaluated in blocks of whole draws of
-    about PRIOR_BLOCK_BYTES, so only the (draws, m) outputs are kept; the
-    draws are the same for any block size.
+    The repetitions run on `threads` threads (numpy and scipy release the
+    GIL), each on its own child stream, and are collected in order. Each
+    thread draws and evaluates its prior parameters in blocks of whole draws
+    (_prior_block_draws), so only the (draws, m) outputs are kept; the draws
+    are the same for any block size and thread count.
     """
     grid = cfg.make_test_grid()
     idx = cfg.w1_subgrid_idx()
     arch = cfg.architecture(width)
     variances = cfg.variances()
-    block = max(1, PRIOR_BLOCK_BYTES // (8 * arch.n_params))
+    block = _prior_block_draws(arch, grid.shape[1], threads)
     sizes = [min(block, cfg.draws - start) for start in range(0, cfg.draws, block)]
     ksub = kernel.values[np.ix_(idx, idx)]
-    rng = RngStream(cfg.seed, (width,))
-    reps = []
-    sl = []
-    for rep_rng in rng.split(cfg.n_reps):
+    # build the shared prior scale once, not once per thread that misses the cache
+    network._target_constants(arch, variances)
+
+    def repetition(rep_rng: RngStream) -> tuple[float, float]:
         r_bnn, r_gp = rep_rng.split(2)
         bnn = np.concatenate([
             forward_batch(arch, sample_prior_params(arch, variances, r_bnn, n_draws=n),
@@ -333,12 +367,15 @@ def _prior_width_job(cfg: ExperimentConfig, kernel: KernelMatrix,
             for n in sizes
         ])
         gp = sample_mvn(np.zeros(len(idx)), ksub, r_gp, size=cfg.draws)
-        reps.append(w1_exact(bnn[:, idx], gp))
+        w1 = w1_exact(bnn[:, idx], gp)
         gp_full = sample_mvn(
             np.zeros(grid.shape[1]), kernel.values, r_gp.child(0), size=cfg.draws
         )
-        sl.append(sliced_w1(bnn, gp_full, 128, r_gp.child(1)))
-    return reps, sl
+        return w1, sliced_w1(bnn, gp_full, 128, r_gp.child(1))
+
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        results = list(pool.map(repetition, RngStream(cfg.seed, (width,)).split(cfg.n_reps)))
+    return [w1 for w1, _ in results], [sl for _, sl in results]
 
 
 def _posterior_width_job(cfg: ExperimentConfig, tp: StudentTPosterior,
@@ -390,7 +427,8 @@ def _sweep(cfg: ExperimentConfig, jobs: int, limit_of, job,
     """Run job(cfg, limit, width) -> (W1 repetitions, sliced W1s) at every width.
 
     limit_of(data, grid) builds the width-independent limit once; the width
-    jobs run serially or in a pool of `jobs` processes. With
+    jobs run serially or in a pool of up to `jobs` processes (one per
+    width at most). With
     warn_inadmissible, an (a, b) outside the admissible region gives one
     UserWarning before the jobs run.
     """
@@ -405,8 +443,9 @@ def _sweep(cfg: ExperimentConfig, jobs: int, limit_of, job,
         )
     limit = limit_of(data, cfg.make_test_grid())
     run = functools.partial(job, cfg, limit)
-    if jobs > 1 and len(cfg.widths) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    processes = _width_processes(cfg, jobs)
+    if processes > 1:
+        with ProcessPoolExecutor(max_workers=processes) as pool:
             results = list(pool.map(run, cfg.widths))
     else:
         results = [run(w) for w in cfg.widths]
@@ -423,8 +462,12 @@ def _sweep(cfg: ExperimentConfig, jobs: int, limit_of, job,
 
 
 def run_prior_convergence(cfg: ExperimentConfig, jobs: int = 1) -> ConvergenceReport:
-    """W1 between prior network draws and NNGP draws, per width."""
-    return _sweep(cfg, jobs, lambda data, grid: _limit_kernel(cfg, grid), _prior_width_job)
+    """W1 between prior network draws and NNGP draws, per width.
+
+    Each width job runs its repetitions on threads (_prior_threads).
+    """
+    job = functools.partial(_prior_width_job, threads=_prior_threads(cfg, jobs))
+    return _sweep(cfg, jobs, lambda data, grid: _limit_kernel(cfg, grid), job)
 
 
 def run_posterior_convergence(cfg: ExperimentConfig, jobs: int = 1) -> ConvergenceReport:

@@ -40,6 +40,10 @@ class KernelDegeneracyError(RuntimeError):
     """A kernel block violated positive semidefiniteness beyond tolerance."""
 
 
+class LinearAlgebraError(RuntimeError):
+    pass
+
+
 def psd_cholesky(
     a: np.ndarray, max_jitter: float = JITTERS[-1]
 ) -> tuple[np.ndarray, np.ndarray] | None:
@@ -369,7 +373,9 @@ def check_hyperparams(
 
     epsilon must satisfy eps < 1/||K'||_op; if omitted, 0.99/||K'||_op is used.
     The constraint conditions the convergence theorem; violating it does not
-    invalidate sampling, so callers log the report rather than abort.
+    invalidate sampling, so callers log the report rather than abort. A
+    bound that floating point cannot hold (||y||_F^2 overflows) raises
+    LinearAlgebraError.
     """
     op = operator_norm(kprime)
     if epsilon is None:
@@ -380,8 +386,14 @@ def check_hyperparams(
         )
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    y_norm2 = float(np.sum(np.asarray(y, dtype=float) ** 2))
+    with np.errstate(over="ignore"):  # an overflow raises below
+        y_norm2 = float(np.sum(np.asarray(y, dtype=float) ** 2))
     bound = b_lower_bound(epsilon, y_norm2)
+    if not math.isfinite(bound):
+        raise LinearAlgebraError(
+            f"||y||^2 = {y_norm2:.6g} gives the b bound {bound:.6g}: "
+            "the observations are too large for floating point"
+        )
     return ConstraintReport(
         epsilon=float(epsilon),
         op_norm=op,

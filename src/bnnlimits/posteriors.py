@@ -22,11 +22,7 @@ import numpy as np
 from scipy.linalg import cho_solve
 from scipy.special import gammaln
 
-from .kernels import KernelMatrix, psd_cholesky
-
-
-class LinearAlgebraError(RuntimeError):
-    pass
+from .kernels import KernelMatrix, LinearAlgebraError, psd_cholesky
 
 
 def solve_psd(A: np.ndarray, B: np.ndarray) -> np.ndarray:

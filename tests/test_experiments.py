@@ -207,9 +207,16 @@ class TestRunners:
 class TestPriorBlocks:
     """The prior sweep draws its parameters in blocks of whole draws."""
 
+    @staticmethod
+    def blocks(cfg, width, threads):
+        """Blocks per repetition of one width job, as the sweep sizes them."""
+        block = experiments._prior_block_draws(cfg.architecture(width), cfg.test_grid,
+                                               threads)
+        return math.ceil(cfg.draws / block), block
+
     def test_block_size_does_not_change_the_draws(self, monkeypatch):
         cfg = ExperimentConfig(**{**FAST, "widths": (8, 128)})
-        block = experiments.PRIOR_BLOCK_BYTES // (8 * cfg.architecture(128).n_params)
+        _, block = self.blocks(cfg, 128, experiments._prior_threads(cfg, 1))
         assert 1 <= block < cfg.draws and cfg.draws % block != 0
         blocked = run_prior_convergence(cfg)
         monkeypatch.setattr(experiments, "PRIOR_BLOCK_BYTES", 1 << 40)
@@ -219,8 +226,11 @@ class TestPriorBlocks:
         assert np.array_equal(blocked.sliced, whole.sliced)
 
     def test_prior_scales_built_once_per_prior(self, monkeypatch):
-        # width 128 takes 2 reps x 2 blocks; every block reads the cached scale
+        # width 128 takes 2 reps x several blocks; every block reads the cached scale
         cfg = ExperimentConfig(**{**FAST, "widths": (8, 128)})
+        threads = experiments._prior_threads(cfg, 1)
+        n_blocks = {w: self.blocks(cfg, w, threads)[0] for w in cfg.widths}
+        assert n_blocks[128] > 1
         calls = {}
 
         def counted(arch, variances):
@@ -237,11 +247,28 @@ class TestPriorBlocks:
         uncached = network._target_constants.__wrapped__
         monkeypatch.setattr(network, "_target_constants", uncached)
         rebuilt = run_prior_convergence(cfg)
-        # uncached: one build per block, 2 reps x (1 block at width 8 + 2 at width 128)
-        assert sum(calls.values()) == 2 + 2 * (1 + 2)
+        # uncached: per width, one build before its threads start and one per
+        # block of each of its 2 reps
+        assert sum(calls.values()) == 2 + sum(1 + cfg.n_reps * n for n in n_blocks.values())
         assert np.array_equal(cached.w1, rebuilt.w1)
         assert np.array_equal(cached.w1_reps, rebuilt.w1_reps)
         assert np.array_equal(cached.sliced, rebuilt.sliced)
+
+    def test_thread_count_does_not_change_the_draws(self, monkeypatch):
+        # 5 repetitions on this host's threads, on 3 and on 1, with several
+        # blocks per repetition at width 128 for every thread count
+        cfg = ExperimentConfig(**{**FAST, "widths": (8, 128), "draws": 40, "n_reps": 5})
+        reports = []
+        for cpus in (None, 3, 1):  # None: this host's CPUs
+            if cpus is not None:
+                monkeypatch.setattr(experiments, "_cpu_count", lambda: cpus)
+                assert experiments._prior_threads(cfg, 1) == cpus
+            assert self.blocks(cfg, 128, experiments._prior_threads(cfg, 1))[0] > 1
+            reports.append(run_prior_convergence(cfg))
+        for other in reports[1:]:
+            assert np.array_equal(reports[0].w1, other.w1)
+            assert np.array_equal(reports[0].w1_reps, other.w1_reps)
+            assert np.array_equal(reports[0].sliced, other.sliced)
 
     def test_prior_cache_keeps_only_the_running_width(self):
         network._target_constants.cache_clear()
@@ -633,6 +660,7 @@ class TestCli:
         ("posterior-convergence", "data_noise", 1e150),  # the sigma2 step's c'^2 overflows
         ("compare", "data_noise", 1e200),  # the t rate b + y^T (K' + I)^-1 y / 2 overflows
         ("compare", "data_noise", 1.7e308),  # some observations are inf
+        ("prior-convergence", "data_noise", 1.7e308),  # ||y||^2 in the (a, b) check is inf
     ])
     def test_overflowing_config_exit_3(self, tmp_path, capsys, command, field, value):
         path = tmp_path / "cfg.json"

@@ -26,6 +26,7 @@ from bnnlimits.kernels import (
     SYM_TOL,
     KernelDegeneracyError,
     KernelMatrix,
+    LinearAlgebraError,
     _check_block_psd,
     _chol2,
     _expect_analytic_erf,
@@ -509,6 +510,11 @@ class TestCheckHyperparams:
         rep = check_hyperparams(3.0, 2.0, np.array([1.0, 0.0]), k)
         assert rep.epsilon == pytest.approx(0.99 / 2.0)
         assert rep.epsilon < 1.0 / rep.op_norm
+
+    @pytest.mark.parametrize("y", [1e200, 1.2e154])  # ||y||^2, then only the bound, overflow
+    def test_bound_beyond_floating_point_raises(self, y):
+        with pytest.raises(LinearAlgebraError, match="too large for floating point"):
+            check_hyperparams(3.0, 2.0, np.array([y]), KernelMatrix(np.eye(1), 1))
 
     def test_epsilon_above_limit_rejected(self):
         with pytest.raises(ValueError):
