@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .network import ACTIVATIONS, Architecture, VarianceVector, _check_arch_vars
 from .rng import RngStream
@@ -52,6 +53,8 @@ def psd_cholesky(
     Tries a + t * scale * I for t in JITTERS up to max_jitter, with
     scale = max(1, max|diag a|), and returns (L, shifted) for the first
     shift that factors, or None if none does (or `a` is not finite).
+    `a` is never written. It should be exactly symmetric: the factor is
+    taken from its upper triangle.
     """
     if not np.all(np.isfinite(a)):
         return None
@@ -61,10 +64,12 @@ def psd_cholesky(
         if jit:  # every rung shifts the diagonal of one copy of a
             shifted = a.copy() if shifted is a else shifted
             np.fill_diagonal(shifted, np.diag(a) + jit * scale)
-        try:
-            return np.linalg.cholesky(shifted), shifted
-        except np.linalg.LinAlgError:
-            continue
+        # shifted is symmetric, so its transpose is the same matrix in
+        # column-major order: LAPACK factors one contiguous copy of it
+        L, info = lapack.dpotrf(shifted.T, lower=1, clean=1)
+        if info == 0:
+            return L, shifted
+        del L  # free a failed rung's factor before the next rung copies
     return None
 
 

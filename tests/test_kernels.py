@@ -34,6 +34,7 @@ from bnnlimits.kernels import (
     _expect_gh,
     _expect_gh_diag,
     b_lower_bound,
+    psd_cholesky,
 )
 from bnnlimits.network import ACTIVATIONS, forward_batch, sample_prior_params
 from bnnlimits.rng import RngStream
@@ -365,6 +366,7 @@ class TestKernelMatrix:
 
         for name in ("cholesky", "eigh", "eigvalsh"):
             monkeypatch.setattr(np.linalg, name, no_factor)
+        monkeypatch.setattr(kernels.lapack, "dpotrf", no_factor)
         with pytest.raises(ValueError, match="n_train"):
             KernelMatrix(np.eye(2), n_train=3)
         with pytest.raises(ValueError, match="flavor"):
@@ -436,6 +438,49 @@ class TestKernelMatrix:
         assert np.array_equal(k.cross, vals[3:, :3])
 
 
+class TestPsdCholesky:
+    @pytest.mark.parametrize("max_jitter", [0.0, -PSD_FLOOR, JITTERS[-1]])
+    @pytest.mark.parametrize(
+        "v",
+        [
+            np.array([[2.0, 0.5], [0.5, 1.0]]),  # rung 0
+            np.array([[1.0, 1.0], [1.0, 1.0 - 5e-11]]),  # needs a shift
+            np.ones((4, 4)) * 3.0,  # rank one, singular
+            np.array([[1.0, 2.0], [2.0, 1.0]]),  # no rung factors
+        ],
+    )
+    def test_never_writes_its_input(self, v, max_jitter):
+        a = v.copy()
+        a.setflags(write=False)  # a write into a raises
+        got = psd_cholesky(a, max_jitter)
+        assert np.array_equal(a, v)
+        want = _reference_shift(v, max_jitter)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert np.array_equal(got[1], want)
+            assert (got[1] is a) == np.array_equal(want, v)
+        if want is not None and np.array_equal(want, v):
+            assert KernelMatrix(a, n_train=a.shape[0]).values is a
+
+    @pytest.mark.parametrize("rescaled", [True, False], ids=["K_prime", "K"])
+    def test_band_kernels_same_rung_as_reference(self, rescaled):
+        from test_experiments import _band_config
+
+        cfg = _band_config(test_grid=1024)
+        x = np.concatenate([cfg.make_dataset().x, cfg.make_test_grid()], axis=1)
+        e = kernels._recursion(cfg.architecture(1), cfg.variances(), x,
+                               method=cfg.kernel_method)
+        a = e + 1.0 if rescaled else kernels._affine(e, cfg.weight_variance,
+                                                     cfg.bias_variance)
+        assert a.shape == (1032, 1032)
+        L, shifted = psd_cholesky(a, -PSD_FLOOR)
+        assert np.array_equal(shifted, _reference_shift(a, -PSD_FLOOR))
+        assert not np.array_equal(shifted, a)  # rung 0 fails on both band kernels
+        assert not np.any(np.triu(L, 1))
+        scale = float(np.max(np.abs(np.diag(a))))
+        assert np.max(np.abs(L @ L.T - shifted)) <= 1e-12 * scale
+
+
 def _matching_lines(pattern: str) -> list[tuple[str, str]]:
     """(innermost enclosing def or class, line) for each package source line matching pattern."""
     found = []
@@ -464,8 +509,9 @@ class TestOneFactorisationPath:
     """Every factorisation in the package goes through kernels.psd_cholesky."""
 
     def test_cholesky_only_in_psd_cholesky(self):
-        # any cholesky, whether np.linalg's, scipy.linalg's or an imported name
-        assert [d for d, _ in _matching_lines(r"\bcholesky\b")] == ["psd_cholesky"]
+        # any cholesky, whether np.linalg's, scipy.linalg's or an imported name,
+        # and any LAPACK potrf
+        assert [d for d, _ in _matching_lines(r"\bcholesky\b|\w*potrf\b")] == ["psd_cholesky"]
 
     def test_no_other_factorisation(self):
         assert _matching_lines(r"\bcho_factor\b|\bslogdet\b|\beigh\b") == []
