@@ -26,7 +26,7 @@ import numpy as np
 import scipy
 from scipy import special
 
-from . import __version__, kernels, network, posteriors
+from . import __version__, kernels, network
 from .gibbs import GibbsConfig, gibbs_run, gibbs_run_fixed_variance
 from .kernels import (
     KERNEL_METHODS,
@@ -507,20 +507,18 @@ def run_comparison(cfg: ExperimentConfig) -> ComparisonReport:
     # one recursion's E: K' = E + 1 for the t bands, then K = s2_W E + s2_b in place
     e = kernels._recursion(cfg.architecture(1), cfg.variances(),
                            np.concatenate([data.x, grid], axis=1), method=cfg.kernel_method)
-    # the bands read only the diagonal of each scale: (beta / alpha) diag(schur)
-    # for the t, diag(cov) for the GP, the floats of the symmetrised matrices.
-    # The m x m arrays are freed before the kept band arrays are allocated, so
-    # those do not pin the heap between them (a lower peak RSS over many runs)
-    kp = KernelMatrix(e + 1.0, data.k, "K_prime")
-    loc, schur, alpha, beta = posteriors._t_predictive(kp, data.y, cfg.a, cfg.b)
-    t_sd = np.sqrt(np.clip(np.diag(schur) * (beta / alpha), 0.0, None))
-    del kp, schur
-    tp_bands = loc[:, None] + t_sd[:, None] * special.stdtrit(2.0 * alpha, qs)
+    # the bands read only the diagonal of each scale. The m x m arrays are
+    # freed before the kept band arrays are allocated, so those do not pin
+    # the heap between them (a lower peak RSS over many runs)
+    kp = KernelMatrix(e + 1.0, data.k)
+    tp = tp_posterior_predict(kp, data.y, cfg.a, cfg.b)
+    loc, nu, t_sd = tp.location, tp.nu, np.sqrt(np.clip(np.diag(tp.scale), 0.0, None))
+    del kp, tp
+    tp_bands = loc[:, None] + t_sd[:, None] * special.stdtrit(nu, qs)
     k = KernelMatrix(kernels._affine(e, cfg.weight_variance, cfg.bias_variance), data.k)
-    mean, cov, _ = posteriors._condition(k.train, k.cross, k.test, np.ravel(data.y),
-                                         cfg.noise_var)
-    g_sd = np.sqrt(np.clip(np.diag(cov), 0.0, None))
-    del e, k, cov
+    gp = gp_posterior(k.train, k.cross, k.test, data.y, cfg.noise_var)
+    mean, g_sd = gp.mean, np.sqrt(np.clip(np.diag(gp.cov), 0.0, None))
+    del e, k, gp
     gp_bands = mean[:, None] + g_sd[:, None] * special.ndtri(qs)
     return ComparisonReport(
         grid[0], tp_bands, gp_bands, seed=cfg.seed, config_hash=cfg.hash(),

@@ -54,7 +54,8 @@ def psd_cholesky(
     scale = max(1, max|diag a|), and returns (L, shifted) for the first
     shift that factors, or None if none does (or `a` is not finite).
     `a` is never written. It should be exactly symmetric: the factor is
-    taken from its upper triangle.
+    taken from its upper triangle, so a caller whose matrix is symmetric
+    only up to rounding (a posterior scale) symmetrises it first.
     """
     if not np.all(np.isfinite(a)):
         return None
@@ -77,9 +78,6 @@ def psd_cholesky(
 class KernelMatrix:
     """Symmetric PSD Gram matrix over an input set, with train/test partition.
 
-    flavor is "K" for the full kernel or "K_prime" for the rescaled kernel
-    (unit last-layer variances; diagonal >= 1).
-
     The stored values always have a Cholesky factor: they are the
     symmetrised input plus the first shift of psd_cholesky's ladder, up to
     |PSD_FLOOR|, that factors. A positive definite input is stored
@@ -89,7 +87,6 @@ class KernelMatrix:
 
     values: np.ndarray
     n_train: int
-    flavor: str = "K"
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -97,8 +94,6 @@ class KernelMatrix:
             raise ValueError("kernel matrix must be square")
         if not 0 <= self.n_train <= v.shape[0]:
             raise ValueError("n_train out of range")
-        if self.flavor not in ("K", "K_prime"):
-            raise ValueError("flavor must be 'K' or 'K_prime'")
         if not np.all(np.isfinite(v)):
             raise KernelDegeneracyError("kernel matrix has non-finite entries")
         if not np.array_equal(v, v.T):
@@ -351,9 +346,7 @@ def rescaled_kernel(
     """
     K = _recursion(arch, variances, inputs, method=method, **kwargs)
     K += 1.0
-    return KernelMatrix(
-        K, n_train=K.shape[0] if n_train is None else n_train, flavor="K_prime"
-    )
+    return KernelMatrix(K, n_train=K.shape[0] if n_train is None else n_train)
 
 
 def operator_norm(kernel: KernelMatrix | np.ndarray) -> float:

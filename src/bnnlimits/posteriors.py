@@ -5,8 +5,8 @@ output at the training inputs is Gaussian given sigma2 with covariance
 sigma2 * M^{-1}, M = I + K'^{-1}, while sigma2 | D is Inverse-Gamma;
 marginalizing gives a multivariate Student-t. Every posterior here is one
 Gaussian conditioning step (_condition) on a kernel with noise * I: the GP
-baseline on K with noise_var, the Student-t on K' with unit noise, its scale
-then multiplied by the Inverse-Gamma rate. At the training inputs the step
+baseline on K with noise_var (gp_posterior), the Student-t on K' with unit
+noise (_t_predictive), its scale then multiplied by the Inverse-Gamma rate. At the training inputs the step
 gives M^{-1} = K'(K' + I)^{-1} = K' - K'(K' + I)^{-1}K', and
 I - M^{-1} = (K' + I)^{-1}, so the rate is beta = b + y^T (K' + I)^{-1} y / 2.
 Single-output networks only (n_L = 1).
@@ -43,10 +43,13 @@ def _condition(kd, kc, kt, y, noise):
     """Condition a zero-mean Gaussian on y observed with noise * I.
 
     With alpha = (kd + noise I)^{-1} y, returns (kc alpha,
-    kt - kc (kd + noise I)^{-1} kc^T, y^T alpha). No data (n = 0) gives
-    the prior (0, kt, 0). Raises LinearAlgebraError if y or y^T alpha is
-    not finite (observations too large for floating point).
+    kt - kc (kd + noise I)^{-1} kc^T, y^T alpha), each a fresh array. No
+    data (n = 0) gives the prior (0, kt, 0). Raises LinearAlgebraError if y
+    or y^T alpha is not finite (observations too large for floating point).
     """
+    y = np.ravel(np.asarray(y, dtype=float))
+    if y.shape[0] != kd.shape[0]:
+        raise ValueError("y length must match the train kernel")
     if not np.all(np.isfinite(y)):
         raise LinearAlgebraError("observations are not finite: they overflow floating point")
     A = kd + noise * np.eye(kd.shape[0])
@@ -63,15 +66,10 @@ def _condition(kd, kc, kt, y, noise):
 
 @dataclass(frozen=True)
 class GaussianPosterior:
+    """The conditioning step's mean and covariance (symmetric up to rounding)."""
+
     mean: np.ndarray
     cov: np.ndarray
-
-    def __post_init__(self):
-        mean = np.ravel(np.asarray(self.mean, dtype=float))
-        cov = np.atleast_2d(np.asarray(self.cov, dtype=float))
-        cov = 0.5 * (cov + cov.T)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
 
 
 @dataclass(frozen=True)
@@ -86,18 +84,14 @@ class IGPosterior:
 
 @dataclass(frozen=True)
 class StudentTPosterior:
-    """Multivariate Student-t: dof nu, location mu, scale matrix Sigma."""
+    """Multivariate Student-t: dof nu, location mu, scale matrix Sigma.
+
+    Holds the arrays it is given: a scale is symmetric up to rounding.
+    """
 
     nu: float
     location: np.ndarray
     scale: np.ndarray
-
-    def __post_init__(self):
-        loc = np.ravel(np.asarray(self.location, dtype=float))
-        sc = np.atleast_2d(np.asarray(self.scale, dtype=float))
-        sc = 0.5 * (sc + sc.T)
-        object.__setattr__(self, "location", loc)
-        object.__setattr__(self, "scale", sc)
 
     def mean(self) -> np.ndarray:
         if self.nu <= 1:
@@ -123,23 +117,14 @@ def gp_posterior(
     k_train = np.atleast_2d(np.asarray(k_train, dtype=float))
     k_cross = np.atleast_2d(np.asarray(k_cross, dtype=float))
     k_test = np.atleast_2d(np.asarray(k_test, dtype=float))
-    y = np.ravel(np.asarray(y, dtype=float))
-    if y.shape[0] != k_train.shape[0]:
-        raise ValueError("y length must match the train kernel")
     mean, cov, _ = _condition(k_train, k_cross, k_test, y, noise_var)
     return GaussianPosterior(mean, cov)
 
 
-def _nig(kprime_train, y, a, b) -> tuple[np.ndarray, GaussianPosterior, IGPosterior]:
-    """K'_D, N(M^{-1} y, M^{-1}) and the IG posterior of sigma2, by _condition on K'_D."""
+def _train_block(kprime_train: KernelMatrix | np.ndarray) -> np.ndarray:
+    """K'_D as a 2-D float array, from a KernelMatrix or a matrix."""
     k = kprime_train.train if isinstance(kprime_train, KernelMatrix) else kprime_train
-    k = np.atleast_2d(np.asarray(k, dtype=float))
-    y = np.ravel(np.asarray(y, dtype=float))
-    if y.shape[0] != k.shape[0]:
-        raise ValueError("y length must match kernel size")
-    mean, minv, y_alpha = _condition(k, k, k, y, 1.0)
-    ig = IGPosterior(a + k.shape[0] / 2.0, b + 0.5 * y_alpha)
-    return k, GaussianPosterior(mean, minv), ig
+    return np.atleast_2d(np.asarray(k, dtype=float))
 
 
 def nig_posterior(
@@ -152,9 +137,11 @@ def nig_posterior(
     M = I + K'^{-1}; mean = y M^{-1}; sigma2 | D ~ IG(a + k/2,
     b + y (I - M^{-1}) y^T / 2).
     """
-    k, gauss, ig = _nig(kprime_train, y, a, b)
+    k = _train_block(kprime_train)
+    mean, minv, alpha, beta = _t_predictive(k, k, k, y, a, b)
     kinv = solve_psd(k, np.eye(k.shape[0]))
-    return np.eye(k.shape[0]) + 0.5 * (kinv + kinv.T), gauss, ig
+    return (np.eye(k.shape[0]) + 0.5 * (kinv + kinv.T), GaussianPosterior(mean, minv),
+            IGPosterior(alpha, beta))
 
 
 def tp_posterior_train(
@@ -171,8 +158,10 @@ def tp_posterior_train(
             "the Student-t posterior may lack a mean",
             stacklevel=2,
         )
-    _, gauss, ig = _nig(kprime_train, y, a, b)
-    return marginalize_nig_to_t(gauss.mean, gauss.cov, ig.shape, ig.rate)
+    k = _train_block(kprime_train)
+    location, minv, alpha, beta = _t_predictive(k, k, k, y, a, b)
+    minv *= beta / alpha  # in place: minv is the conditioning step's own array
+    return StudentTPosterior(2.0 * alpha, location, minv)
 
 
 def tp_posterior_predict(
@@ -185,24 +174,23 @@ def tp_posterior_predict(
     nu = 2a + k, beta_post = b + y (K'_D + I)^{-1} y^T / 2; with no data
     (k = 0) this is the marginal prior t_{2a}(0, (b/a) K'_T).
     """
-    return marginalize_nig_to_t(*_t_predictive(kprime_full, y, a, b))
-
-
-def _t_predictive(
-    kprime_full: KernelMatrix, y: np.ndarray, a: float, b: float
-) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """(location, Schur complement, alpha, beta) of tp_posterior_predict.
-
-    Its scale is (beta / alpha) times the Schur complement, and nu = 2 alpha.
-    """
-    y = np.ravel(np.asarray(y, dtype=float))
-    n = kprime_full.n_train
-    if y.shape[0] != n:
-        raise ValueError("y length must match the train partition")
-    location, schur, y_alpha = _condition(
-        kprime_full.train, kprime_full.cross, kprime_full.test, y, 1.0
+    location, schur, alpha, beta = _t_predictive(
+        kprime_full.train, kprime_full.cross, kprime_full.test, y, a, b
     )
-    return location, schur, a + n / 2.0, b + 0.5 * y_alpha
+    schur *= beta / alpha  # in place: schur is the conditioning step's own array
+    return StudentTPosterior(2.0 * alpha, location, schur)
+
+
+def _t_predictive(kd, kc, kt, y, a: float, b: float
+                  ) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """(location, Schur complement, alpha, beta): _condition on K' with unit noise.
+
+    The t has nu = 2 alpha and scale (beta / alpha) times the Schur complement.
+    """
+    if a <= 0 or b <= 0:
+        raise ValueError("a and b must be strictly positive")
+    location, schur, y_alpha = _condition(kd, kc, kt, y, 1.0)
+    return location, schur, a + kd.shape[0] / 2.0, b + 0.5 * y_alpha
 
 
 def marginalize_nig_to_t(
@@ -211,7 +199,8 @@ def marginalize_nig_to_t(
     """z | s ~ N(mu, s Lam), s ~ IG(alpha, beta)  =>  z ~ t_{2alpha}(mu, (beta/alpha) Lam)."""
     if alpha <= 0 or beta <= 0:
         raise ValueError("alpha and beta must be strictly positive")
-    return StudentTPosterior(2.0 * alpha, mu, (beta / alpha) * np.atleast_2d(lam))
+    return StudentTPosterior(2.0 * alpha, np.ravel(np.asarray(mu, dtype=float)),
+                             (beta / alpha) * np.atleast_2d(lam))
 
 
 def student_t_logpdf(
@@ -224,7 +213,7 @@ def student_t_logpdf(
     k = x.shape[0]
     if nu <= 0:
         raise ValueError("nu must be positive")
-    factor = psd_cholesky(sigma, 0.0)
+    factor = psd_cholesky(0.5 * (sigma + sigma.T), 0.0)
     if factor is None:
         raise LinearAlgebraError("scale matrix must be positive definite")
     L = factor[0]

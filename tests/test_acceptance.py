@@ -122,7 +122,7 @@ class TestPredictiveConsistency:
             kp = random_kprime(rng.child(1), k)
             y = rng.child(2).gen.standard_normal(k)
             full = np.block([[kp.train, kp.train], [kp.train, kp.train]])
-            kfull = type(kp)(full, n_train=k, flavor="K_prime")
+            kfull = type(kp)(full, n_train=k)
             tp_tr = tp_posterior_train(kp, y, 3.0, 2.0)
             tp_pr = tp_posterior_predict(kfull, y, 3.0, 2.0)
             worst = max(

@@ -377,6 +377,16 @@ class TestComparisonSharedBuild:
         run_comparison(ExperimentConfig(**FAST))
         assert len(builds) == 2
 
+    def test_one_call_to_each_public_posterior(self, monkeypatch):
+        calls = []
+        for name in ("tp_posterior_predict", "gp_posterior"):
+            def counted(*args, _name=name, _fn=getattr(experiments, name), **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(experiments, name, counted)
+        run_comparison(ExperimentConfig(**FAST))
+        assert sorted(calls) == ["gp_posterior", "tp_posterior_predict"]
+
     def test_band_grid_memory_peak(self):
         # one 1032 x 1032 array is 8.1 MiB: at most five may be alive at once
         cfg = _band_config(test_grid=1024)

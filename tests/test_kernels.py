@@ -80,7 +80,6 @@ class TestRecursion:
     def test_kprime_diagonal_at_least_one(self):
         kp = rescaled_kernel(ERF_ARCH, V5, np.array([[0.0, 0.3]]))
         assert np.all(np.diag(kp.values) >= 1.0 - 1e-12)
-        assert kp.flavor == "K_prime"
 
     def test_exchangeability_under_input_permutation(self):
         rng = RngStream(1)
@@ -338,12 +337,12 @@ class TestKernelMatrix:
 
         class Counted(KernelMatrix):
             def __post_init__(self):
-                built.append(self.flavor)
+                built.append(self.m)
                 super().__post_init__()
 
         monkeypatch.setattr(kernels, "KernelMatrix", Counted)
         rescaled_kernel(ERF_ARCH, V5, np.array([[0.0, 0.3, 1.0]]))
-        assert built == ["K_prime"]
+        assert built == [3]
 
     def test_large_violation_names_eigenvalue(self):
         from bnnlimits.kernels import KernelDegeneracyError
@@ -369,8 +368,6 @@ class TestKernelMatrix:
         monkeypatch.setattr(kernels.lapack, "dpotrf", no_factor)
         with pytest.raises(ValueError, match="n_train"):
             KernelMatrix(np.eye(2), n_train=3)
-        with pytest.raises(ValueError, match="flavor"):
-            KernelMatrix(np.eye(2), n_train=2, flavor="Q")
 
     def test_accepting_runs_no_eigendecomposition(self, monkeypatch):
         calls = []

@@ -1,6 +1,7 @@
 """Limiting-posterior tests: GP regression, NIG posterior, Student-t forms."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from bnnlimits import (
 )
 from bnnlimits.posteriors import solve_psd, LinearAlgebraError
 from bnnlimits.rng import RngStream
+from test_kernels import _matching_lines
 
 
 def random_kprime(rng, k, extra=0):
@@ -188,7 +190,7 @@ class TestTpPosteriorPredict:
         x = rng.gen.uniform(-1, 1, size=(1, 4))
         kfull = rescaled_kernel(arch, v, np.concatenate([x, x], axis=1), n_train=4)
         y = rng.gen.standard_normal(4)
-        tr = tp_posterior_train(KernelMatrix(kfull.train, 4, "K_prime"), y, 3.0, 2.0)
+        tr = tp_posterior_train(KernelMatrix(kfull.train, 4), y, 3.0, 2.0)
         pr = tp_posterior_predict(kfull, y, 3.0, 2.0)
         assert pr.nu == tr.nu
         assert np.allclose(pr.location, tr.location, atol=1e-10)
@@ -199,7 +201,7 @@ class TestTpPosteriorPredict:
         kd = np.array([[2.0, 0.3], [0.3, 1.5]])
         kt = np.array([[1.8]])
         vals = np.block([[kd, np.full((2, 1), 1e-14)], [np.full((1, 2), 1e-14), kt]])
-        kfull = KernelMatrix(vals, n_train=2, flavor="K")
+        kfull = KernelMatrix(vals, n_train=2)
         y = np.array([1.0, -0.5])
         a, b = 3.0, 2.0
         tp = tp_posterior_predict(kfull, y, a, b)
@@ -239,11 +241,21 @@ class TestTpPosteriorPredict:
 
     def test_empty_train_reduces_to_prior_t(self):
         kt = np.array([[2.0, 0.5], [0.5, 1.0]])
-        kfull = KernelMatrix(kt, n_train=0, flavor="K_prime")
+        kfull = KernelMatrix(kt, n_train=0)
         tp = tp_posterior_predict(kfull, np.empty(0), 3.0, 2.0)
         assert tp.nu == pytest.approx(6.0)
         assert np.allclose(tp.location, 0.0)
         assert np.allclose(tp.scale, (2.0 / 3.0) * kt, atol=1e-12)
+
+    @pytest.mark.filterwarnings("ignore:a=-3.0 <= 1/2")
+    @pytest.mark.parametrize("a, b", [(-3.0, 2.0), (3.0, 0.0)])
+    def test_rejects_non_positive_prior_parameters(self, a, b):
+        kfull = random_kprime(RngStream(12), 2, extra=1)
+        y = np.array([1.0, -0.5])
+        with pytest.raises(ValueError, match="strictly positive"):
+            tp_posterior_predict(kfull, y, a, b)
+        with pytest.raises(ValueError, match="strictly positive"):
+            tp_posterior_train(kfull, y, a, b)
 
 
 class TestMarginalizeNigToT:
@@ -308,3 +320,38 @@ class TestStudentTLogpdf:
         assert math.exp(student_t_logpdf(x, nu, mu, lam)) == pytest.approx(
             val, abs=1e-6
         )
+
+    def test_scale_asymmetric_at_rounding_level_as_its_transpose(self):
+        # a posterior scale is symmetric only up to rounding; the density
+        # symmetrises it before the factorisation reads one triangle
+        rng = RngStream(12)
+        a = rng.gen.standard_normal((12, 12))
+        s = a @ a.T + np.eye(12)
+        s += 1e-15 * np.max(s) * np.triu(rng.gen.standard_normal((12, 12)), 1)
+        assert not np.array_equal(s, s.T)
+        x, mu = rng.gen.standard_normal(12), rng.gen.standard_normal(12)
+        assert student_t_logpdf(x, 5.0, mu, s) == student_t_logpdf(x, 5.0, mu, s.T)
+
+
+class TestOneConditioningPath:
+    """Every posterior is one _condition call, made by _t_predictive or gp_posterior."""
+
+    def test_condition_called_only_in_t_predictive_and_gp_posterior(self):
+        found = _matching_lines(r"(?<!def )\b_condition\(")
+        assert sorted(d for d, _ in found) == ["_t_predictive", "gp_posterior"]
+
+    @pytest.mark.parametrize("family", ["t", "gp"])
+    def test_posterior_holds_the_one_test_by_test_array(self, family):
+        # no scaled or symmetrised copy of the conditioning step's m x m array
+        kfull = random_kprime(RngStream(13), 4, extra=400)
+        y = RngStream(14).gen.standard_normal(4)
+        tracemalloc.start()
+        try:
+            if family == "t":
+                tp_posterior_predict(kfull, y, 3.0, 2.0)
+            else:
+                gp_posterior(kfull.train, kfull.cross, kfull.test, y, 0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert kfull.test.nbytes <= peak < 1.5 * kfull.test.nbytes
