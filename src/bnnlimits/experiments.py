@@ -29,7 +29,7 @@ from scipy import special
 from . import __version__, kernels, network
 from .gibbs import GibbsConfig, gibbs_run, gibbs_run_fixed_variance
 from .kernels import (
-    KERNEL_METHODS,
+    CLOSED_FORMS,
     ConstraintReport,
     KernelMatrix,
     check_hyperparams,
@@ -55,14 +55,6 @@ from .samplers import sample_mvn, sample_mvt
 from .wasserstein import ASSIGNMENT_CAP, w1_exact, sliced_w1
 
 log = logging.getLogger("bnnlimits")
-
-REFERENCE_FUNCTIONS = {
-    "sin2pi": lambda x: np.sin(2.0 * math.pi * x),
-    "cos2pi": lambda x: np.cos(2.0 * math.pi * x),
-    "identity": lambda x: x,
-    "zero": lambda x: np.zeros_like(x),
-}
-
 
 # Bytes of prior draws one width job holds at a time: each of its threads
 # draws and evaluates the prior in blocks of whole draws, whose parameters
@@ -95,7 +87,6 @@ class ExperimentConfig:
     noise_var: float = 0.1  # fixed likelihood variance for the Gaussian baseline
     widths: tuple[int, ...] = (1, 2, 4, 8, 16, 32, 64, 128)
     draws: int = 100
-    reference_fn: str = "sin2pi"
     data_noise: float = 0.1
     k: int = 8
     domain: tuple[float, float] = (-1.0, 1.0)
@@ -105,7 +96,6 @@ class ExperimentConfig:
     burn_in: int = 200
     thinning: int = 1
     hmc_steps: int = 5
-    kernel_method: str = "analytic_erf"
     seed: int = 0
 
     def __post_init__(self):
@@ -140,8 +130,6 @@ class ExperimentConfig:
                               "(the exact-assignment cap of the W1)")
         if self.n_hidden_layers < 1:
             raise ConfigError("need at least one hidden layer")
-        if self.reference_fn not in REFERENCE_FUNCTIONS:
-            raise ConfigError(f"unknown reference function {self.reference_fn!r}")
         if self.k < 0 or self.test_grid < 0 or self.n_reps < 1:
             raise ConfigError("k, test_grid must be >= 0 and n_reps >= 1")
         if self.w1_grid < 0 or self.w1_grid > max(self.test_grid, 0):
@@ -156,17 +144,11 @@ class ExperimentConfig:
             raise ConfigError(f"unknown activation {self.activation!r}")
         if self.seed < 0:
             raise ConfigError("seed must be an integer >= 0")
-        if self.kernel_method not in KERNEL_METHODS:
-            raise ConfigError(f"unknown kernel_method {self.kernel_method!r}")
-        if self.kernel_method == "monte_carlo":
-            # its (m, m, mc_draws / 2) draw arrays take gigabytes at the
-            # default grid, and a config cannot set mc_draws
-            raise ConfigError("kernel_method monte_carlo is a test oracle, "
-                              "not a config method")
-        if self.kernel_method == "analytic_erf" and self.activation != "erf":
-            raise ConfigError("analytic_erf kernel method requires erf activation")
-        if self.kernel_method == "analytic_relu" and self.activation != "relu":
-            raise ConfigError("analytic_relu kernel method requires relu activation")
+
+    @property
+    def kernel_method(self) -> str:
+        """The activation's closed form, else Gauss-Hermite quadrature."""
+        return CLOSED_FORMS.get(self.activation, "gauss_hermite")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -202,9 +184,9 @@ class ExperimentConfig:
         if self.k == 0:
             return Dataset(np.empty((1, 0)), np.empty((1, 0)))
         x = np.linspace(lo, hi, self.k)
-        f = REFERENCE_FUNCTIONS[self.reference_fn]
         noise = RngStream(self.seed, (100,)).gen.standard_normal(self.k)
-        return Dataset(x[None, :], (f(x) + self.data_noise * noise)[None, :])
+        return Dataset(x[None, :], (np.sin(2.0 * math.pi * x)
+                                    + self.data_noise * noise)[None, :])
 
     def make_test_grid(self) -> np.ndarray:
         lo, hi = self.domain

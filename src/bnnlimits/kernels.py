@@ -29,6 +29,9 @@ SYM_TOL = 1e-12
 JITTERS = (0.0, 1e-12, 1e-10, 1e-8)
 
 KERNEL_METHODS = ("analytic_erf", "analytic_relu", "gauss_hermite", "monte_carlo")
+# activation -> the method of its exact closed form; a config whose
+# activation has none takes gauss_hermite
+CLOSED_FORMS = {"erf": "analytic_erf", "relu": "analytic_relu"}
 GH_DEFAULT_ORDER = 32
 MC_DEFAULT_DRAWS = 200_000
 # _recursion computes each layer's expectation over blocks of rows whose
@@ -257,14 +260,9 @@ def _recursion(
         raise ValueError(f"inputs have {x.shape[0]} rows, expected {arch.d_in}")
     if method not in KERNEL_METHODS:
         raise ValueError(f"unknown method {method!r}")
-    if method == "analytic_erf" and any(
-        t != "erf" for t in arch.activations[1:]
-    ):
-        raise ValueError("analytic_erf requires erf activations at layers 2..L")
-    if method == "analytic_relu" and any(
-        t != "relu" for t in arch.activations[1:]
-    ):
-        raise ValueError("analytic_relu requires relu activations at layers 2..L")
+    for act, closed in CLOSED_FORMS.items():
+        if method == closed and any(t != act for t in arch.activations[1:]):
+            raise ValueError(f"{closed} requires {act} activations at layers 2..L")
     if method == "monte_carlo" and rng is None:
         rng = RngStream(0)
 

@@ -236,7 +236,6 @@ class TestPriorConvergenceTrend:
         cfg = ExperimentConfig(
             n_hidden_layers=3,
             activation="relu",
-            kernel_method="analytic_relu",
             weight_variance=2.0,
             bias_variance=0.01,
             widths=(1, 2, 4, 8, 16, 32, 64, 128),

@@ -66,12 +66,9 @@ class TestConfig:
             {"widths": (4, 2)},
             {"draws": 1},
             {"n_hidden_layers": 0},
-            {"reference_fn": "cubic"},
             {"n_reps": 0},
             {"w1_grid": 9, "test_grid": 4},
             {"activation": "swish"},
-            {"activation": "relu", "kernel_method": "analytic_erf"},
-            {"activation": "erf", "kernel_method": "analytic_relu"},
             {"a": 0.0},
             {"b": 0.0},
             {"b": float("nan")},
@@ -83,7 +80,6 @@ class TestConfig:
             {"thinning": 0},
             {"hmc_steps": 0},
             {"draws": 2049},
-            {"kernel_method": "bogus"},
             {"widths": (0, 1)},
             {"domain": (0.0, 1.0, 2.0)},
             {"widths": (1.5, 2)},
@@ -102,9 +98,6 @@ class TestConfig:
             {"a": True},
             {"widths": 4},
             {"activation": ["erf"]},
-            # a test oracle only: at test_grid 64 plus k = 8 its draw arrays
-            # would take about 4 GB each
-            {"kernel_method": "monte_carlo", "activation": "tanh"},
             # non-finite and float-overflowing values
             {"data_noise": float("inf")},
             {"data_noise": float("nan")},
@@ -122,6 +115,23 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig(**bad)
 
+    @pytest.mark.parametrize(
+        "old",
+        [
+            # the kernel method follows from the activation, and the data
+            # always come from sin(2 pi x): older configs naming either
+            # field are refused, not read with the field ignored
+            {"reference_fn": "cubic"},
+            {"activation": "relu", "kernel_method": "analytic_erf"},
+            {"activation": "erf", "kernel_method": "analytic_relu"},
+            {"kernel_method": "bogus"},
+            {"kernel_method": "monte_carlo", "activation": "tanh"},
+        ],
+    )
+    def test_configs_naming_dropped_fields_rejected(self, old):
+        with pytest.raises(ConfigError, match="unknown config fields"):
+            ExperimentConfig.from_dict(old)
+
     def test_hash_sensitive_to_every_field(self):
         base = ExperimentConfig()
         assert base.hash() == ExperimentConfig().hash()
@@ -129,7 +139,7 @@ class TestConfig:
             ExperimentConfig(seed=1),
             ExperimentConfig(a=3.5),
             ExperimentConfig(draws=101),
-            ExperimentConfig(activation="tanh", kernel_method="gauss_hermite"),
+            ExperimentConfig(activation="tanh"),
         ]
         hashes = {base.hash()} | {c.hash() for c in tweaked}
         assert len(hashes) == 1 + len(tweaked)
@@ -415,7 +425,7 @@ class TestComparisonSharedBuild:
     def test_recursion_memory_below_two_kernels(self, method, act):
         # the 1032 x 1032 result is 8.1 MiB; each layer's expectation runs over
         # blocks of rows written into it, not over whole-matrix temporaries
-        cfg = _band_config(test_grid=1024, activation=act, kernel_method=method)
+        cfg = _band_config(test_grid=1024, activation=act)
         x = np.concatenate([cfg.make_dataset().x, cfg.make_test_grid()], axis=1)
         tracemalloc.start()
         try:
@@ -694,12 +704,12 @@ class TestCli:
         assert main(["compare", "--config", str(path2)]) == EXIT_CONFIG
 
     def test_degenerate_kernel_exit_3(self, tmp_path, capsys):
-        # duplicated training inputs make the rescaled train kernel singular
-        # only beyond repair when quadrature noise is added on top
+        # tanh takes the order-32 Gauss-Hermite rule, whose rescaled kernel
+        # on these 8 training and 64 grid points has an eigenvalue of about
+        # -3e-8, below the PSD floor
         cfg = self._cfg_file(
             tmp_path,
-            activation="relu",
-            kernel_method="gauss_hermite",
+            activation="tanh",
             bias_variance=0.001,
             weight_variance=2.0,
             n_hidden_layers=3,
