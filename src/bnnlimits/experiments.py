@@ -147,8 +147,8 @@ class ExperimentConfig:
 
     @property
     def kernel_method(self) -> str:
-        """The activation's closed form, else Gauss-Hermite quadrature."""
-        return CLOSED_FORMS.get(self.activation, "gauss_hermite")
+        """The activation's closed form, else the Hermite series."""
+        return CLOSED_FORMS.get(self.activation, "hermite_series")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":

@@ -18,7 +18,6 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .network import ACTIVATIONS, Architecture, VarianceVector, _check_arch_vars
-from .rng import RngStream
 
 PSD_FLOOR = -1e-10
 SYM_TOL = 1e-12
@@ -28,15 +27,16 @@ SYM_TOL = 1e-12
 # posteriors.student_t_logpdf stays on rung 0.
 JITTERS = (0.0, 1e-12, 1e-10, 1e-8)
 
-KERNEL_METHODS = ("analytic_erf", "analytic_relu", "gauss_hermite", "monte_carlo")
+KERNEL_METHODS = ("analytic_erf", "analytic_relu", "hermite_series")
 # activation -> the method of its exact closed form; a config whose
-# activation has none takes gauss_hermite
+# activation has none takes hermite_series
 CLOSED_FORMS = {"erf": "analytic_erf", "relu": "analytic_relu"}
-GH_DEFAULT_ORDER = 32
-MC_DEFAULT_DRAWS = 200_000
+# hermite_series sums this many terms, with coefficients from a Gauss-Hermite
+# rule of this many nodes; more terms on the same rule alias (400 on 300 do)
+SERIES_TERMS = 200
+SERIES_NODES = 300
 # _recursion computes each layer's expectation over blocks of rows whose
-# per-entry temporaries (one float per point, or per quadrature node or
-# normal pair) come to about this many bytes per array
+# per-entry temporaries (one float per entry) come to about this many bytes
 KERNEL_BLOCK_BYTES = 1 << 17
 
 
@@ -153,14 +153,25 @@ class ConstraintReport:
         )
 
 
-@functools.lru_cache(maxsize=4)
-def _gh_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
-    # probabilists' normalization: integrates against N(0, 1). Cached, since
-    # _recursion asks once per block of rows; read-only, since shared.
-    x, w = np.polynomial.hermite_e.hermegauss(order)
-    w = w / math.sqrt(2.0 * math.pi)
-    x.flags.writeable = w.flags.writeable = False
-    return x, w
+@functools.lru_cache(maxsize=1)
+def _series_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The SERIES_NODES-node rule (x, w) against N(0, 1) and the table of
+    w He_n(x) / sqrt(n!), n < SERIES_TERMS; built once, read-only as shared."""
+    x, w = np.polynomial.hermite_e.hermegauss(SERIES_NODES)
+    w /= math.sqrt(2.0 * math.pi)
+    table = np.empty((SERIES_TERMS, SERIES_NODES))
+    table[0], table[1] = w, x * w
+    for n in range(1, SERIES_TERMS - 1):
+        table[n + 1] = (x * table[n] - math.sqrt(n) * table[n - 1]) / math.sqrt(n + 1)
+    x.flags.writeable = w.flags.writeable = table.flags.writeable = False
+    return x, w, table
+
+
+def _correlation(k11, k12, k22):
+    """sqrt(max(k11 k22, 0)), and k12 over it in [-1, 1] (0 where it is 0)."""
+    denom = np.sqrt(np.maximum(k11 * k22, 0.0))
+    cos = np.divide(k12, denom, out=np.zeros_like(k12 + denom), where=denom > 0)
+    return denom, np.clip(cos, -1.0, 1.0, out=cos)
 
 
 def _expect_analytic_erf(k11, k12, k22):
@@ -176,24 +187,33 @@ def _expect_analytic_relu(k11, k12, k22):
     With theta the angle between u and v,
     E = sqrt(k11 k22) (sin theta + (pi - theta) cos theta) / (2 pi).
     """
-    denom = np.sqrt(np.maximum(k11 * k22, 0.0))
-    cos = np.divide(
-        k12, denom, out=np.zeros_like(k12 + denom), where=denom > 0
-    )
-    cos = np.clip(cos, -1.0, 1.0)
+    denom, cos = _correlation(k11, k12, k22)
     theta = np.arccos(cos)
     return denom * (np.sin(theta) + (math.pi - theta) * cos) / (2.0 * math.pi)
 
 
-def _chol2(k11, k12, k22):
-    """Cholesky factors of 2x2 PSD blocks, elementwise over arrays."""
-    k11 = np.maximum(k11, 0.0)
-    k22 = np.maximum(k22, 0.0)
-    l11 = np.sqrt(k11)
-    l21 = np.divide(k12, l11, out=np.zeros_like(k12 + l11), where=l11 > 0)
-    rem = np.maximum(k22 - l21 * l21, 0.0)
-    l22 = np.sqrt(rem)
-    return l11, l21, l22
+def _series_coefficients(phi, d):
+    """(a, e): a[n] = E[phi(sqrt(d) z) He_n(z)] / sqrt(n!) for n < SERIES_TERMS,
+    an (N, m) array, and e = E[phi(sqrt(d) z)^2], both from the one cached rule."""
+    x, w, table = _series_rule()
+    f = phi(np.sqrt(np.maximum(d, 0.0))[:, None] * x)
+    a = table @ f.T
+    f *= f  # in place: the squares would be a second (m, nodes) array
+    return a, f @ w
+
+
+def _expect_series(k11, k12, k22, a11, a22):
+    """E[phi(u) phi(v)] as the Mehler series sum_n a11[n] a22[n] rho^n, by Horner.
+
+    a11 and a22 are _series_coefficients' a as a column and a row. For PSD rho
+    each term diag(a_n) rho^n diag(a_n) is PSD (Schur product), whatever a is."""
+    rho = _correlation(k11, k12, k22)[1]
+    e = a11[-1] * a22[-1]
+    term = np.empty_like(e)
+    for n in range(len(a11) - 2, -1, -1):
+        e *= rho
+        e += np.multiply(a11[n], a22[n], out=term)
+    return e
 
 
 def _check_block_psd(k11, k12, k22):
@@ -210,45 +230,11 @@ def _check_block_psd(k11, k12, k22):
         )
 
 
-def _expect_gh(phi, k11, k12, k22, order: int):
-    """E[phi(u) phi(v)] by tensor Gauss-Hermite on a 2-D grid.
-
-    Diagonal entries (u = v) reduce to a 1-D rule.
-    """
-    x, w = _gh_nodes(order)
-    l11, l21, l22 = _chol2(k11, k12, k22)
-    # u = l11*z1, v = l21*z1 + l22*z2 over the tensor grid
-    z1 = x[:, None]
-    z2 = x[None, :]
-    ww = w[:, None] * w[None, :]
-    u = l11[..., None, None] * z1
-    v = l21[..., None, None] * z1 + l22[..., None, None] * z2
-    return np.sum(phi(u) * phi(v) * ww, axis=(-2, -1))
-
-
-def _expect_gh_diag(phi, kdiag, order: int):
-    x, w = _gh_nodes(order)
-    u = np.sqrt(np.maximum(kdiag, 0.0))[..., None] * x
-    return np.sum(phi(u) ** 2 * w, axis=-1)
-
-
-def _expect_mc(phi, k11, k12, k22, z: np.ndarray):
-    """Monte-Carlo estimate with antithetic pairs over the (half, 2) normals z."""
-    l11, l21, l22 = _chol2(k11, k12, k22)
-    u = l11[..., None] * z[:, 0]
-    v = l21[..., None] * z[:, 0] + l22[..., None] * z[:, 1]
-    vals = phi(u) * phi(v) + phi(-u) * phi(-v)
-    return 0.5 * np.mean(vals, axis=-1)
-
-
 def _recursion(
     arch: Architecture,
     variances: VarianceVector,
     inputs: np.ndarray,
     method: str = "analytic_erf",
-    gh_order: int = GH_DEFAULT_ORDER,
-    mc_draws: int = MC_DEFAULT_DRAWS,
-    rng: RngStream | None = None,
 ) -> np.ndarray:
     """Last-layer E over all pairs of input columns, a fresh symmetric array.
 
@@ -263,40 +249,30 @@ def _recursion(
     for act, closed in CLOSED_FORMS.items():
         if method == closed and any(t != act for t in arch.activations[1:]):
             raise ValueError(f"{closed} requires {act} activations at layers 2..L")
-    if method == "monte_carlo" and rng is None:
-        rng = RngStream(0)
+    expect = {"analytic_erf": _expect_analytic_erf,
+              "analytic_relu": _expect_analytic_relu}.get(method, _expect_series)
 
     K = x.T @ x  # the floats of s2_W * (x.T @ x) / d_in + s2_b, in one array
     K *= variances.weight[0]
     K /= arch.d_in
     K += variances.bias[0]
     m = K.shape[0]
+    rows = max(1, KERNEL_BLOCK_BYTES // max(1, 8 * m))
     for l in range(2, arch.n_layers + 1):
-        phi, _ = ACTIVATIONS[arch.activations[l - 1]]
-        if method == "analytic_erf":
-            expect, point_bytes = _expect_analytic_erf, 8
-        elif method == "analytic_relu":
-            expect, point_bytes = _expect_analytic_relu, 8
-        elif method == "gauss_hermite":
-            expect = functools.partial(_expect_gh, phi, order=gh_order)
-            point_bytes = 8 * gh_order**2
-        else:  # one set of normals per layer, shared by every block
-            z = rng.child(l).gen.standard_normal((mc_draws // 2, 2))
-            expect = functools.partial(_expect_mc, phi, z=z)
-            point_bytes = 8 * z.shape[0]
         # each entry's E reads only itself and the diagonal, so E overwrites K
-        # block by block; the diagonal, a column and a row, is read first
+        # block by block; the diagonal, a column and a row, is read first.
+        # Every entry's formula is symmetric in its two points, so E is too.
         d = K.diagonal().copy()
-        k22 = d[None, :]
-        rows = max(1, KERNEL_BLOCK_BYTES // max(1, m * point_bytes))
+        k22, a = d[None, :], None
+        if expect is _expect_series:
+            a, e_diag = _series_coefficients(ACTIVATIONS[arch.activations[l - 1]][0], d)
         for r in range(0, m, rows):
             block, k11 = K[r : r + rows], d[r : r + rows, None]
             _check_block_psd(k11, block, k22)
-            block[...] = expect(k11, block, k22)
-        if method == "gauss_hermite":
-            np.fill_diagonal(K, _expect_gh_diag(phi, d, gh_order))
-        if not np.array_equal(K, K.T):  # the closed forms are symmetric already
-            K = 0.5 * (K + K.T)
+            coefs = () if a is None else (a[:, r : r + rows, None], a[:, None, :])
+            block[...] = expect(k11, block, k22, *coefs)
+        if a is not None:  # the exact 1-D value only adds to a PSD diagonal
+            np.fill_diagonal(K, np.maximum(K.diagonal(), e_diag))
         if l < arch.n_layers:
             _affine(K, variances.weight[l - 1], variances.bias[l - 1])
     return K
@@ -315,15 +291,15 @@ def kernel_recursion(
     inputs: np.ndarray,
     method: str = "analytic_erf",
     n_train: int | None = None,
-    **kwargs,
 ) -> KernelMatrix:
     """NNGP kernel K^{(L)} over all pairs of input columns.
 
     method is one of analytic_erf (erf activations at layers 2..L only),
-    analytic_relu (relu activations at layers 2..L only), gauss_hermite,
-    or monte_carlo; kwargs (gh_order, mc_draws, rng) tune the last two.
+    analytic_relu (relu activations at layers 2..L only), or
+    hermite_series, a truncated Hermite (Mehler) series of each layer's
+    expectation that is PSD by construction, for any activation.
     """
-    K = _affine(_recursion(arch, variances, inputs, method=method, **kwargs),
+    K = _affine(_recursion(arch, variances, inputs, method=method),
                variances.weight[-1], variances.bias[-1])
     return KernelMatrix(K, n_train=K.shape[0] if n_train is None else n_train)
 
@@ -334,7 +310,6 @@ def rescaled_kernel(
     inputs: np.ndarray,
     method: str = "analytic_erf",
     n_train: int | None = None,
-    **kwargs,
 ) -> KernelMatrix:
     """Rescaled kernel K': the NNGP kernel with unit last-layer variances.
 
@@ -342,7 +317,7 @@ def rescaled_kernel(
     K = sigma2 * K' when both last-layer variances equal sigma2, and
     K'(x, x) >= 1 because the unit bias variance adds a constant 1.
     """
-    K = _recursion(arch, variances, inputs, method=method, **kwargs)
+    K = _recursion(arch, variances, inputs, method=method)
     K += 1.0
     return KernelMatrix(K, n_train=K.shape[0] if n_train is None else n_train)
 

@@ -421,7 +421,8 @@ class TestComparisonSharedBuild:
         assert peak < 36 * 2**20
 
     @pytest.mark.parametrize("method, act", [("analytic_erf", "erf"),
-                                             ("analytic_relu", "relu")])
+                                             ("analytic_relu", "relu"),
+                                             ("hermite_series", "tanh")])
     def test_recursion_memory_below_two_kernels(self, method, act):
         # the 1032 x 1032 result is 8.1 MiB; each layer's expectation runs over
         # blocks of rows written into it, not over whole-matrix temporaries
@@ -704,22 +705,33 @@ class TestCli:
         assert main(["compare", "--config", str(path2)]) == EXIT_CONFIG
 
     def test_degenerate_kernel_exit_3(self, tmp_path, capsys):
-        # tanh takes the order-32 Gauss-Hermite rule, whose rescaled kernel
-        # on these 8 training and 64 grid points has an eigenvalue of about
-        # -3e-8, below the PSD floor
+        # relu is positively homogeneous, so each layer scales the kernel by
+        # about the weight variance: the layer-2 kernel overflows to inf, and
+        # the last layer's, built from it, is not finite
         cfg = self._cfg_file(
             tmp_path,
-            activation="tanh",
-            bias_variance=0.001,
-            weight_variance=2.0,
-            n_hidden_layers=3,
+            activation="relu",
+            weight_variance=1e200,
+            n_hidden_layers=2,
             test_grid=64,
             w1_grid=3,
             k=8,
         )
-        rc = main(["prior-convergence", "--config", cfg, "--out", str(tmp_path / "o")])
-        assert rc == EXIT_NUMERICAL
-        assert "numerical failure" in capsys.readouterr().err
+        for command in ("prior-convergence", "compare"):
+            rc = main([command, "--config", cfg, "--out", str(tmp_path / command)])
+            assert rc == EXIT_NUMERICAL
+            err = capsys.readouterr().err
+            assert "numerical failure: kernel matrix has non-finite entries" in err
+
+    @pytest.mark.parametrize(
+        "command",
+        ["prior-convergence", "posterior-convergence", "gaussian-baseline", "compare"],
+    )
+    def test_tanh_on_default_grid_exit_ok(self, tmp_path, command):
+        # tanh has no closed form: its limit kernel over 8 training and 64
+        # grid points at variances 5 is the Hermite series, which certifies
+        cfgp = self._cfg_file(tmp_path, activation="tanh", k=8, test_grid=64)
+        assert main([command, "--config", cfgp, "--out", str(tmp_path / "o")]) == EXIT_OK
 
     def test_negative_seed_exit_2(self, tmp_path, capsys):
         argv = ["prior-convergence", "--config", self._cfg_file(tmp_path),

@@ -28,19 +28,54 @@ from bnnlimits.kernels import (
     KernelMatrix,
     LinearAlgebraError,
     _check_block_psd,
-    _chol2,
     _expect_analytic_erf,
     _expect_analytic_relu,
-    _expect_gh,
-    _expect_gh_diag,
+    _expect_series,
     b_lower_bound,
     psd_cholesky,
 )
+from bnnlimits.experiments import ExperimentConfig
 from bnnlimits.network import ACTIVATIONS, forward_batch, sample_prior_params
 from bnnlimits.rng import RngStream
 
 ERF_ARCH = Architecture((1, 8, 1), ("identity", "erf"))
 V5 = VarianceVector.constant(5.0, 2)
+
+
+def _chol2(k11, k12, k22):
+    """Cholesky factors of 2x2 PSD blocks, elementwise over arrays."""
+    k11 = np.maximum(k11, 0.0)
+    k22 = np.maximum(k22, 0.0)
+    l11 = np.sqrt(k11)
+    l21 = np.divide(k12, l11, out=np.zeros_like(k12 + l11), where=l11 > 0)
+    l22 = np.sqrt(np.maximum(k22 - l21 * l21, 0.0))
+    return l11, l21, l22
+
+
+def _tensor_rule_expect(phi, k11, k12, k22, order):
+    """Reference E[phi(u) phi(v)] by a tensor Gauss-Hermite rule on a 2-D grid."""
+    x, w = np.polynomial.hermite_e.hermegauss(order)
+    w = w / math.sqrt(2.0 * math.pi)
+    l11, l21, l22 = _chol2(k11, k12, k22)
+    # u = l11*z1, v = l21*z1 + l22*z2 over the tensor grid
+    z1, z2 = x[:, None], x[None, :]
+    u = l11[..., None, None] * z1
+    v = l21[..., None, None] * z1 + l22[..., None, None] * z2
+    return np.sum(phi(u) * phi(v) * (w[:, None] * w[None, :]), axis=(-2, -1))
+
+
+def _antithetic_mc_expect(phi, k11, k12, k22, z):
+    """Reference Monte Carlo E[phi(u) phi(v)] with antithetic pairs over the
+    (half, 2) normals z."""
+    l11, l21, l22 = _chol2(k11, k12, k22)
+    u = l11[..., None] * z[:, 0]
+    v = l21[..., None] * z[:, 0] + l22[..., None] * z[:, 1]
+    return 0.5 * np.mean(phi(u) * phi(v) + phi(-u) * phi(-v), axis=-1)
+
+
+def _config_inputs(cfg):
+    """A config's training inputs followed by its test grid."""
+    return np.concatenate([cfg.make_dataset().x, cfg.make_test_grid()], axis=1)
 
 
 class TestBaseCase:
@@ -50,7 +85,7 @@ class TestBaseCase:
             Architecture((1, 2, 1), ("identity", "identity")),
             VarianceVector((5.0, 1.0), (5.0, 1.0)),
             np.array([[1.0]]),
-            method="gauss_hermite",
+            method="hermite_series",
         )
         # layer 2 with identity activation: 1 * K1 + 1 = 11 where K1 = 10
         assert k.values[0, 0] == pytest.approx(11.0, abs=1e-9)
@@ -58,7 +93,7 @@ class TestBaseCase:
     def test_zero_input_gives_bias_variance(self):
         arch = Architecture((1, 2, 1), ("identity", "identity"))
         v = VarianceVector((3.0, 1.0), (0.25, 1.0))
-        k = kernel_recursion(arch, v, np.array([[0.0]]), method="gauss_hermite")
+        k = kernel_recursion(arch, v, np.array([[0.0]]), method="hermite_series")
         # K1(0,0) = 0.25; layer 2 identity: 1*0.25 + 1
         assert k.values[0, 0] == pytest.approx(1.25, abs=1e-9)
 
@@ -66,15 +101,11 @@ class TestBaseCase:
 class TestRecursion:
     def test_k_equals_sigma2_times_kprime(self):
         x = np.linspace(-1, 1, 4)[None, :]
-        for method in ("analytic_erf", "gauss_hermite", "monte_carlo"):
-            kp = rescaled_kernel(
-                ERF_ARCH, V5, x, method=method, rng=RngStream(0), mc_draws=50_000
-            )
+        for method in ("analytic_erf", "hermite_series"):
+            kp = rescaled_kernel(ERF_ARCH, V5, x, method=method)
             for sigma2 in (0.5, 2.0, 7.0):
                 v = V5.with_last_layer(sigma2)
-                k = kernel_recursion(
-                    ERF_ARCH, v, x, method=method, rng=RngStream(0), mc_draws=50_000
-                )
+                k = kernel_recursion(ERF_ARCH, v, x, method=method)
                 assert np.allclose(k.values, sigma2 * kp.values, atol=1e-10)
 
     def test_kprime_diagonal_at_least_one(self):
@@ -97,37 +128,41 @@ class TestRecursion:
             C = A @ A.T + 0.05 * np.eye(2)
             C *= 1.0 / max(1.0, np.max(np.diag(C)))  # keep scales moderate
             a = _expect_analytic_erf(C[0, 0], C[0, 1], C[1, 1])
-            g = _expect_gh(
+            g = _tensor_rule_expect(
                 erf, np.array(C[0, 0]), np.array(C[0, 1]), np.array(C[1, 1]), 64
             )
             assert abs(a - g) < 1e-8
 
     def test_gh_matches_analytic_on_full_recursion(self):
-        # moderate variances keep order-32 quadrature sharp
+        # the Hermite series against the closed form at moderate variances
         v = VarianceVector.constant(1.0, 2)
         x = np.linspace(-1, 1, 4)[None, :]
         ka = kernel_recursion(ERF_ARCH, v, x, method="analytic_erf")
-        kg = kernel_recursion(ERF_ARCH, v, x, method="gauss_hermite")
-        # order-32 quadrature of erf^2 on the diagonal is the accuracy floor
-        assert np.allclose(ka.values, kg.values, atol=1e-4)
+        kg = kernel_recursion(ERF_ARCH, v, x, method="hermite_series")
+        assert np.allclose(ka.values, kg.values, atol=1e-12)
 
     def test_rescaled_matches_order64_quadrature(self):
+        # variance-5 blocks saturate erf, where the series is slowest to converge
         x = np.array([[-0.7, 0.1, 0.9]])
         ka = rescaled_kernel(ERF_ARCH, V5, x, method="analytic_erf")
-        kg = rescaled_kernel(ERF_ARCH, V5, x, method="gauss_hermite", gh_order=64)
-        # variance-5 blocks saturate erf; order 64 reaches ~1e-3 here
-        assert np.allclose(ka.values, kg.values, atol=5e-3)
+        kg = rescaled_kernel(ERF_ARCH, V5, x, method="hermite_series")
+        assert np.allclose(ka.values, kg.values, atol=1e-7)
 
     def test_mc_within_4_stderr_of_gh(self):
         x = np.array([[-0.5, 0.4]])
         arch = Architecture((1, 4, 1), ("identity", "tanh"))
         v = VarianceVector.constant(1.0, 2)
         n = 200_000
-        kg = kernel_recursion(arch, v, x, method="gauss_hermite")
-        km = kernel_recursion(arch, v, x, method="monte_carlo", rng=RngStream(3))
+        kg = kernel_recursion(arch, v, x, method="hermite_series")
+        # one tanh layer by antithetic Monte Carlo on the first-layer kernel
+        k1 = v.weight[0] * (x.T @ x) + v.bias[0]
+        d = np.diag(k1)
+        z = RngStream(3).child(2).gen.standard_normal((n // 2, 2))
+        e = _antithetic_mc_expect(np.tanh, d[:, None], k1, d[None, :], z)
+        km = v.weight[1] * e + v.bias[1]
         # tanh values bounded by 1 -> per-entry MC stderr <= sigma2_W / sqrt(n)
         stderr = 1.0 / math.sqrt(n)
-        assert np.max(np.abs(kg.values - km.values)) < 4 * stderr
+        assert np.max(np.abs(kg.values - km)) < 4 * stderr
 
     def test_analytic_requires_erf(self):
         arch = Architecture((1, 2, 1), ("identity", "tanh"))
@@ -181,6 +216,53 @@ class TestRecursion:
         assert np.all(np.abs(cov - k.values) < 3 * stderr + 1e-12)
 
 
+class TestHermiteSeries:
+    """The series is PSD by construction and matches every exact kernel."""
+
+    @pytest.mark.parametrize("variance, tol", [(5.0, 1e-6), (2.0, 1e-10)])
+    def test_matches_analytic_erf(self, variance, tol):
+        # 2 hidden layers over 8 training and 64 grid points
+        cfg = ExperimentConfig(weight_variance=variance, bias_variance=variance)
+        x = _config_inputs(cfg)
+        arch, v = cfg.architecture(1), cfg.variances()
+        series = kernels._recursion(arch, v, x, method="hermite_series")
+        exact = kernels._recursion(arch, v, x, method="analytic_erf")
+        assert np.max(np.abs(series - exact)) < tol
+
+    @pytest.mark.parametrize("variance, test_grid", [(1.0, 64), (2.0, 64), (5.0, 64),
+                                                     (5.0, 1024)])
+    def test_tanh_kernel_certifies(self, variance, test_grid):
+        cfg = ExperimentConfig(activation="tanh", weight_variance=variance,
+                               bias_variance=variance, test_grid=test_grid)
+        x = _config_inputs(cfg)
+        kp = rescaled_kernel(cfg.architecture(1), cfg.variances(), x,
+                             method=cfg.kernel_method, n_train=cfg.k)
+        assert kp.m == 8 + test_grid
+
+    def test_identity_layers_give_affine_kernel(self):
+        arch = Architecture((2, 3, 3, 3, 1), ("identity",) * 4)
+        v = VarianceVector((1.5, 0.7, 2.2, 1.0), (0.3, 1.1, 0.4, 1.0))
+        x = RngStream(6).gen.uniform(-1.0, 1.0, (2, 9))
+        e = kernels._recursion(arch, v, x, method="hermite_series")
+        want = v.weight[0] * (x.T @ x) / 2 + v.bias[0]
+        for l in (1, 2):
+            want = v.weight[l] * want + v.bias[l]
+        assert np.max(np.abs(e - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_psd_for_any_coefficients(self):
+        # random coefficients, shrinking as 0.9^n, are no dual activation's
+        # expansion, yet every term is a Schur product of PSD matrices
+        gen = RngStream(7).gen
+        b = gen.standard_normal((40, 3))
+        K = b @ b.T + 0.5
+        d = np.diag(K).copy()
+        a = gen.standard_normal((kernels.SERIES_TERMS, 40))
+        a *= 0.9 ** np.arange(kernels.SERIES_TERMS)[:, None]
+        e = _expect_series(d[:, None], K, d[None, :], a[:, :, None], a[:, None, :])
+        assert np.array_equal(e, e.T)
+        assert np.linalg.eigvalsh(e)[0] > 0.0
+
+
 def _two_recursions_k(arch, variances, inputs, method):
     """Reference K^{(L)}, one full recursion per kernel: the diagonal as (m, m)
     broadcasts, every E symmetrised, the last affine map fused."""
@@ -198,7 +280,7 @@ def _two_recursions_k(arch, variances, inputs, method):
     return K
 
 
-def _whole_matrix_e(arch, variances, x, method, gh_order, mc_draws, rng):
+def _whole_matrix_e(arch, variances, x, method):
     """Reference last-layer E with every layer's expectation over the whole
     (m, m) matrix at once, in a fresh array per layer."""
     K = variances.weight[0] * (x.T @ x) / arch.d_in + variances.bias[0]
@@ -210,15 +292,18 @@ def _whole_matrix_e(arch, variances, x, method, gh_order, mc_draws, rng):
             E = _expect_analytic_erf(k11, K, k22)
         elif method == "analytic_relu":
             E = _expect_analytic_relu(k11, K, k22)
-        elif method == "gauss_hermite":
-            E = _expect_gh(phi, k11, K, k22, gh_order)
-            np.fill_diagonal(E, _expect_gh_diag(phi, d, gh_order))
-        else:  # antithetic Monte Carlo over one set of normals per layer
-            z = rng.child(l).gen.standard_normal((mc_draws // 2, 2))
-            l11, l21, l22 = _chol2(k11, K, k22)
-            u = l11[..., None] * z[:, 0]
-            v = l21[..., None] * z[:, 0] + l22[..., None] * z[:, 1]
-            E = 0.5 * np.mean(phi(u) * phi(v) + phi(-u) * phi(-v), axis=-1)
+        else:  # the Hermite series in Horner's rule, diagonal from the 1-D rule
+            nodes, w, table = kernels._series_rule()
+            f = phi(np.sqrt(np.maximum(d, 0.0))[:, None] * nodes)
+            a = table @ f.T
+            denom = np.sqrt(np.maximum(k11 * k22, 0.0))
+            rho = np.clip(np.divide(K, denom, out=np.zeros_like(K), where=denom > 0),
+                          -1.0, 1.0)
+            E = np.multiply.outer(a[-1], a[-1])
+            for n in range(len(a) - 2, -1, -1):
+                E *= rho
+                E += np.multiply.outer(a[n], a[n])
+            np.fill_diagonal(E, np.maximum(np.diag(E), (f * f) @ w))
         if not np.array_equal(E, E.T):
             E = 0.5 * (E + E.T)
         K = variances.weight[l - 1] * E + variances.bias[l - 1]
@@ -259,10 +344,8 @@ class TestSharedRecursion:
             old = _two_recursions_k(arch, vs, x, method)
             assert np.array_equal(got.values, _reference_shift(old, -PSD_FLOOR))
 
-    # small quadrature and draw counts keep the whole-matrix reference at
-    # m = 1032 within a few (m, m, 4) arrays
     BLOCK_METHODS = [("analytic_erf", "erf", 8), ("analytic_relu", "relu", 8),
-                     ("gauss_hermite", "tanh", 8 * 2**2), ("monte_carlo", "tanh", 8 * 4)]
+                     ("hermite_series", "tanh", 8)]
 
     @pytest.mark.parametrize("method, act, point_bytes", BLOCK_METHODS,
                              ids=[m for m, *_ in BLOCK_METHODS])
@@ -279,10 +362,10 @@ class TestSharedRecursion:
         v = VarianceVector(tuple(0.8 + 0.3 * i for i in range(depth + 1)),
                            tuple(0.2 + 0.4 * i for i in range(depth + 1)))
         x = RngStream(m).gen.uniform(-1.0, 1.0, (2, m))
-        kw = dict(gh_order=2, mc_draws=8)
-        got = kernels._recursion(arch, v, x, method=method, rng=RngStream(4), **kw)
-        want = _whole_matrix_e(arch, v, x, method, rng=RngStream(4), **kw)
+        got = kernels._recursion(arch, v, x, method=method)
+        want = _whole_matrix_e(arch, v, x, method)
         assert np.array_equal(got, want)
+        assert np.array_equal(got, got.T)
 
     def test_recursion_ignores_last_layer_variances(self):
         x = np.linspace(-1.0, 1.0, 5)[None, :]
