@@ -263,6 +263,10 @@ def _recursion(
         # block by block; the diagonal, a column and a row, is read first.
         # Every entry's formula is symmetric in its two points, so E is too.
         d = K.diagonal().copy()
+        if not np.all(np.isfinite(d)):  # the 2x2 checks let inf and NaN through
+            raise KernelDegeneracyError(
+                f"kernel matrix has non-finite entries at layer {l - 1}"
+            )
         k22, a = d[None, :], None
         if expect is _expect_series:
             a, e_diag = _series_coefficients(ACTIVATIONS[arch.activations[l - 1]][0], d)

@@ -398,6 +398,21 @@ class TestBlockCheck:
         with pytest.raises(KernelDegeneracyError):
             _check_block_psd(d[:, None], np.diag(d), d[None, :])
 
+    @pytest.mark.parametrize("weight_variance, x0, layer", [
+        # relu scales each layer by about 1e200: layer 2 overflows to inf
+        (1e200, 0.5, 2),
+        # a NaN input makes the first layer's kernel NaN
+        (1.0, math.nan, 1),
+    ])
+    def test_non_finite_layer_named(self, weight_variance, x0, layer):
+        arch = Architecture((1, 4, 4, 1), ("identity", "relu", "relu"))
+        v = VarianceVector.constant(weight_variance, 3)
+        x = np.array([[x0, -0.3, 0.8]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(KernelDegeneracyError,
+                               match=f"non-finite entries at layer {layer}$"):
+                kernels._recursion(arch, v, x, method="analytic_relu")
+
 
 class TestKernelMatrix:
     def test_rejects_asymmetric(self):
