@@ -9,9 +9,7 @@ from .network import (  # noqa: F401
     VarianceVector,
     forward,
     forward_batch,
-    log_likelihood,
     log_posterior_and_grad,
-    log_prior,
     sample_prior_params,
 )
 from .kernels import (  # noqa: F401
@@ -25,14 +23,10 @@ from .kernels import (  # noqa: F401
 )
 from .posteriors import (  # noqa: F401
     GaussianPosterior,
-    IGPosterior,
     StudentTPosterior,
     gp_posterior,
-    marginalize_nig_to_t,
-    nig_posterior,
     student_t_logpdf,
     tp_posterior_predict,
-    tp_posterior_train,
 )
 from .samplers import (  # noqa: F401
     Sigma2ConditionalParams,
@@ -43,9 +37,4 @@ from .samplers import (  # noqa: F401
 )
 from .gibbs import GibbsConfig, PosteriorSamples, gibbs_run, gibbs_run_fixed_variance  # noqa: F401
 from .rng import RngStream  # noqa: F401
-from .wasserstein import (  # noqa: F401
-    sliced_w1,
-    w1_1d,
-    w1_exact,
-    w1_weighted,
-)
+from .wasserstein import sliced_w1, w1_1d, w1_exact  # noqa: F401

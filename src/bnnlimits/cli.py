@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
 import sys
 
 from .experiments import (
@@ -40,6 +41,13 @@ COMMANDS = {
 }
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bnnlimits",
@@ -53,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="override RNG seed")
         p.add_argument("--out", default="out", help="output directory")
         if sweep:
-            p.add_argument("--jobs", type=int, default=1, help="parallel width jobs")
+            p.add_argument("--jobs", type=positive_int, default=1, help="parallel width jobs")
     return parser
 
 
@@ -74,6 +82,17 @@ def load_config(path: str | None, seed: int | None) -> ExperimentConfig:
     return ExperimentConfig.from_dict(d)
 
 
+def make_out_dir(path: str) -> list[str]:
+    """Create path and its missing parents; return the ones made, deepest first."""
+    made = []
+    p = os.path.abspath(path)
+    while not os.path.exists(p):
+        made.append(p)
+        p = os.path.dirname(p)
+    os.makedirs(path, exist_ok=True)
+    return made
+
+
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
     args = build_parser().parse_args(argv)
@@ -82,11 +101,19 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
+    # An unusable --out fails here, before the run rather than after it
+    try:
+        made = make_out_dir(args.out)
+    except OSError as e:
+        print(f"config error: cannot create output directory: {e}", file=sys.stderr)
+        return EXIT_CONFIG
     runner, sweep = COMMANDS[args.command]
     try:
         report = runner(cfg, jobs=args.jobs) if sweep else runner(cfg)
         paths = emit_figure_data(report, args.out, cfg)
     except (KernelDegeneracyError, LinearAlgebraError, SamplerError) as e:
+        for d in made:  # a failed run leaves no directory behind that it made
+            os.rmdir(d)
         print(f"numerical failure: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
     for p in paths:

@@ -621,15 +621,3 @@ def emit_figure_data(report: Report, out_dir, cfg: ExperimentConfig | None = Non
         json.dump(meta, f, indent=2, sort_keys=True)
     return paths
 
-
-def read_figure_csv(path: str) -> dict[str, list[float]]:
-    """Read an emitted CSV back into column lists (round-trip of emit_figure_data)."""
-    with open(path) as f:
-        header = f.readline().strip().split(",")
-        cols = {h: [] for h in header}
-        for line in f:
-            if not line.strip():
-                continue
-            for h, v in zip(header, line.strip().split(",")):
-                cols[h].append(float(v))
-    return cols

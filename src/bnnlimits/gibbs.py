@@ -10,7 +10,8 @@ conditional stays exact:
 
 which follows from the likelihood N(y; sigma * f_theta_std(x), sigma2 I)
 after the constant e^{-||f||^2/2} factor drops. Raw parameters are recovered
-by scaling the last layer by sigma.
+by scaling the last layer by sigma. The fixed-variance baseline runs the same
+loop on raw parameters with sigma2 held.
 """
 
 from __future__ import annotations
@@ -73,39 +74,41 @@ class PosteriorSamples:
     diagnostics: dict
 
 
-def _scale_last_layer(arch: Architecture, theta_std: np.ndarray, sigma: float):
-    ws, bs = arch.layout()[-1]
-    theta = theta_std.copy()
-    theta[ws] *= sigma
-    theta[bs] *= sigma
-    return theta
-
-
 def _run_chain(
     arch: Architecture,
     variances: VarianceVector,
     data: Dataset,
     test_inputs: np.ndarray,
     cfg: GibbsConfig,
-    target_factory,
-    sigma2_step,
-    init_sigma2: float,
-    raw_theta,
+    sigma2: float,
+    ig: tuple[float, float] | None,
 ) -> PosteriorSamples:
-    """Shared outer loop for the hierarchical and fixed-variance samplers.
+    """Shared outer loop; sigma2 is the initial likelihood variance.
 
-    target_factory(sigma2) -> value_and_grad(theta) -> (logp, grad) for the
-    current variance;
-    sigma2_step(theta, rng) -> next variance (or the same one when fixed);
-    raw_theta(theta, sigma2) -> parameters in the raw parametrization.
+    With ig = (a, b), the last-layer variances are unit, the output is scaled
+    by sqrt(sigma2), and sigma2 is drawn from its exact conditional after
+    each outer step. With ig = None, sigma2 is fixed and the scale is 1.
+    Scaling a kept draw's last layer by the output scale gives its raw theta.
     """
     rng = RngStream(cfg.seed)
     rng_theta, rng_sigma, rng_init = rng.split(3)
     gen = rng_theta.gen
+    if ig is not None:
+        a, b = ig
+        a_prime = a + data.k * arch.d_out / 2.0
+        b_prime = b + 0.5 * float(np.sum(data.y**2))
+    output_scale = 1.0 if ig is None else sqrt(sigma2)
 
-    sigma2 = init_sigma2
+    def value_and_grad(theta):
+        # Reads the current sigma2 and output_scale. This name, like every
+        # other one from this module's imports, is looked up at call time, so
+        # a wrapper set on this module (e.g. for tracing) sees every call
+        return log_posterior_and_grad(
+            arch, variances, theta, sigma2, data, output_scale=output_scale
+        )
+
     theta = sample_prior_params(arch, variances, rng_init)
-    eps = find_reasonable_epsilon(target_factory(sigma2), theta, gen)
+    eps = find_reasonable_epsilon(value_and_grad, theta, gen)
     da = DualAveraging(eps)
 
     n_outer = cfg.burn_in + cfg.n_samples * cfg.thinning
@@ -115,30 +118,35 @@ def _run_chain(
     sigma2s = np.empty(cfg.n_samples)
     evals = np.empty((cfg.n_samples, n_eval))
     n_div = 0
-    n_trans = 0
     accepts = []
     kept = 0
 
     for it in range(n_outer):
         if it == cfg.burn_in:
             eps = da.adapted
-        value_and_grad = target_factory(sigma2)
         logp, g = value_and_grad(theta)
         for _ in range(cfg.hmc_steps):
             theta, logp, g, acc, _, div = nuts_transition(
                 value_and_grad, theta, logp, g, eps, MAX_TREE_DEPTH, gen
             )
             n_div += int(div)
-            n_trans += 1
             accepts.append(acc)
             if it < cfg.burn_in:
                 eps = da.update(acc)
-        sigma2 = sigma2_step(theta, rng_sigma)
+        if ig is not None:
+            c_prime = float(np.sum(data.y * forward(arch, theta, data.x)))
+            p = Sigma2ConditionalParams(a_prime, b_prime, c_prime)
+            sigma2 = float(sample_sigma2_conditional(p, rng_sigma))
+            output_scale = sqrt(sigma2)
         if it >= cfg.burn_in and (it - cfg.burn_in) % cfg.thinning == 0:
             sigma2s[kept] = sigma2
-            evals[kept] = np.ravel(forward(arch, raw_theta(theta, sigma2), test_inputs))
+            raw = theta.copy()
+            for sl in arch.layout()[-1]:
+                raw[sl] *= output_scale
+            evals[kept] = np.ravel(forward(arch, raw, test_inputs))
             kept += 1
 
+    n_trans = len(accepts)
     if n_trans and n_div > 0.5 * n_trans:
         raise SamplerError(
             f"persistent divergence: {n_div}/{n_trans} transitions diverged "
@@ -165,33 +173,9 @@ def gibbs_run(
     """Posterior sampling under the hierarchical (Inverse-Gamma variance) model."""
     if a <= 0 or b <= 0:
         raise ValueError("a and b must be strictly positive")
-    std_vars = variances.unit_last_layer()
-    n_L = arch.d_out
-    a_prime = a + data.k * n_L / 2.0
-    b_prime = b + 0.5 * float(np.sum(data.y**2))
-
-    def target_factory(sigma2):
-        output_scale = sqrt(sigma2)
-        # log_posterior_and_grad is looked up at call time, so a wrapper set
-        # on this module (e.g. for tracing) sees every evaluation
-        return lambda theta: log_posterior_and_grad(
-            arch, std_vars, theta, sigma2, data, output_scale=output_scale
-        )
-
-    def sigma2_step(theta, rng_sigma):
-        c_prime = float(np.sum(data.y * forward(arch, theta, data.x)))
-        p = Sigma2ConditionalParams(a_prime, b_prime, c_prime)
-        return float(sample_sigma2_conditional(p, rng_sigma))
-
     init_sigma2 = float(sample_inverse_gamma(a, b, RngStream(cfg.seed, (999,))))
-
-    def raw_theta(theta, sigma2):
-        return _scale_last_layer(arch, theta, sqrt(sigma2))
-
-    return _run_chain(
-        arch, std_vars, data, test_inputs, cfg,
-        target_factory, sigma2_step, init_sigma2, raw_theta,
-    )
+    return _run_chain(arch, variances.unit_last_layer(), data, test_inputs, cfg,
+                      init_sigma2, (a, b))
 
 
 def gibbs_run_fixed_variance(
@@ -205,17 +189,4 @@ def gibbs_run_fixed_variance(
     """Posterior sampling with a fixed likelihood variance (pure NUTS on theta)."""
     if noise_var <= 0:
         raise ValueError("noise_var must be strictly positive")
-
-    def target_factory(sigma2):
-        return lambda theta: log_posterior_and_grad(arch, variances, theta, sigma2, data)
-
-    def sigma2_step(theta, rng_sigma):
-        return noise_var
-
-    def raw_theta(theta, sigma2):
-        return theta
-
-    return _run_chain(
-        arch, variances, data, test_inputs, cfg,
-        target_factory, sigma2_step, noise_var, raw_theta,
-    )
+    return _run_chain(arch, variances, data, test_inputs, cfg, noise_var, None)

@@ -107,23 +107,6 @@ class Architecture:
         """Per layer l=1..L, (weight slice, bias slice) into the flat vector."""
         return self._layout
 
-    def unpack(self, theta: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Views of theta as per-layer (W, b) with W shaped (n_l, n_{l-1})."""
-        theta = np.asarray(theta, dtype=float)
-        if theta.shape != (self.n_params,):
-            raise ValueError(
-                f"theta has shape {theta.shape}, expected ({self.n_params},)"
-            )
-        return [(theta[ws].reshape(n_out, n_in), theta[bs])
-                for ws, bs, n_out, n_in, _, _ in self._plan]
-
-    def pack(self, layers: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-        theta = np.empty(self.n_params)
-        for (ws, bs), (W, b) in zip(self.layout(), layers):
-            theta[ws] = np.ravel(W)
-            theta[bs] = np.ravel(b)
-        return theta
-
 
 @dataclass(frozen=True)
 class VarianceVector:
@@ -226,13 +209,10 @@ def sample_prior_params(
     arch: Architecture,
     variances: VarianceVector,
     rng: RngStream,
-    sigma2: float | None = None,
     n_draws: int | None = None,
 ) -> np.ndarray:
     """Draw theta from the layer-wise Gaussian prior.
 
-    If sigma2 is given, it replaces both last-layer variances (the
-    hierarchical model conditions the last layer on a shared variance).
     Draws are standard normals scaled per coordinate, so two calls with the
     same stream and different variances are coupled by an exact rescaling.
     The scale is the target's cached one, applied in place, so a call builds
@@ -241,8 +221,6 @@ def sample_prior_params(
     which lets callers draw in blocks.
     Returns shape (n_params,) or (n_draws, n_params).
     """
-    if sigma2 is not None:
-        variances = variances.with_last_layer(sigma2)
     scale = _target_constants(arch, variances)[0]
     shape = (arch.n_params,) if n_draws is None else (n_draws, arch.n_params)
     theta = rng.gen.standard_normal(shape)
@@ -281,33 +259,6 @@ def forward_batch(
     for ws, bs, n_out, n_in, phi, _ in arch._plan:
         h = thetas[:, ws].reshape(n, n_out, n_in) @ phi(h) + thetas[:, bs][:, :, None]
     return h
-
-
-def log_likelihood(outputs: np.ndarray, y: np.ndarray, sigma2: float) -> float:
-    """Log Gaussian likelihood: -(n_L k/2) log(2 pi s) - ||y - z||_F^2/(2s)."""
-    if sigma2 <= 0:
-        raise ValueError("sigma2 must be strictly positive")
-    outputs = np.asarray(outputs, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if outputs.shape != y.shape:
-        raise ValueError(f"shape mismatch: outputs {outputs.shape} vs y {y.shape}")
-    resid2 = float(np.sum((y - outputs) ** 2))
-    n = outputs.size
-    return -0.5 * n * math.log(2.0 * math.pi * sigma2) - resid2 / (2.0 * sigma2)
-
-
-def log_prior(
-    arch: Architecture,
-    variances: VarianceVector,
-    theta: np.ndarray,
-    sigma2: float | None = None,
-) -> float:
-    """Log density of theta under the layer-wise Gaussian prior."""
-    if sigma2 is not None:
-        variances = variances.with_last_layer(sigma2)
-    scale, _, sum_log_scale, half_n_log2pi = _target_constants(arch, variances)
-    z = np.asarray(theta, dtype=float) / scale
-    return -0.5 * float(z @ z) - sum_log_scale - half_n_log2pi
 
 
 def log_posterior_and_grad(

@@ -15,7 +15,6 @@ Single-output networks only (n_L = 1).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,16 +72,6 @@ class GaussianPosterior:
 
 
 @dataclass(frozen=True)
-class IGPosterior:
-    shape: float
-    rate: float
-
-    def __post_init__(self):
-        if self.shape <= 0 or self.rate <= 0:
-            raise ValueError("Inverse-Gamma parameters must be strictly positive")
-
-
-@dataclass(frozen=True)
 class StudentTPosterior:
     """Multivariate Student-t: dof nu, location mu, scale matrix Sigma.
 
@@ -121,49 +110,6 @@ def gp_posterior(
     return GaussianPosterior(mean, cov)
 
 
-def _train_block(kprime_train: KernelMatrix | np.ndarray) -> np.ndarray:
-    """K'_D as a 2-D float array, from a KernelMatrix or a matrix."""
-    k = kprime_train.train if isinstance(kprime_train, KernelMatrix) else kprime_train
-    return np.atleast_2d(np.asarray(k, dtype=float))
-
-
-def nig_posterior(
-    kprime_train: KernelMatrix | np.ndarray, y: np.ndarray, a: float, b: float
-) -> tuple[np.ndarray, GaussianPosterior, IGPosterior]:
-    """Joint posterior pieces under the hierarchical model.
-
-    Returns (M, Gaussian given sigma2 with covariance template M^{-1} to be
-    scaled by sigma2, and the Inverse-Gamma posterior of sigma2):
-    M = I + K'^{-1}; mean = y M^{-1}; sigma2 | D ~ IG(a + k/2,
-    b + y (I - M^{-1}) y^T / 2).
-    """
-    k = _train_block(kprime_train)
-    mean, minv, alpha, beta = _t_predictive(k, k, k, y, a, b)
-    kinv = solve_psd(k, np.eye(k.shape[0]))
-    return (np.eye(k.shape[0]) + 0.5 * (kinv + kinv.T), GaussianPosterior(mean, minv),
-            IGPosterior(alpha, beta))
-
-
-def tp_posterior_train(
-    kprime_train: KernelMatrix | np.ndarray, y: np.ndarray, a: float, b: float
-) -> StudentTPosterior:
-    """Marginal Student-t posterior at the training inputs.
-
-    nu = 2a + k, location = y M^{-1},
-    scale = (b + y(I - M^{-1})y^T/2) * (2/(2a+k)) * M^{-1}.
-    """
-    if a <= 0.5:
-        warnings.warn(
-            f"a={a} <= 1/2: outside the admissible hyperparameter region; "
-            "the Student-t posterior may lack a mean",
-            stacklevel=2,
-        )
-    k = _train_block(kprime_train)
-    location, minv, alpha, beta = _t_predictive(k, k, k, y, a, b)
-    minv *= beta / alpha  # in place: minv is the conditioning step's own array
-    return StudentTPosterior(2.0 * alpha, location, minv)
-
-
 def tp_posterior_predict(
     kprime_full: KernelMatrix, y: np.ndarray, a: float, b: float
 ) -> StudentTPosterior:
@@ -191,16 +137,6 @@ def _t_predictive(kd, kc, kt, y, a: float, b: float
         raise ValueError("a and b must be strictly positive")
     location, schur, y_alpha = _condition(kd, kc, kt, y, 1.0)
     return location, schur, a + kd.shape[0] / 2.0, b + 0.5 * y_alpha
-
-
-def marginalize_nig_to_t(
-    mu: np.ndarray, lam: np.ndarray, alpha: float, beta: float
-) -> StudentTPosterior:
-    """z | s ~ N(mu, s Lam), s ~ IG(alpha, beta)  =>  z ~ t_{2alpha}(mu, (beta/alpha) Lam)."""
-    if alpha <= 0 or beta <= 0:
-        raise ValueError("alpha and beta must be strictly positive")
-    return StudentTPosterior(2.0 * alpha, np.ravel(np.asarray(mu, dtype=float)),
-                             (beta / alpha) * np.atleast_2d(lam))
 
 
 def student_t_logpdf(

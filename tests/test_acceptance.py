@@ -20,17 +20,13 @@ from bnnlimits import (
     Sigma2ConditionalParams,
     VarianceVector,
     gibbs_run,
-    marginalize_nig_to_t,
-    nig_posterior,
     rescaled_kernel,
     sample_inverse_gamma,
     sample_mvn,
     sample_sigma2_conditional,
     tp_posterior_predict,
-    tp_posterior_train,
     w1_1d,
     w1_exact,
-    w1_weighted,
 )
 from bnnlimits.experiments import (
     ExperimentConfig,
@@ -42,6 +38,7 @@ from bnnlimits.experiments import (
 )
 from bnnlimits.network import forward_batch, sample_prior_params
 from bnnlimits.rng import RngStream
+from oracles import marginalize_nig_to_t, nig_posterior, tp_posterior_train, w1_weighted
 
 KS_1PCT = 1.63  # asymptotic 1% critical constant: D_crit = 1.63 / sqrt(n_eff)
 

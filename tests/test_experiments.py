@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
-from bnnlimits import experiments, gibbs, kernels, network
+from bnnlimits import cli, experiments, gibbs, kernels, network
 from bnnlimits.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, build_parser, main
 from bnnlimits.experiments import (
     BoundDiagnostics,
@@ -24,13 +24,13 @@ from bnnlimits.experiments import (
     fit_loglog_slope,
     likelihood_lipschitz,
     likelihood_sup,
-    read_figure_csv,
     run_bound_diagnostics,
     run_comparison,
     run_gaussian_baseline,
     run_posterior_convergence,
     run_prior_convergence,
 )
+from oracles import read_figure_csv
 from test_samplers import NeverAccepts
 
 FAST = dict(
@@ -786,6 +786,29 @@ class TestCli:
     )
     def test_sweeps_take_jobs(self, command):
         assert build_parser().parse_args([command, "--jobs", "2"]).jobs == 2
+
+    @pytest.mark.parametrize(
+        "command", ["prior-convergence", "posterior-convergence", "gaussian-baseline"]
+    )
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_sweeps_reject_jobs_below_1(self, command, jobs, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([command, "--jobs", jobs])
+        assert exc.value.code == 2  # argparse's usage error
+        assert "--jobs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("out", ["file", "file/sub"])
+    def test_unusable_out_exit_2_before_the_run(self, tmp_path, monkeypatch, capsys, out):
+        # an existing file, or a path under one, cannot be the output directory
+        (tmp_path / "file").write_text("")
+
+        def never_runs(cfg):
+            raise AssertionError("the runner ran")
+
+        monkeypatch.setitem(cli.COMMANDS, "compare", (never_runs, False))
+        argv = ["compare", "--config", self._cfg_file(tmp_path), "--out", str(tmp_path / out)]
+        assert main(argv) == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["compare", "diagnostics"])
     def test_jobs_rejected_where_unused(self, tmp_path, command, capsys):

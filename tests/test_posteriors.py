@@ -12,15 +12,13 @@ from bnnlimits import (
     KernelMatrix,
     VarianceVector,
     gp_posterior,
-    marginalize_nig_to_t,
-    nig_posterior,
     rescaled_kernel,
     student_t_logpdf,
     tp_posterior_predict,
-    tp_posterior_train,
 )
 from bnnlimits.posteriors import solve_psd, LinearAlgebraError
 from bnnlimits.rng import RngStream
+from oracles import marginalize_nig_to_t, nig_posterior, tp_posterior_train
 from test_kernels import _matching_lines
 
 

@@ -10,7 +10,7 @@ from scipy import stats
 
 from bnnlimits import sliced_w1, w1_1d, w1_exact
 from bnnlimits.rng import RngStream
-from bnnlimits.wasserstein import replicate_weighted, w1_weighted
+from oracles import replicate_weighted, w1_weighted
 
 
 def brute_force_w1(x, y):
