@@ -110,7 +110,7 @@ def main(argv=None) -> int:
     runner, sweep = COMMANDS[args.command]
     try:
         report = runner(cfg, jobs=args.jobs) if sweep else runner(cfg)
-        paths = emit_figure_data(report, args.out, cfg)
+        paths = emit_figure_data(report, args.out)
     except (KernelDegeneracyError, LinearAlgebraError, SamplerError) as e:
         for d in made:  # a failed run leaves no directory behind that it made
             os.rmdir(d)

@@ -202,10 +202,10 @@ class ExperimentConfig:
 
 @dataclass(kw_only=True)
 class Report:
-    """What every report writes to its .meta.json besides the config itself."""
+    """What every report writes to its .meta.json: the config it ran (whose
+    hash and seed go there too), its run time and its admissibility check."""
 
-    seed: int
-    config_hash: str
+    config: ExperimentConfig
     runtime_s: float
     constraint: ConstraintReport | None = None
 
@@ -227,7 +227,7 @@ class ConvergenceReport(Report):
     slope: float | None
 
     def table(self):
-        rows = [(w, v, lo, hi, self.seed)
+        rows = [(w, v, lo, hi, self.config.seed)
                 for w, v, lo, hi in zip(self.widths, self.w1, self.w1_lo, self.w1_hi)]
         return "w1_vs_width", "width,w1,w1_lo,w1_hi,seed", rows
 
@@ -438,8 +438,7 @@ def _sweep(cfg: ExperimentConfig, jobs: int, limit_of, job,
         w1_hi=[float(np.max(r)) for r in reps], w1_reps=reps,
         sliced=[float(np.mean(sl)) for _, sl in results],
         slope=fit_loglog_slope(cfg.widths, w1),
-        seed=cfg.seed, config_hash=cfg.hash(), runtime_s=time.perf_counter() - t0,
-        constraint=constraint,
+        config=cfg, runtime_s=time.perf_counter() - t0, constraint=constraint,
     )
 
 
@@ -503,7 +502,7 @@ def run_comparison(cfg: ExperimentConfig) -> ComparisonReport:
     del e, k, gp
     gp_bands = mean[:, None] + g_sd[:, None] * special.ndtri(qs)
     return ComparisonReport(
-        grid[0], tp_bands, gp_bands, seed=cfg.seed, config_hash=cfg.hash(),
+        grid[0], tp_bands, gp_bands, config=cfg,
         runtime_s=time.perf_counter() - t0, constraint=constraint,
     )
 
@@ -582,8 +581,8 @@ def run_bound_diagnostics(
         lip_n.append(best_g)
         res2.append(best_r)
     return BoundDiagnostics(
-        list(settings), sup_f, sup_n, lip_f, lip_n, res2, seed=cfg.seed,
-        config_hash=cfg.hash(), runtime_s=time.perf_counter() - t0, constraint=constraint,
+        list(settings), sup_f, sup_n, lip_f, lip_n, res2, config=cfg,
+        runtime_s=time.perf_counter() - t0, constraint=constraint,
     )
 
 
@@ -592,7 +591,7 @@ def _cell(v) -> str:
     return repr(int(v)) if isinstance(v, numbers.Integral) else repr(float(v))
 
 
-def emit_figure_data(report: Report, out_dir, cfg: ExperimentConfig | None = None) -> list[str]:
+def emit_figure_data(report: Report, out_dir) -> list[str]:
     """Write the report's plot-ready CSV and its .meta.json; returns both paths."""
     if not isinstance(report, Report):
         raise TypeError(f"unsupported report type {type(report).__name__}")
@@ -603,9 +602,9 @@ def emit_figure_data(report: Report, out_dir, cfg: ExperimentConfig | None = Non
         f.write(header + "\n")
         f.writelines(",".join(map(_cell, row)) + "\n" for row in rows)
     meta = {
-        "config_hash": report.config_hash,
-        "config": cfg.to_dict() if cfg is not None else None,
-        "seed": report.seed,
+        "config_hash": report.config.hash(),
+        "config": report.config.to_dict(),
+        "seed": report.config.seed,
         "runtime_s": report.runtime_s,
         "constraint": (dataclasses.asdict(report.constraint)
                        if report.constraint is not None else None),

@@ -114,10 +114,6 @@ class KernelMatrix:
         object.__setattr__(self, "values", factor[1])
 
     @property
-    def m(self) -> int:
-        return self.values.shape[0]
-
-    @property
     def train(self) -> np.ndarray:
         return self.values[: self.n_train, : self.n_train]
 
@@ -321,16 +317,13 @@ def rescaled_kernel(
     K = sigma2 * K' when both last-layer variances equal sigma2, and
     K'(x, x) >= 1 because the unit bias variance adds a constant 1.
     """
-    K = _recursion(arch, variances, inputs, method=method)
-    K += 1.0
-    return KernelMatrix(K, n_train=K.shape[0] if n_train is None else n_train)
+    return kernel_recursion(arch, variances.unit_last_layer(), inputs,
+                            method=method, n_train=n_train)
 
 
-def operator_norm(kernel: KernelMatrix | np.ndarray) -> float:
-    """Largest eigenvalue of the symmetrized matrix."""
-    v = kernel.values if isinstance(kernel, KernelMatrix) else np.asarray(kernel)
-    v = 0.5 * (v + v.T)
-    return float(np.linalg.eigvalsh(v)[-1])
+def operator_norm(kernel: KernelMatrix) -> float:
+    """Largest eigenvalue of the kernel's (exactly symmetric) stored values."""
+    return float(np.linalg.eigvalsh(kernel.values)[-1])
 
 
 def b_lower_bound(epsilon: float, y_norm2: float) -> float:

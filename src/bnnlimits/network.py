@@ -79,8 +79,8 @@ class Architecture:
                 raise ValueError(f"unknown activation {tag!r}")
         # The layer plan is read on every target evaluation, so it is built
         # once: per layer (weight slice, bias slice, n_out, n_in, activation,
-        # its derivative). n_params, _plan and _layout are plain attributes,
-        # outside eq and hash.
+        # its derivative). n_params and _plan are plain attributes, outside
+        # eq and hash.
         plan, pos = [], 0
         for n_in, n_out, tag in zip(self.widths, self.widths[1:], self.activations):
             w = slice(pos, pos + n_out * n_in)
@@ -88,7 +88,6 @@ class Architecture:
             pos = b.stop
             plan.append((w, b, n_out, n_in) + ACTIVATIONS[tag])
         object.__setattr__(self, "_plan", tuple(plan))
-        object.__setattr__(self, "_layout", tuple(p[:2] for p in plan))
         object.__setattr__(self, "n_params", pos)
 
     @property
@@ -105,7 +104,7 @@ class Architecture:
 
     def layout(self) -> tuple[tuple[slice, slice], ...]:
         """Per layer l=1..L, (weight slice, bias slice) into the flat vector."""
-        return self._layout
+        return tuple(p[:2] for p in self._plan)
 
 
 @dataclass(frozen=True)
@@ -229,16 +228,14 @@ def sample_prior_params(
 
 
 def forward(arch: Architecture, theta: np.ndarray, inputs: np.ndarray) -> np.ndarray:
-    """Evaluate the network on a (d_in, m) batch; returns (d_out, m)."""
+    """Evaluate one draw on a (d_in, m) batch; (d_out, m), as forward_batch gives."""
     h = np.atleast_2d(np.asarray(inputs, dtype=float))
     if h.shape[0] != arch.d_in:
         raise ValueError(f"inputs have {h.shape[0]} rows, expected d_in={arch.d_in}")
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (arch.n_params,):
         raise ValueError(f"theta has shape {theta.shape}, expected ({arch.n_params},)")
-    for ws, bs, n_out, n_in, phi, _ in arch._plan:
-        h = theta[ws].reshape(n_out, n_in) @ phi(h) + theta[bs][:, None]
-    return h
+    return forward_batch(arch, theta[None, :], h)[0]
 
 
 def forward_batch(

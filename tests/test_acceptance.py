@@ -22,7 +22,6 @@ from bnnlimits import (
     gibbs_run,
     rescaled_kernel,
     sample_inverse_gamma,
-    sample_mvn,
     sample_sigma2_conditional,
     tp_posterior_predict,
     w1_1d,

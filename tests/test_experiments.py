@@ -178,7 +178,7 @@ class TestRunners:
         assert all(lo <= v <= hi for v, lo, hi in zip(rep.w1, rep.w1_lo, rep.w1_hi))
         assert all(v > 0 for v in rep.w1)
         assert rep.slope is None  # only two widths
-        assert rep.config_hash == cfg.hash()
+        assert rep.config == cfg
 
     def test_prior_convergence_deterministic(self):
         cfg = ExperimentConfig(**FAST)
@@ -341,7 +341,7 @@ class TestLimitKernelsFactor:
             cfg = ExperimentConfig.from_dict({**json.load(f), "test_grid": 1024})
         x = cfg.make_dataset().x
         k = experiments._limit_kernel(cfg, x, cfg.make_test_grid(), rescaled=rescaled)
-        assert k.m == 1032
+        assert k.values.shape[0] == 1032
         np.linalg.cholesky(k.values)
 
 
@@ -482,7 +482,7 @@ class TestDataExport:
     def test_convergence_csv_round_trip(self, tmp_path):
         cfg = ExperimentConfig(**FAST)
         rep = run_prior_convergence(cfg)
-        paths = emit_figure_data(rep, str(tmp_path), cfg)
+        paths = emit_figure_data(rep, str(tmp_path))
         cols = read_figure_csv(paths[0])
         assert cols["width"] == [1.0, 2.0]
         assert cols["w1"] == rep.w1
@@ -510,7 +510,7 @@ class TestDataExport:
         cfg = ExperimentConfig(**FAST)
         out = []
         for sub in ("a", "b"):
-            paths = emit_figure_data(run_prior_convergence(cfg), str(tmp_path / sub), cfg)
+            paths = emit_figure_data(run_prior_convergence(cfg), str(tmp_path / sub))
             out.append(open(paths[0], "rb").read())
         assert out[0] == out[1]
 
@@ -522,7 +522,7 @@ class TestDataExport:
 class TestWriter:
     """One writer: the exact CSV text of each report type, and its .meta.json."""
 
-    META = dict(seed=3, config_hash="abc", runtime_s=1.5)
+    META = dict(config=ExperimentConfig(seed=3), runtime_s=1.5)
     REPORTS = [
         (
             ConvergenceReport(
@@ -571,10 +571,24 @@ class TestWriter:
     def test_meta_carries_hash_seed_and_constraint(self, tmp_path, run):
         cfg = ExperimentConfig(**{**FAST, "seed": 5})
         rep = run(cfg)
-        meta = json.load(open(emit_figure_data(rep, str(tmp_path), cfg)[1]))
+        meta = json.load(open(emit_figure_data(rep, str(tmp_path))[1]))
         assert meta["config_hash"] == cfg.hash() and meta["seed"] == 5
         assert meta["constraint"] == dataclasses.asdict(rep.constraint)
         assert meta["constraint"]["op_norm"] > 0
+
+    @pytest.mark.parametrize(
+        "run",
+        [run_prior_convergence, run_comparison, run_bound_diagnostics],
+    )
+    def test_meta_carries_the_config_it_ran(self, tmp_path, run):
+        # the report alone names its config: no caller passes it to the writer
+        cfg = ExperimentConfig(**{**FAST, "seed": 7, "a": 2.5})
+        rep = run(cfg)
+        assert rep.config == cfg
+        meta = json.load(open(emit_figure_data(rep, str(tmp_path))[1]))
+        assert meta["config"] == json.loads(json.dumps(cfg.to_dict()))
+        assert ExperimentConfig.from_dict(meta["config"]) == cfg
+        assert meta["config_hash"] == cfg.hash() and meta["seed"] == cfg.seed
 
 
 class TestCli:
@@ -830,7 +844,7 @@ class TestConstraintReporting:
     def test_constraint_in_meta_json(self, tmp_path):
         cfg = ExperimentConfig(**FAST)
         rep = run_posterior_convergence(cfg)
-        paths = emit_figure_data(rep, str(tmp_path), cfg)
+        paths = emit_figure_data(rep, str(tmp_path))
         meta = json.load(open(paths[1]))
         assert "constraint" in meta
         assert set(meta["constraint"]) == {

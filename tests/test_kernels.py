@@ -8,7 +8,6 @@ import re
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import integrate
 from scipy.special import erf
 
 from bnnlimits import (
@@ -35,7 +34,7 @@ from bnnlimits.kernels import (
     psd_cholesky,
 )
 from bnnlimits.experiments import ExperimentConfig
-from bnnlimits.network import ACTIVATIONS, forward_batch, sample_prior_params
+from bnnlimits.network import ACTIVATIONS
 from bnnlimits.rng import RngStream
 
 ERF_ARCH = Architecture((1, 8, 1), ("identity", "erf"))
@@ -237,7 +236,7 @@ class TestHermiteSeries:
         x = _config_inputs(cfg)
         kp = rescaled_kernel(cfg.architecture(1), cfg.variances(), x,
                              method=cfg.kernel_method, n_train=cfg.k)
-        assert kp.m == 8 + test_grid
+        assert kp.values.shape[0] == 8 + test_grid
 
     def test_identity_layers_give_affine_kernel(self):
         arch = Architecture((2, 3, 3, 3, 1), ("identity",) * 4)
@@ -435,7 +434,7 @@ class TestKernelMatrix:
 
         class Counted(KernelMatrix):
             def __post_init__(self):
-                built.append(self.m)
+                built.append(self.values.shape[0])
                 super().__post_init__()
 
         monkeypatch.setattr(kernels, "KernelMatrix", Counted)
@@ -628,7 +627,7 @@ class TestOperatorNorm:
         rng = RngStream(5)
         A = rng.gen.standard_normal((8, 8))
         psd = A @ A.T
-        assert operator_norm(psd) == pytest.approx(
+        assert operator_norm(KernelMatrix(psd, 8)) == pytest.approx(
             float(np.max(np.linalg.eigvals(psd)).real), abs=1e-10
         )
 

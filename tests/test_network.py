@@ -104,13 +104,18 @@ class TestForward:
             col = forward(arch, theta, x[:, j : j + 1])
             assert np.allclose(batch[:, j : j + 1], col, atol=1e-14)
 
-    def test_forward_batch_matches_loop(self):
-        arch = Architecture((1, 4, 1), ("identity", "erf"))
-        thetas = RngStream(3).gen.standard_normal((5, arch.n_params))
-        x = np.linspace(-1, 1, 6)[None, :]
+    @pytest.mark.parametrize("act", sorted(ACTIVATIONS))
+    @pytest.mark.parametrize("width", [1, 8, 128])
+    @pytest.mark.parametrize("m", [8, 64])
+    def test_forward_batch_matches_loop(self, act, width, m):
+        # bit for bit: the Gibbs sigma2 step reads forward, the sweeps forward_batch
+        arch = Architecture((1, width, width, 1), ("identity", act, act))
+        v = VarianceVector.constant(5.0, arch.n_layers)
+        thetas = sample_prior_params(arch, v, RngStream(3), n_draws=5)
+        x = np.linspace(-1, 1, m)[None, :]
         out = forward_batch(arch, thetas, x)
         for i in range(5):
-            assert np.allclose(out[i], forward(arch, thetas[i], x), atol=1e-14)
+            assert np.array_equal(out[i], forward(arch, thetas[i], x))
 
     def test_last_layer_positive_homogeneity(self):
         arch = Architecture((1, 3, 1), ("identity", "erf"))
