@@ -61,6 +61,11 @@ log = logging.getLogger("bnnlimits")
 # and layer activations take about this size divided by the thread count.
 PRIOR_BLOCK_BYTES = 2 << 20
 
+# The training inputs and the test grid are evenly spaced on this interval.
+DOMAIN = (-1.0, 1.0)
+# Nelder-Mead starts of each maximization in run_bound_diagnostics.
+BOUND_RESTARTS = 8
+
 
 class ConfigError(ValueError):
     pass
@@ -89,7 +94,6 @@ class ExperimentConfig:
     draws: int = 100
     data_noise: float = 0.1
     k: int = 8
-    domain: tuple[float, float] = (-1.0, 1.0)
     test_grid: int = 64
     w1_grid: int = 5
     n_reps: int = 10
@@ -116,15 +120,11 @@ class ExperimentConfig:
                        for v in value):
                 raise ConfigError(f"{what} must be {noun}")
         widths = tuple(self.widths)
-        domain = tuple(float(v) for v in self.domain)
         if not widths or widths[0] < 1:
             raise ConfigError("widths must be a non-empty list of integers >= 1")
         if any(b <= a for a, b in zip(widths, widths[1:])):
             raise ConfigError("widths must be strictly increasing")
-        if len(domain) != 2:
-            raise ConfigError("domain must be a pair (lo, hi)")
         object.__setattr__(self, "widths", widths)
-        object.__setattr__(self, "domain", domain)
         if not 2 <= self.draws <= ASSIGNMENT_CAP:
             raise ConfigError(f"draws must lie in [2, {ASSIGNMENT_CAP}] "
                               "(the exact-assignment cap of the W1)")
@@ -180,21 +180,15 @@ class ExperimentConfig:
         )
 
     def make_dataset(self) -> Dataset:
-        lo, hi = self.domain
-        if self.k == 0:
-            return Dataset(np.empty((1, 0)), np.empty((1, 0)))
-        x = np.linspace(lo, hi, self.k)
+        x = np.linspace(*DOMAIN, self.k)
         noise = RngStream(self.seed, (100,)).gen.standard_normal(self.k)
         return Dataset(x[None, :], (np.sin(2.0 * math.pi * x)
                                     + self.data_noise * noise)[None, :])
 
     def make_test_grid(self) -> np.ndarray:
-        lo, hi = self.domain
-        return np.linspace(lo, hi, self.test_grid)[None, :]
+        return np.linspace(*DOMAIN, self.test_grid)[None, :]
 
     def w1_subgrid_idx(self) -> np.ndarray:
-        if self.w1_grid == 0 or self.test_grid == 0:
-            return np.array([], dtype=int)
         return np.unique(
             np.round(np.linspace(0, self.test_grid - 1, self.w1_grid)).astype(int)
         )
@@ -216,15 +210,22 @@ class Report:
 
 @dataclass
 class ConvergenceReport(Report):
-    """Per-width W1 estimates with resampling bands and a fitted slope."""
+    """Per-width W1 repetitions and mean sliced W1s; each width's w1 (mean),
+    w1_lo and w1_hi (min, max) and the log-log slope of w1 follow from them."""
 
     widths: list[int]
-    w1: list[float]
-    w1_lo: list[float]
-    w1_hi: list[float]
     w1_reps: list[list[float]]
     sliced: list[float]
-    slope: float | None
+    w1: list[float] = dataclasses.field(init=False)
+    w1_lo: list[float] = dataclasses.field(init=False)
+    w1_hi: list[float] = dataclasses.field(init=False)
+    slope: float | None = dataclasses.field(init=False)
+
+    def __post_init__(self):
+        self.w1 = [float(np.mean(r)) for r in self.w1_reps]
+        self.w1_lo = [float(np.min(r)) for r in self.w1_reps]
+        self.w1_hi = [float(np.max(r)) for r in self.w1_reps]
+        self.slope = fit_loglog_slope(self.widths, self.w1)
 
     def table(self):
         rows = [(w, v, lo, hi, self.config.seed)
@@ -431,13 +432,9 @@ def _sweep(cfg: ExperimentConfig, jobs: int, limit_of, job,
             results = list(pool.map(run, cfg.widths))
     else:
         results = [run(w) for w in cfg.widths]
-    reps = [r for r, _ in results]
-    w1 = [float(np.mean(r)) for r in reps]
     return ConvergenceReport(
-        widths=list(cfg.widths), w1=w1, w1_lo=[float(np.min(r)) for r in reps],
-        w1_hi=[float(np.max(r)) for r in reps], w1_reps=reps,
+        widths=list(cfg.widths), w1_reps=[r for r, _ in results],
         sliced=[float(np.mean(sl)) for _, sl in results],
-        slope=fit_loglog_slope(cfg.widths, w1),
         config=cfg, runtime_s=time.perf_counter() - t0, constraint=constraint,
     )
 
@@ -512,17 +509,14 @@ class BoundDiagnostics(Report):
     """Numerical verification of the likelihood sup and Lipschitz constants."""
 
     settings: list[tuple[float, int]]  # (sigma2, n_L * k)
-    sup_formula: list[float]
     sup_numeric: list[float]
-    lip_formula: list[float]
     lip_numeric: list[float]
     argmax_resid2: list[float]  # ||y - z||^2 at the gradient-norm maximizer
 
     def table(self):
-        rows = [(float(s2), n, *v) for (s2, n), *v in zip(
-            self.settings, self.sup_formula, self.sup_numeric,
-            self.lip_formula, self.lip_numeric, self.argmax_resid2,
-        )]
+        rows = [(float(s2), n, likelihood_sup(s2, n), sup, likelihood_lipschitz(s2, n), lip, r2)
+                for (s2, n), sup, lip, r2 in zip(self.settings, self.sup_numeric,
+                                                  self.lip_numeric, self.argmax_resid2)]
         return ("bound_diagnostics",
                 "sigma2,n,sup_formula,sup_numeric,lip_formula,lip_numeric,argmax_resid2", rows)
 
@@ -538,7 +532,6 @@ def likelihood_lipschitz(sigma2: float, n: int) -> float:
 def run_bound_diagnostics(
     cfg: ExperimentConfig,
     settings: tuple[tuple[float, int], ...] = ((1.0, 1), (4.0, 2), (0.5, 3)),
-    n_restarts: int = 8,
 ) -> BoundDiagnostics:
     """Maximize the Gaussian likelihood and its gradient norm numerically.
 
@@ -551,7 +544,7 @@ def run_bound_diagnostics(
     data = cfg.make_dataset()
     constraint = _log_constraint(cfg, data)
     rng = RngStream(cfg.seed, (7,))
-    sup_f, sup_n, lip_f, lip_n, res2 = [], [], [], [], []
+    sup_n, lip_n, res2 = [], [], []
     for sigma2, n in settings:
         y = rng.gen.standard_normal(n)
 
@@ -565,7 +558,7 @@ def run_bound_diagnostics(
             return neg_density(z) * math.sqrt(float(np.sum((y - z) ** 2))) / sigma2
 
         best_d, best_g, best_r = -np.inf, -np.inf, np.nan
-        for _ in range(n_restarts):
+        for _ in range(BOUND_RESTARTS):
             z0 = y + rng.gen.standard_normal(n) * math.sqrt(sigma2)
             rd = scipy.optimize.minimize(neg_density, z0, method="Nelder-Mead",
                                          options={"xatol": 1e-10, "fatol": 1e-14})
@@ -575,13 +568,11 @@ def run_bound_diagnostics(
             if -rg.fun > best_g:
                 best_g = -rg.fun
                 best_r = float(np.sum((y - rg.x) ** 2))
-        sup_f.append(likelihood_sup(sigma2, n))
         sup_n.append(best_d)
-        lip_f.append(likelihood_lipschitz(sigma2, n))
         lip_n.append(best_g)
         res2.append(best_r)
     return BoundDiagnostics(
-        list(settings), sup_f, sup_n, lip_f, lip_n, res2, config=cfg,
+        list(settings), sup_n, lip_n, res2, config=cfg,
         runtime_s=time.perf_counter() - t0, constraint=constraint,
     )
 

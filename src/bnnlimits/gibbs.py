@@ -147,13 +147,13 @@ def _run_chain(
             kept += 1
 
     n_trans = len(accepts)
-    if n_trans and n_div > 0.5 * n_trans:
+    if n_div > 0.5 * n_trans:
         raise SamplerError(
             f"persistent divergence: {n_div}/{n_trans} transitions diverged "
             f"(step size {eps:.3e}); reduce the step size or reparametrize"
         )
     diagnostics = {
-        "accept_rate": float(np.mean(accepts)) if accepts else 0.0,
+        "accept_rate": float(np.mean(accepts)),
         "n_divergent": n_div,
         "n_transitions": n_trans,
         "step_size": eps,

@@ -335,25 +335,17 @@ def check_hyperparams(
     b: float,
     y: np.ndarray,
     kprime: KernelMatrix,
-    epsilon: float | None = None,
 ) -> ConstraintReport:
     """Validator for a > 1/2 and b > (1 + (eps+2)/(2eps+2)) ||y||_F^2.
 
-    epsilon must satisfy eps < 1/||K'||_op; if omitted, 0.99/||K'||_op is used.
-    The constraint conditions the convergence theorem; violating it does not
-    invalidate sampling, so callers log the report rather than abort. A
-    bound that floating point cannot hold (||y||_F^2 overflows) raises
-    LinearAlgebraError.
+    eps must satisfy eps < 1/||K'||_op, and the bound falls as eps grows, so
+    eps = 0.99/||K'||_op. The constraint conditions the convergence theorem;
+    violating it does not invalidate sampling, so callers log the report
+    rather than abort. A bound that floating point cannot hold (||y||_F^2
+    overflows) raises LinearAlgebraError.
     """
     op = operator_norm(kprime)
-    if epsilon is None:
-        epsilon = 0.99 / op
-    elif epsilon >= 1.0 / op:
-        raise ValueError(
-            f"epsilon={epsilon} must be < 1/||K'||_op = {1.0 / op:.6g}"
-        )
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    epsilon = 0.99 / op
     with np.errstate(over="ignore"):  # an overflow raises below
         y_norm2 = float(np.sum(np.asarray(y, dtype=float) ** 2))
     bound = b_lower_bound(epsilon, y_norm2)

@@ -42,13 +42,11 @@ def sample_inverse_gamma(
     return 1.0 / g
 
 
-def sample_mvn(
-    mean: np.ndarray, cov: np.ndarray, rng: RngStream, size: int | None = None
-) -> np.ndarray:
+def sample_mvn(mean: np.ndarray, cov: np.ndarray, rng: RngStream, size: int) -> np.ndarray:
     """Multivariate normal draws through the Cholesky factor of cov.
 
     A singular PSD covariance gets the smallest shift on the jitter ladder
-    that factors (kernels.psd_cholesky). Returns shape (d,) or (size, d).
+    that factors (kernels.psd_cholesky). Returns shape (size, d).
     """
     mean = np.ravel(np.asarray(mean, dtype=float))
     cov = np.atleast_2d(np.asarray(cov, dtype=float))
@@ -58,10 +56,8 @@ def sample_mvn(
     factor = psd_cholesky(0.5 * (cov + cov.T))
     if factor is None:
         raise LinearAlgebraError("covariance is not PSD within the jitter budget")
-    n = 1 if size is None else size
-    z = rng.gen.standard_normal((n, d))
-    draws = mean + z @ factor[0].T
-    return draws[0] if size is None else draws
+    z = rng.gen.standard_normal((size, d))
+    return mean + z @ factor[0].T
 
 
 def sample_mvt(
@@ -69,17 +65,15 @@ def sample_mvt(
     mu: np.ndarray,
     sigma: np.ndarray,
     rng: RngStream,
-    size: int | None = None,
+    size: int,
 ) -> np.ndarray:
     """Multivariate Student-t via the scale mixture s ~ IG(nu/2, nu/2), z ~ N(mu, s Sigma)."""
     if nu <= 0:
         raise ValueError("nu must be positive")
     mu = np.ravel(np.asarray(mu, dtype=float))
-    n = 1 if size is None else size
-    s = np.asarray(sample_inverse_gamma(nu / 2.0, nu / 2.0, rng, size=n))
-    centered = sample_mvn(np.zeros_like(mu), sigma, rng, size=n)
-    draws = mu + np.sqrt(s)[:, None] * centered
-    return draws[0] if size is None else draws
+    s = sample_inverse_gamma(nu / 2.0, nu / 2.0, rng, size=size)
+    centered = sample_mvn(np.zeros_like(mu), sigma, rng, size=size)
+    return mu + np.sqrt(s)[:, None] * centered
 
 
 @dataclass(frozen=True)

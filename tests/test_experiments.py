@@ -81,11 +81,9 @@ class TestConfig:
             {"hmc_steps": 0},
             {"draws": 2049},
             {"widths": (0, 1)},
-            {"domain": (0.0, 1.0, 2.0)},
             {"widths": (1.5, 2)},
             {"widths": ()},
             {"widths": ["x"]},
-            {"domain": ("a", 1.0)},
             {"seed": -1},
             {"seed": 1.5},
             {"seed": True},
@@ -94,7 +92,6 @@ class TestConfig:
             {"test_grid": True},
             {"draws": 2.0},
             {"widths": [True, 2]},
-            {"domain": ["-1", "1"]},
             {"a": True},
             {"widths": 4},
             {"activation": ["erf"]},
@@ -105,10 +102,14 @@ class TestConfig:
             {"b": float("inf")},
             {"weight_variance": float("inf")},
             {"noise_var": float("inf")},
-            {"domain": (float("-inf"), 1.0)},
-            {"domain": (0.0, float("nan"))},
-            {"domain": (-(10**400), 1.0)},
             {"bias_variance": 10**400},
+            # negative sizes, repeated widths and values of the wrong type
+            {"k": -1},
+            {"test_grid": -1},
+            {"widths": (2, 2)},
+            {"seed": "0"},
+            {"activation": 1},
+            {"n_hidden_layers": 1.5},
         ],
     )
     def test_invalid_configs_rejected(self, bad):
@@ -119,9 +120,10 @@ class TestConfig:
         "old",
         [
             # the kernel method follows from the activation, and the data
-            # always come from sin(2 pi x): older configs naming either
-            # field are refused, not read with the field ignored
+            # always come from sin(2 pi x) on [-1, 1]: older configs naming
+            # any of these fields are refused, not read with the field ignored
             {"reference_fn": "cubic"},
+            {"domain": [-1, 1]},
             {"activation": "relu", "kernel_method": "analytic_erf"},
             {"activation": "erf", "kernel_method": "analytic_relu"},
             {"kernel_method": "bogus"},
@@ -207,6 +209,27 @@ class TestRunners:
         rep = run_comparison(ExperimentConfig(k=3, test_grid=0, w1_grid=0))
         assert rep.grid.shape == (0,) and rep.tp_bands.shape == (0, 3)
         assert rep.gp_bands.shape == (0, 3)
+
+    @pytest.mark.parametrize(
+        "runner", [run_prior_convergence, run_posterior_convergence, run_gaussian_baseline]
+    )
+    def test_report_derives_its_summaries_from_the_repetitions(self, runner):
+        rep = runner(ExperimentConfig(**FAST))
+        assert rep.w1 == [float(np.mean(r)) for r in rep.w1_reps]
+        assert rep.w1_lo == [float(np.min(r)) for r in rep.w1_reps]
+        assert rep.w1_hi == [float(np.max(r)) for r in rep.w1_reps]
+        assert rep.slope == fit_loglog_slope(rep.widths, rep.w1)
+
+    def test_report_takes_no_derived_values(self):
+        meta = dict(config=ExperimentConfig(), runtime_s=0.0)
+        reps = [[w**-0.5, 2 * w**-0.5] for w in (1, 2, 4, 8)]
+        rep = ConvergenceReport(widths=[1, 2, 4, 8], w1_reps=reps, sliced=[0.0] * 4, **meta)
+        assert rep.w1_lo == [r[0] for r in reps] and rep.w1_hi == [r[1] for r in reps]
+        assert rep.slope == pytest.approx(-0.5, abs=1e-12)
+        for derived in ("w1", "w1_lo", "w1_hi", "slope"):
+            with pytest.raises(TypeError):
+                ConvergenceReport(widths=[1], w1_reps=[[0.5]], sliced=[0.1],
+                                  **{derived: [0.5]}, **meta)
 
     def test_width_jobs_in_a_process_pool_match_serial(self):
         cfg = ExperimentConfig(**FAST)
@@ -465,14 +488,13 @@ class TestBoundDiagnostics:
     def test_numeric_maximization_matches_formulas(self):
         cfg = ExperimentConfig(k=2, test_grid=4, w1_grid=2)
         diag = run_bound_diagnostics(cfg)
-        for sf, sn, lf, ln, (s2, _), r2 in zip(
-            diag.sup_formula,
+        for sn, ln, (s2, n), r2 in zip(
             diag.sup_numeric,
-            diag.lip_formula,
             diag.lip_numeric,
             diag.settings,
             diag.argmax_resid2,
         ):
+            sf, lf = likelihood_sup(s2, n), likelihood_lipschitz(s2, n)
             assert abs(sn - sf) <= 1e-5 * sf
             assert abs(ln - lf) <= 1e-5 * lf
             assert abs(r2 - s2) <= 1e-4
@@ -504,7 +526,7 @@ class TestDataExport:
         diag = run_bound_diagnostics(ExperimentConfig(k=2, test_grid=4, w1_grid=2))
         paths = emit_figure_data(diag, str(tmp_path))
         cols = read_figure_csv(paths[0])
-        assert cols["sup_formula"] == diag.sup_formula
+        assert cols["sup_formula"] == [likelihood_sup(s2, n) for s2, n in diag.settings]
 
     def test_export_byte_identical_across_runs(self, tmp_path):
         cfg = ExperimentConfig(**FAST)
@@ -526,8 +548,7 @@ class TestWriter:
     REPORTS = [
         (
             ConvergenceReport(
-                widths=[1, 8], w1=[0.5, 1 / 3], w1_lo=[0.25, 0.1], w1_hi=[0.75, 0.5],
-                w1_reps=[[0.25, 0.75], [0.1, 0.5]], sliced=[0.2, 0.1], slope=None,
+                widths=[1, 8], w1_reps=[[0.25, 0.75], [0.1, 0.4, 0.5]], sliced=[0.2, 0.1],
                 **META,
             ),
             "w1_vs_width.csv",
@@ -546,14 +567,14 @@ class TestWriter:
         ),
         (
             BoundDiagnostics(
-                settings=[(1.0, 1), (0.5, 3)], sup_formula=[0.3989422804014327, 0.125],
-                sup_numeric=[np.float64(0.39894228), 0.125], lip_formula=[0.25, 2.0],
+                settings=[(1.0, 1), (0.5, 3)], sup_numeric=[np.float64(0.39894228), 0.125],
                 lip_numeric=[0.25, 2.0], argmax_resid2=[1.0000000001, 0.5], **META,
             ),
             "bound_diagnostics.csv",
             "sigma2,n,sup_formula,sup_numeric,lip_formula,lip_numeric,argmax_resid2\n"
-            "1.0,1,0.3989422804014327,0.39894228,0.25,0.25,1.0000000001\n"
-            "0.5,3,0.125,0.125,2.0,2.0,0.5\n",
+            f"1.0,1,{likelihood_sup(1.0, 1)!r},0.39894228,{likelihood_lipschitz(1.0, 1)!r},"
+            "0.25,1.0000000001\n"
+            f"0.5,3,{likelihood_sup(0.5, 3)!r},0.125,{likelihood_lipschitz(0.5, 3)!r},2.0,0.5\n",
         ),
     ]
 

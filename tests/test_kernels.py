@@ -634,11 +634,9 @@ class TestOperatorNorm:
 
 class TestCheckHyperparams:
     def test_bound_substitution(self):
-        # ||K'||_op = 1, eps = 0.9, ||y||^2 = 1 -> bound = 1 + 2.9/3.8
-        rep = check_hyperparams(
-            0.6, 2.0, np.array([1.0]), KernelMatrix(np.eye(1), 1), epsilon=0.9
-        )
-        assert rep.b_lower_bound == pytest.approx(1.0 + 2.9 / 3.8, abs=1e-12)
+        # ||K'||_op = 1, eps = 0.99, ||y||^2 = 1 -> bound = 1 + 2.99/3.98
+        rep = check_hyperparams(0.6, 2.0, np.array([1.0]), KernelMatrix(np.eye(1), 1))
+        assert rep.b_lower_bound == pytest.approx(1.0 + 2.99 / 3.98, abs=1e-12)
         assert rep.a_ok and rep.b_ok
 
     def test_a_boundary_is_strict(self):
@@ -655,12 +653,6 @@ class TestCheckHyperparams:
     def test_bound_beyond_floating_point_raises(self, y):
         with pytest.raises(LinearAlgebraError, match="too large for floating point"):
             check_hyperparams(3.0, 2.0, np.array([y]), KernelMatrix(np.eye(1), 1))
-
-    def test_epsilon_above_limit_rejected(self):
-        with pytest.raises(ValueError):
-            check_hyperparams(
-                3.0, 2.0, np.array([1.0]), KernelMatrix(np.eye(1), 1), epsilon=1.5
-            )
 
     @given(st.floats(0.01, 0.98), st.floats(0.01, 0.98))
     @settings(max_examples=100, deadline=None)

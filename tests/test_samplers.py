@@ -54,7 +54,7 @@ class TestInverseGamma:
 class TestMvn:
     def test_zero_cov_returns_mean(self):
         mean = np.array([1.0, -2.0])
-        assert np.allclose(sample_mvn(mean, np.zeros((2, 2)), RngStream(2)), mean,
+        assert np.allclose(sample_mvn(mean, np.zeros((2, 2)), RngStream(2), size=1), mean,
                            atol=1e-6)
 
     def test_marginals_standard_normal(self):
@@ -99,7 +99,7 @@ class TestMvn:
         from bnnlimits.posteriors import LinearAlgebraError
 
         with pytest.raises(LinearAlgebraError):
-            sample_mvn(np.zeros(2), np.array([[1.0, 0.0], [0.0, -1.0]]), RngStream(6))
+            sample_mvn(np.zeros(2), np.array([[1.0, 0.0], [0.0, -1.0]]), RngStream(6), size=1)
 
 
 class TestMvt:
