@@ -65,6 +65,8 @@ PRIOR_BLOCK_BYTES = 2 << 20
 DOMAIN = (-1.0, 1.0)
 # Nelder-Mead starts of each maximization in run_bound_diagnostics.
 BOUND_RESTARTS = 8
+# Resampling repetitions of each width's W1, which give its bands.
+W1_REPS = 10
 
 
 class ConfigError(ValueError):
@@ -96,10 +98,7 @@ class ExperimentConfig:
     k: int = 8
     test_grid: int = 64
     w1_grid: int = 5
-    n_reps: int = 10
     burn_in: int = 200
-    thinning: int = 1
-    hmc_steps: int = 5
     seed: int = 0
 
     def __post_init__(self):
@@ -119,6 +118,9 @@ class ExperimentConfig:
                        and (kind is not float or abs(v) <= sys.float_info.max)
                        for v in value):
                 raise ConfigError(f"{what} must be {noun}")
+            if kind is float:
+                # 3 and 3.0 then give one config, one hash and one .meta.json
+                object.__setattr__(self, f.name, float(value[0]))
         widths = tuple(self.widths)
         if not widths or widths[0] < 1:
             raise ConfigError("widths must be a non-empty list of integers >= 1")
@@ -130,16 +132,16 @@ class ExperimentConfig:
                               "(the exact-assignment cap of the W1)")
         if self.n_hidden_layers < 1:
             raise ConfigError("need at least one hidden layer")
-        if self.k < 0 or self.test_grid < 0 or self.n_reps < 1:
-            raise ConfigError("k, test_grid must be >= 0 and n_reps >= 1")
-        if self.w1_grid < 0 or self.w1_grid > max(self.test_grid, 0):
+        if self.k < 0 or self.test_grid < 0:
+            raise ConfigError("k and test_grid must be >= 0")
+        if self.w1_grid < 0 or self.w1_grid > self.test_grid:
             raise ConfigError("w1_grid must lie in [0, test_grid]")
         if not (self.a > 0 and self.b > 0 and self.noise_var > 0):
             raise ConfigError("a, b and noise_var must be > 0")
         if not (self.weight_variance > 0 and self.bias_variance > 0):
             raise ConfigError("weight_variance and bias_variance must be > 0")
-        if self.burn_in < 0 or self.thinning < 1 or self.hmc_steps < 1:
-            raise ConfigError("need burn_in >= 0, thinning >= 1 and hmc_steps >= 1")
+        if self.burn_in < 0:
+            raise ConfigError("burn_in must be >= 0")
         if self.activation not in ACTIVATIONS:
             raise ConfigError(f"unknown activation {self.activation!r}")
         if self.seed < 0:
@@ -282,13 +284,8 @@ def _log_constraint(cfg: ExperimentConfig, data: Dataset) -> ConstraintReport | 
 def _gibbs_config(cfg: ExperimentConfig, width: int, kind: int) -> GibbsConfig:
     """MCMC schedule of one width, seeded per (experiment seed, width, sweep kind)."""
     h = hashlib.sha256(f"{cfg.seed}:{width}:{kind}".encode()).digest()
-    return GibbsConfig(
-        n_samples=cfg.draws,
-        burn_in=cfg.burn_in,
-        thinning=cfg.thinning,
-        hmc_steps=cfg.hmc_steps,
-        seed=int.from_bytes(h[:8], "little") >> 1,
-    )
+    return GibbsConfig(n_samples=cfg.draws, burn_in=cfg.burn_in,
+                       seed=int.from_bytes(h[:8], "little") >> 1)
 
 
 def _cpu_count() -> int:
@@ -310,7 +307,7 @@ def _prior_threads(cfg: ExperimentConfig, jobs: int) -> int:
     The CPUs are shared among the width processes, so a process pool is
     not oversubscribed, and no thread is left without a repetition.
     """
-    return max(1, min(cfg.n_reps, _cpu_count() // _width_processes(cfg, jobs)))
+    return max(1, min(W1_REPS, _cpu_count() // _width_processes(cfg, jobs)))
 
 
 def _prior_block_draws(arch: Architecture, m: int, threads: int) -> int:
@@ -357,7 +354,7 @@ def _prior_width_job(cfg: ExperimentConfig, kernel: KernelMatrix, width: int,
         return w1, sliced_w1(bnn, gp_full, 128, r_gp.child(1))
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = list(pool.map(repetition, RngStream(cfg.seed, (width,)).split(cfg.n_reps)))
+        results = list(pool.map(repetition, RngStream(cfg.seed, (width,)).split(W1_REPS)))
     return [w1 for w1, _ in results], [sl for _, sl in results]
 
 
@@ -371,7 +368,7 @@ def _posterior_width_job(cfg: ExperimentConfig, tp: StudentTPosterior,
     gcfg = _gibbs_config(cfg, width, 1)
     samples = gibbs_run(arch, cfg.variances(), cfg.a, cfg.b, data, grid, gcfg)
     rng = RngStream(cfg.seed, (width, 2))
-    return _resampled_w1(cfg, samples.evals, idx, rng,
+    return _resampled_w1(samples.evals, idx, rng,
                          lambda r, n: sample_mvt(tp.nu, tp.location, tp.scale, r, size=n))
 
 
@@ -387,15 +384,15 @@ def _baseline_width_job(cfg: ExperimentConfig, gp: GaussianPosterior,
         arch, cfg.variances(), cfg.noise_var, data, grid, gcfg
     )
     rng = RngStream(cfg.seed, (width, 4))
-    return _resampled_w1(cfg, samples.evals, idx, rng,
+    return _resampled_w1(samples.evals, idx, rng,
                          lambda r, n: sample_mvn(gp.mean, gp.cov, r, size=n))
 
 
-def _resampled_w1(cfg, evals, idx, rng, limit_sampler):
+def _resampled_w1(evals, idx, rng, limit_sampler):
     """Bootstrap the finite-width pool; fresh limit draws per repetition."""
     reps, sl = [], []
     n = evals.shape[0]
-    for rep_rng in rng.split(cfg.n_reps):
+    for rep_rng in rng.split(W1_REPS):
         r_boot, r_lim = rep_rng.split(2)
         pick = r_boot.gen.integers(0, n, size=n)
         bnn = evals[pick]

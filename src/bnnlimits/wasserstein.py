@@ -44,9 +44,11 @@ def w1_exact(xs, ys, cap: int = ASSIGNMENT_CAP) -> float:
         raise ValueError(
             f"n={n} exceeds the exact-assignment cap {cap}; use sliced_w1"
         )
-    from scipy.optimize import linear_sum_assignment  # a slow import, so only here
+    # slow imports, so only here; cdist builds no n x n x d temporary
+    from scipy.optimize import linear_sum_assignment
+    from scipy.spatial.distance import cdist
 
-    cost = np.linalg.norm(x[:, None, :] - y[None, :, :], axis=2)
+    cost = cdist(x, y)
     rows, cols = linear_sum_assignment(cost)
     return float(cost[rows, cols].sum() / n)
 

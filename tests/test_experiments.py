@@ -36,12 +36,10 @@ from test_samplers import NeverAccepts
 FAST = dict(
     widths=(1, 2),
     draws=20,
-    n_reps=2,
     k=3,
     test_grid=8,
     w1_grid=3,
     burn_in=10,
-    hmc_steps=1,
 )
 
 
@@ -66,7 +64,7 @@ class TestConfig:
             {"widths": (4, 2)},
             {"draws": 1},
             {"n_hidden_layers": 0},
-            {"n_reps": 0},
+            {"burn_in": 1.5},
             {"w1_grid": 9, "test_grid": 4},
             {"activation": "swish"},
             {"a": 0.0},
@@ -77,8 +75,8 @@ class TestConfig:
             {"bias_variance": 0.0},
             {"w1_grid": -1},
             {"burn_in": -1},
-            {"thinning": 0},
-            {"hmc_steps": 0},
+            {"k": 2.5},
+            {"w1_grid": True},
             {"draws": 2049},
             {"widths": (0, 1)},
             {"widths": (1.5, 2)},
@@ -88,7 +86,7 @@ class TestConfig:
             {"seed": 1.5},
             {"seed": True},
             {"k": True},
-            {"n_reps": True},
+            {"noise_var": -1.0},
             {"test_grid": True},
             {"draws": 2.0},
             {"widths": [True, 2]},
@@ -128,6 +126,12 @@ class TestConfig:
             {"activation": "erf", "kernel_method": "analytic_relu"},
             {"kernel_method": "bogus"},
             {"kernel_method": "monte_carlo", "activation": "tanh"},
+            # the MCMC schedule's thinning and steps per sigma2 draw are
+            # GibbsConfig's defaults, and every width's W1 takes W1_REPS
+            # repetitions
+            {"thinning": 1},
+            {"hmc_steps": 5},
+            {"n_reps": 10},
         ],
     )
     def test_configs_naming_dropped_fields_rejected(self, old):
@@ -145,6 +149,15 @@ class TestConfig:
         ]
         hashes = {base.hash()} | {c.hash() for c in tweaked}
         assert len(hashes) == 1 + len(tweaked)
+
+    def test_equal_configs_hash_equally(self):
+        # an integer given for a float field is stored as that float, so a
+        # JSON 2 and 2.0 key the same outputs
+        assert ExperimentConfig(a=3) == ExperimentConfig(a=3.0)
+        assert ExperimentConfig(a=3).hash() == ExperimentConfig(a=3.0).hash()
+        cfg = ExperimentConfig.from_dict({"weight_variance": 2})
+        assert type(cfg.weight_variance) is float
+        assert cfg.to_dict() == ExperimentConfig(weight_variance=2.0).to_dict()
 
     def test_dataset_shapes_and_determinism(self):
         cfg = ExperimentConfig(k=5, seed=3)
@@ -176,7 +189,7 @@ class TestRunners:
         cfg = ExperimentConfig(**FAST)
         rep = run_prior_convergence(cfg)
         assert rep.widths == [1, 2]
-        assert len(rep.w1) == 2 and len(rep.w1_reps[0]) == cfg.n_reps
+        assert len(rep.w1) == 2 and len(rep.w1_reps[0]) == experiments.W1_REPS
         assert all(lo <= v <= hi for v, lo, hi in zip(rep.w1, rep.w1_lo, rep.w1_hi))
         assert all(v > 0 for v in rep.w1)
         assert rep.slope is None  # only two widths
@@ -259,7 +272,7 @@ class TestPriorBlocks:
         assert np.array_equal(blocked.sliced, whole.sliced)
 
     def test_prior_scales_built_once_per_prior(self, monkeypatch):
-        # width 128 takes 2 reps x several blocks; every block reads the cached scale
+        # width 128 takes 10 reps x several blocks; every block reads the cached scale
         cfg = ExperimentConfig(**{**FAST, "widths": (8, 128)})
         threads = experiments._prior_threads(cfg, 1)
         n_blocks = {w: self.blocks(cfg, w, threads)[0] for w in cfg.widths}
@@ -281,16 +294,17 @@ class TestPriorBlocks:
         monkeypatch.setattr(network, "_target_constants", uncached)
         rebuilt = run_prior_convergence(cfg)
         # uncached: per width, one build before its threads start and one per
-        # block of each of its 2 reps
-        assert sum(calls.values()) == 2 + sum(1 + cfg.n_reps * n for n in n_blocks.values())
+        # block of each of its W1_REPS reps
+        reps = experiments.W1_REPS
+        assert sum(calls.values()) == 2 + sum(1 + reps * n for n in n_blocks.values())
         assert np.array_equal(cached.w1, rebuilt.w1)
         assert np.array_equal(cached.w1_reps, rebuilt.w1_reps)
         assert np.array_equal(cached.sliced, rebuilt.sliced)
 
     def test_thread_count_does_not_change_the_draws(self, monkeypatch):
-        # 5 repetitions on this host's threads, on 3 and on 1, with several
+        # 10 repetitions on this host's threads, on 3 and on 1, with several
         # blocks per repetition at width 128 for every thread count
-        cfg = ExperimentConfig(**{**FAST, "widths": (8, 128), "draws": 40, "n_reps": 5})
+        cfg = ExperimentConfig(**{**FAST, "widths": (8, 128), "draws": 40})
         reports = []
         for cpus in (None, 3, 1):  # None: this host's CPUs
             if cpus is not None:
@@ -314,7 +328,7 @@ class TestPriorBlocks:
         path = os.path.join(os.path.dirname(__file__), "..", "configs",
                             "prior_convergence.json")
         with open(path) as f:
-            cfg = ExperimentConfig.from_dict({**json.load(f), "widths": [128], "n_reps": 1})
+            cfg = ExperimentConfig.from_dict({**json.load(f), "widths": [128]})
         tracemalloc.start()
         try:
             run_prior_convergence(cfg)
@@ -694,7 +708,7 @@ class TestCli:
         assert main(["gaussian-baseline", "--config", str(path)]) == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
         path.write_text(json.dumps({"draws": 2049, "widths": [1, 2], "test_grid": 4,
-                                    "w1_grid": 2, "n_reps": 1, "k": 0}))
+                                    "w1_grid": 2, "k": 0}))
         assert main(["prior-convergence", "--config", str(path)]) == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
         path.write_text(json.dumps({"kernel_method": "bogus"}))
@@ -706,7 +720,7 @@ class TestCli:
         # Python's json reads the non-standard literal Infinity as float("inf")
         path = tmp_path / "inf.json"
         path.write_text(f'{{"k": 3, "widths": [1], "draws": 4, "burn_in": 2, '
-                        f'"n_reps": 1, "test_grid": 4, "w1_grid": 2, "{field}": Infinity}}')
+                        f'"test_grid": 4, "w1_grid": 2, "{field}": Infinity}}')
         argv = ["posterior-convergence", "--config", str(path), "--out", str(tmp_path / "o")]
         assert main(argv) == EXIT_CONFIG
         assert "finite number" in capsys.readouterr().err
@@ -720,7 +734,7 @@ class TestCli:
     ])
     def test_overflowing_config_exit_3(self, tmp_path, capsys, command, field, value):
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"widths": [1, 2], "draws": 4, "burn_in": 2, "n_reps": 1,
+        path.write_text(json.dumps({"widths": [1, 2], "draws": 4, "burn_in": 2,
                                     "test_grid": 4, "w1_grid": 2, field: value}))
         out = tmp_path / "o"
         with warnings.catch_warnings():
@@ -778,7 +792,7 @@ class TestCli:
     def test_no_training_data_small_a_exit_ok(self, tmp_path, a):
         # k = 0 gives a' = a <= 1/2, where the sigma2 density in y has no mode
         cfgp = self._cfg_file(tmp_path, k=0, a=a, widths=[1], draws=2, burn_in=0,
-                              n_reps=1, test_grid=2, w1_grid=1)
+                              test_grid=2, w1_grid=1)
         argv = ["posterior-convergence", "--config", cfgp, "--out", str(tmp_path / "o")]
         assert main(argv) == EXIT_OK
 

@@ -2,11 +2,13 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
+from scipy.optimize import linear_sum_assignment
 
 from bnnlimits import sliced_w1, w1_1d, w1_exact
 from bnnlimits.rng import RngStream
@@ -71,6 +73,31 @@ class TestW1Exact:
         x = np.zeros((10, 1))
         with pytest.raises(ValueError, match="sliced_w1"):
             w1_exact(x, x, cap=5)
+
+    @pytest.mark.parametrize("d", [1, 2, 5, 7])
+    def test_cost_equals_broadcast_norm(self, d):
+        # below 8 terms numpy sums each squared distance in order, as cdist
+        # does, so the cost matrix and the matching are bit-identical
+        rng = RngStream(16)
+        x = rng.gen.standard_normal((40, d))
+        y = rng.gen.standard_normal((40, d))
+        cost = np.linalg.norm(x[:, None, :] - y[None, :, :], axis=2)
+        rows, cols = linear_sum_assignment(cost)
+        assert w1_exact(x, y) == float(cost[rows, cols].sum() / 40)
+
+    def test_memory_does_not_grow_with_n_squared_times_d(self):
+        # an n x n x d temporary at n = 200, d = 128 alone takes 39 MiB
+        rng = RngStream(17)
+        x = rng.gen.standard_normal((200, 128))
+        y = rng.gen.standard_normal((200, 128))
+        w1_exact(x, y)  # the lazy scipy imports allocate outside the measurement
+        tracemalloc.start()
+        try:
+            w1_exact(x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestMetricAxioms:
