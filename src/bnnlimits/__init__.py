@@ -37,4 +37,4 @@ from .samplers import (  # noqa: F401
 )
 from .gibbs import GibbsConfig, PosteriorSamples, gibbs_run, gibbs_run_fixed_variance  # noqa: F401
 from .rng import RngStream  # noqa: F401
-from .wasserstein import sliced_w1, w1_1d, w1_exact  # noqa: F401
+from .wasserstein import sliced_w1, w1_exact  # noqa: F401

@@ -67,6 +67,8 @@ DOMAIN = (-1.0, 1.0)
 BOUND_RESTARTS = 8
 # Resampling repetitions of each width's W1, which give its bands.
 W1_REPS = 10
+# Random directions of each repetition's sliced W1 over the full test grid.
+SLICED_PROJECTIONS = 128
 
 
 class ConfigError(ValueError):
@@ -351,7 +353,7 @@ def _prior_width_job(cfg: ExperimentConfig, kernel: KernelMatrix, width: int,
         gp_full = sample_mvn(
             np.zeros(grid.shape[1]), kernel.values, r_gp.child(0), size=cfg.draws
         )
-        return w1, sliced_w1(bnn, gp_full, 128, r_gp.child(1))
+        return w1, sliced_w1(bnn, gp_full, SLICED_PROJECTIONS, r_gp.child(1))
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
         results = list(pool.map(repetition, RngStream(cfg.seed, (width,)).split(W1_REPS)))
@@ -398,7 +400,7 @@ def _resampled_w1(evals, idx, rng, limit_sampler):
         bnn = evals[pick]
         lim = limit_sampler(r_lim, n)
         reps.append(w1_exact(bnn[:, idx], lim[:, idx]))
-        sl.append(sliced_w1(bnn, lim, 128, r_lim.child(0)))
+        sl.append(sliced_w1(bnn, lim, SLICED_PROJECTIONS, r_lim.child(0)))
     return reps, sl
 
 

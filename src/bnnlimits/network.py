@@ -284,8 +284,6 @@ def log_posterior_and_grad(
     z = theta / scale
     logpri = -0.5 * float(z @ z) - sum_log_scale - half_n_log2pi
     grad = theta / neg_scale2
-    if data.k == 0:
-        return logpri, grad
 
     # Forward pass keeping each layer's input h and activation a = phi(h).
     cache = []

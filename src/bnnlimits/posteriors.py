@@ -24,35 +24,28 @@ from scipy.special import gammaln
 from .kernels import KernelMatrix, LinearAlgebraError, psd_cholesky
 
 
-def solve_psd(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Solve A X = B for symmetric PD A on the full jitter ladder (psd_cholesky).
-
-    Raises with a hint to deduplicate inputs if the jitter budget fails.
-    """
-    factor = psd_cholesky(np.asarray(A, dtype=float))
-    if factor is None:
-        raise LinearAlgebraError(
-            "matrix is singular beyond the jitter budget; "
-            "add jitter explicitly or deduplicate near-identical inputs"
-        )
-    return cho_solve((factor[0], True), B)
-
-
 def _condition(kd, kc, kt, y, noise):
     """Condition a zero-mean Gaussian on y observed with noise * I.
 
     With alpha = (kd + noise I)^{-1} y, returns (kc alpha,
     kt - kc (kd + noise I)^{-1} kc^T, y^T alpha), each a fresh array. No
-    data (n = 0) gives the prior (0, kt, 0). Raises LinearAlgebraError if y
-    or y^T alpha is not finite (observations too large for floating point).
+    data (n = 0) gives the prior (0, kt, 0). The solve factors kd + noise I on
+    the full jitter ladder (psd_cholesky). Raises LinearAlgebraError if no
+    rung factors it, or if y or y^T alpha is not finite (observations too
+    large for floating point).
     """
     y = np.ravel(np.asarray(y, dtype=float))
     if y.shape[0] != kd.shape[0]:
         raise ValueError("y length must match the train kernel")
     if not np.all(np.isfinite(y)):
         raise LinearAlgebraError("observations are not finite: they overflow floating point")
-    A = kd + noise * np.eye(kd.shape[0])
-    sol = solve_psd(A, np.column_stack([y, kc.T]))
+    factor = psd_cholesky(kd + noise * np.eye(kd.shape[0]))
+    if factor is None:
+        raise LinearAlgebraError(
+            "matrix is singular beyond the jitter budget; "
+            "add jitter explicitly or deduplicate near-identical inputs"
+        )
+    sol = cho_solve((factor[0], True), np.column_stack([y, kc.T]))
     y_alpha = float(y @ sol[:, 0])
     if not math.isfinite(y_alpha):
         raise LinearAlgebraError(

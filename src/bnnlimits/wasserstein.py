@@ -1,8 +1,8 @@
 """Empirical Wasserstein distances between sample sets.
 
-Exact 1-D distances via sorted order statistics, exact multivariate W1 for
-equal-size samples via minimum-cost assignment, and a sliced-W1 estimator
-for larger problems.
+Exact W1 for equal-size samples via minimum-cost assignment, and a
+sliced-W1 estimator (sorted order statistics along random directions) for
+larger problems.
 """
 
 from __future__ import annotations
@@ -17,15 +17,6 @@ ASSIGNMENT_CAP = 2048
 def _as_array(xs) -> np.ndarray:
     a = np.asarray(xs, dtype=float)
     return a[:, None] if a.ndim == 1 else a
-
-
-def w1_1d(xs, ys) -> float:
-    """Exact 1-D W1 for equal-size samples: mean |x_(i) - y_(i)| over sorted order."""
-    x = np.ravel(_as_array(xs))
-    y = np.ravel(_as_array(ys))
-    if x.shape[0] != y.shape[0]:
-        raise ValueError("sample sizes must match")
-    return float(np.mean(np.abs(np.sort(x) - np.sort(y))))
 
 
 def w1_exact(xs, ys, cap: int = ASSIGNMENT_CAP) -> float:
@@ -54,15 +45,12 @@ def w1_exact(xs, ys, cap: int = ASSIGNMENT_CAP) -> float:
 
 
 def sliced_w1(xs, ys, n_projections: int, rng: RngStream) -> float:
-    """Average 1-D W1 over uniformly random unit directions."""
+    """Average 1-D W1 of equal-size samples over uniformly random unit directions."""
     x = _as_array(xs)
     y = _as_array(ys)
-    if x.shape[1] != y.shape[1]:
-        raise ValueError("dimensions must match")
-    d = x.shape[1]
-    if d == 1:
-        return w1_1d(x, y)
-    dirs = rng.gen.standard_normal((n_projections, d))
+    if x.shape != y.shape:
+        raise ValueError("sample sizes and dimensions must match")
+    dirs = rng.gen.standard_normal((n_projections, x.shape[1]))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     xs_proj = np.sort(x @ dirs.T, axis=0)
     ys_proj = np.sort(y @ dirs.T, axis=0)

@@ -3,11 +3,12 @@
 None of these runs in a subcommand. Each is a second path beside one that
 does: a separate log prior and log likelihood beside
 `log_posterior_and_grad`, `pack`/`unpack` beside the architecture's layer
-plan, a train-only and a joint Normal-Inverse-Gamma posterior beside
-`tp_posterior_predict`, a weighted W1 beside `w1_exact`, and a CSV reader
-that round-trips `emit_figure_data`. They still call the package's
-`_target_constants`, `_t_predictive`, `solve_psd` and `w1_exact`, so their
-tests exercise that code too.
+plan, a PSD solve beside `_condition`'s, a train-only and a joint
+Normal-Inverse-Gamma posterior beside `tp_posterior_predict`, a sorted 1-D
+W1 beside `sliced_w1`'s projections, a weighted W1 beside `w1_exact`, and a
+CSV reader that round-trips `emit_figure_data`. They still call the
+package's `_target_constants`, `_t_predictive`, `psd_cholesky` and
+`w1_exact`, so their tests exercise that code too.
 """
 
 from __future__ import annotations
@@ -19,16 +20,16 @@ from fractions import Fraction
 from math import lcm
 
 import numpy as np
+from scipy.linalg import cho_solve
 
-from bnnlimits.kernels import KernelMatrix
+from bnnlimits.kernels import KernelMatrix, LinearAlgebraError, psd_cholesky
 from bnnlimits.network import Architecture, VarianceVector, _target_constants
 from bnnlimits.posteriors import (
     GaussianPosterior,
     StudentTPosterior,
     _t_predictive,
-    solve_psd,
 )
-from bnnlimits.wasserstein import ASSIGNMENT_CAP, _as_array, w1_1d, w1_exact
+from bnnlimits.wasserstein import ASSIGNMENT_CAP, _as_array, w1_exact
 
 REPLICATION_CAP = 100_000
 
@@ -93,6 +94,20 @@ def _train_block(kprime_train: KernelMatrix | np.ndarray) -> np.ndarray:
     """K'_D as a 2-D float array, from a KernelMatrix or a matrix."""
     k = kprime_train.train if isinstance(kprime_train, KernelMatrix) else kprime_train
     return np.atleast_2d(np.asarray(k, dtype=float))
+
+
+def solve_psd(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Solve A X = B for symmetric PD A on the full jitter ladder (psd_cholesky).
+
+    Raises with a hint to deduplicate inputs if the jitter budget fails.
+    """
+    factor = psd_cholesky(np.asarray(A, dtype=float))
+    if factor is None:
+        raise LinearAlgebraError(
+            "matrix is singular beyond the jitter budget; "
+            "add jitter explicitly or deduplicate near-identical inputs"
+        )
+    return cho_solve((factor[0], True), B)
 
 
 def nig_posterior(
@@ -161,6 +176,15 @@ def replicate_weighted(
         raise ValueError(f"common denominator {denom} exceeds cap {cap}")
     counts = [int(f * denom) for f in fracs]
     return np.repeat(support, counts, axis=0)
+
+
+def w1_1d(xs, ys) -> float:
+    """Exact 1-D W1 for equal-size samples: mean |x_(i) - y_(i)| over sorted order."""
+    x = np.ravel(_as_array(xs))
+    y = np.ravel(_as_array(ys))
+    if x.shape[0] != y.shape[0]:
+        raise ValueError("sample sizes must match")
+    return float(np.mean(np.abs(np.sort(x) - np.sort(y))))
 
 
 def w1_weighted(support_x, weights_x, support_y, weights_y) -> float:

@@ -24,7 +24,6 @@ from bnnlimits import (
     sample_inverse_gamma,
     sample_sigma2_conditional,
     tp_posterior_predict,
-    w1_1d,
     w1_exact,
 )
 from bnnlimits.experiments import (
@@ -37,7 +36,7 @@ from bnnlimits.experiments import (
 )
 from bnnlimits.network import forward_batch, sample_prior_params
 from bnnlimits.rng import RngStream
-from oracles import marginalize_nig_to_t, nig_posterior, tp_posterior_train, w1_weighted
+from oracles import marginalize_nig_to_t, nig_posterior, tp_posterior_train, w1_1d, w1_weighted
 
 KS_1PCT = 1.63  # asymptotic 1% critical constant: D_crit = 1.63 / sqrt(n_eff)
 

@@ -16,9 +16,9 @@ from bnnlimits import (
     student_t_logpdf,
     tp_posterior_predict,
 )
-from bnnlimits.posteriors import solve_psd, LinearAlgebraError
+from bnnlimits.posteriors import LinearAlgebraError
 from bnnlimits.rng import RngStream
-from oracles import marginalize_nig_to_t, nig_posterior, tp_posterior_train
+from oracles import marginalize_nig_to_t, nig_posterior, solve_psd, tp_posterior_train
 from test_kernels import _matching_lines
 
 
@@ -83,6 +83,29 @@ class TestGpPosterior:
     def test_rejects_y_of_wrong_length(self):
         with pytest.raises(ValueError, match="y length"):
             gp_posterior(np.eye(2), np.ones((1, 2)), np.eye(1), np.ones(3), 0.1)
+
+    def test_singular_block_solved_on_jitter_ladder(self):
+        # duplicated inputs with noise below rounding: K + noise I is singular
+        # at rung 0, and a jittered rung solves it in the range of K
+        k = np.ones((2, 2))
+        y = np.array([1.0, 1.0])
+        post = gp_posterior(k, k, k, y, 1e-20)
+        assert np.allclose(post.mean, y, atol=1e-10)
+
+    def test_indefinite_block_rejected(self):
+        with pytest.raises(LinearAlgebraError, match="jitter budget"):
+            gp_posterior(np.array([[1.0, 1.0], [1.0, -1.0]]), np.eye(2), np.eye(2),
+                         np.ones(2), 0.1)
+
+    def test_non_finite_observations_rejected(self):
+        with pytest.raises(LinearAlgebraError, match="observations are not finite"):
+            gp_posterior(np.eye(1), np.eye(1), np.eye(1), np.array([np.nan]), 0.1)
+
+    def test_overflowing_quadratic_form_rejected(self):
+        # y is finite, but y^T (K + I)^-1 y = 1e400 is not
+        with pytest.raises(LinearAlgebraError, match=r"y\^T \(K \+ noise I\)\^-1 y = inf"), \
+                np.errstate(over="ignore"):
+            gp_posterior(np.array([[1e-300]]), np.eye(1), np.eye(1), np.array([1e200]), 1.0)
 
 
 class TestNigPosterior:
@@ -329,6 +352,11 @@ class TestStudentTLogpdf:
         assert not np.array_equal(s, s.T)
         x, mu = rng.gen.standard_normal(12), rng.gen.standard_normal(12)
         assert student_t_logpdf(x, 5.0, mu, s) == student_t_logpdf(x, 5.0, mu, s.T)
+
+    def test_singular_scale_rejected(self):
+        # the density stays on rung 0 of the jitter ladder, which a singular scale fails
+        with pytest.raises(LinearAlgebraError, match="positive definite"):
+            student_t_logpdf(np.zeros(2), 3.0, np.zeros(2), np.ones((2, 2)))
 
 
 class TestOneConditioningPath:

@@ -101,6 +101,14 @@ class TestMvn:
         with pytest.raises(LinearAlgebraError):
             sample_mvn(np.zeros(2), np.array([[1.0, 0.0], [0.0, -1.0]]), RngStream(6), size=1)
 
+    def test_nan_covariance_rejected(self):
+        from bnnlimits.posteriors import LinearAlgebraError
+
+        # psd_cholesky rejects a non-finite matrix before LAPACK reads it
+        with pytest.raises(LinearAlgebraError):
+            sample_mvn(np.zeros(2), np.array([[1.0, np.nan], [np.nan, 1.0]]), RngStream(6),
+                       size=1)
+
 
 class TestMvt:
     def test_ks_against_analytic_cdf(self):

@@ -10,9 +10,9 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 from scipy.optimize import linear_sum_assignment
 
-from bnnlimits import sliced_w1, w1_1d, w1_exact
+from bnnlimits import sliced_w1, w1_exact
 from bnnlimits.rng import RngStream
-from oracles import replicate_weighted, w1_weighted
+from oracles import replicate_weighted, w1_1d, w1_weighted
 
 
 def brute_force_w1(x, y):
@@ -136,6 +136,14 @@ class TestSlicedW1:
         y = rng.gen.standard_normal(30)
         assert sliced_w1(x, y, 17, RngStream(10)) == pytest.approx(w1_1d(x, y),
                                                                    abs=1e-12)
+
+    @pytest.mark.parametrize("shape_x, shape_y",
+                             [((1, 3), (5, 3)), ((4, 3), (5, 3)), ((1, 1), (5, 1)),
+                              ((3, 2), (3, 3))])
+    def test_rejects_unequal_shapes(self, shape_x, shape_y):
+        # one sample against several would broadcast into a number
+        with pytest.raises(ValueError, match="sample sizes and dimensions must match"):
+            sliced_w1(np.zeros(shape_x), np.zeros(shape_y), 4, RngStream(0))
 
     def test_projection_count_stability(self):
         rng = RngStream(11)
