@@ -31,9 +31,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
-# subcommand -> (runner, whether it sweeps widths and so takes --jobs)
+# subcommand -> (runner, whether it runs its widths in --jobs processes)
 COMMANDS = {
-    "prior-convergence": (run_prior_convergence, True),
+    "prior-convergence": (run_prior_convergence, False),
     "posterior-convergence": (run_posterior_convergence, True),
     "gaussian-baseline": (run_gaussian_baseline, True),
     "compare": (run_comparison, False),
@@ -55,12 +55,12 @@ def build_parser() -> argparse.ArgumentParser:
         "networks and their Gaussian/Student-t process limits.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, sweep) in COMMANDS.items():
+    for name, (_, jobs) in COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON config file path")
         p.add_argument("--seed", type=int, default=None, help="override RNG seed")
         p.add_argument("--out", default="out", help="output directory")
-        if sweep:
+        if jobs:
             p.add_argument("--jobs", type=positive_int, default=1, help="parallel width jobs")
     return parser
 
@@ -107,9 +107,9 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"config error: cannot create output directory: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    runner, sweep = COMMANDS[args.command]
+    runner, jobs = COMMANDS[args.command]
     try:
-        report = runner(cfg, jobs=args.jobs) if sweep else runner(cfg)
+        report = runner(cfg, jobs=args.jobs) if jobs else runner(cfg)
         paths = emit_figure_data(report, args.out)
     except (KernelDegeneracyError, LinearAlgebraError, SamplerError) as e:
         for d in made:  # a failed run leaves no directory behind that it made

@@ -298,18 +298,10 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _width_processes(cfg: ExperimentConfig, jobs: int) -> int:
-    """Processes a sweep runs its width jobs in."""
-    return min(jobs, len(cfg.widths)) if jobs > 1 else 1
-
-
-def _prior_threads(cfg: ExperimentConfig, jobs: int) -> int:
-    """Threads each prior width job runs its repetitions on.
-
-    The CPUs are shared among the width processes, so a process pool is
-    not oversubscribed, and no thread is left without a repetition.
-    """
-    return max(1, min(W1_REPS, _cpu_count() // _width_processes(cfg, jobs)))
+def _prior_threads() -> int:
+    """Threads a prior width job runs its repetitions on: one per CPU, and
+    none left without a repetition."""
+    return min(W1_REPS, _cpu_count())
 
 
 def _prior_block_draws(arch: Architecture, m: int, threads: int) -> int:
@@ -404,15 +396,14 @@ def _resampled_w1(evals, idx, rng, limit_sampler):
     return reps, sl
 
 
-def _sweep(cfg: ExperimentConfig, jobs: int, limit_of, job,
+def _sweep(cfg: ExperimentConfig, limit_of, job, jobs: int = 1,
            warn_inadmissible: bool = False) -> ConvergenceReport:
     """Run job(cfg, limit, width) -> (W1 repetitions, sliced W1s) at every width.
 
     limit_of(data, grid) builds the width-independent limit once; the width
     jobs run serially or in a pool of up to `jobs` processes (one per
-    width at most). With
-    warn_inadmissible, an (a, b) outside the admissible region gives one
-    UserWarning before the jobs run.
+    width at most). With warn_inadmissible, an (a, b) outside the admissible
+    region gives one UserWarning before the jobs run.
     """
     t0 = time.perf_counter()
     data = cfg.make_dataset()
@@ -425,7 +416,7 @@ def _sweep(cfg: ExperimentConfig, jobs: int, limit_of, job,
         )
     limit = limit_of(data, cfg.make_test_grid())
     run = functools.partial(job, cfg, limit)
-    processes = _width_processes(cfg, jobs)
+    processes = min(jobs, len(cfg.widths))
     if processes > 1:
         with ProcessPoolExecutor(max_workers=processes) as pool:
             results = list(pool.map(run, cfg.widths))
@@ -438,13 +429,13 @@ def _sweep(cfg: ExperimentConfig, jobs: int, limit_of, job,
     )
 
 
-def run_prior_convergence(cfg: ExperimentConfig, jobs: int = 1) -> ConvergenceReport:
+def run_prior_convergence(cfg: ExperimentConfig) -> ConvergenceReport:
     """W1 between prior network draws and NNGP draws, per width.
 
-    Each width job runs its repetitions on threads (_prior_threads).
+    The widths run in turn, each on its repetition threads (_prior_threads).
     """
-    job = functools.partial(_prior_width_job, threads=_prior_threads(cfg, jobs))
-    return _sweep(cfg, jobs, lambda data, grid: _limit_kernel(cfg, grid), job)
+    job = functools.partial(_prior_width_job, threads=_prior_threads())
+    return _sweep(cfg, lambda data, grid: _limit_kernel(cfg, grid), job)
 
 
 def run_posterior_convergence(cfg: ExperimentConfig, jobs: int = 1) -> ConvergenceReport:
@@ -452,13 +443,13 @@ def run_posterior_convergence(cfg: ExperimentConfig, jobs: int = 1) -> Convergen
 
     Warns once per run when (a, b) lies outside the admissible region.
     """
-    return _sweep(cfg, jobs, functools.partial(_t_limit, cfg), _posterior_width_job,
+    return _sweep(cfg, functools.partial(_t_limit, cfg), _posterior_width_job, jobs,
                   warn_inadmissible=True)
 
 
 def run_gaussian_baseline(cfg: ExperimentConfig, jobs: int = 1) -> ConvergenceReport:
     """W1 between fixed-variance posterior draws and the GP limit, per width."""
-    return _sweep(cfg, jobs, functools.partial(_gp_limit, cfg), _baseline_width_job)
+    return _sweep(cfg, functools.partial(_gp_limit, cfg), _baseline_width_job, jobs)
 
 
 @dataclass

@@ -17,7 +17,7 @@ loop on raw parameters with sigma2 held.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
+from math import isfinite, sqrt
 
 import numpy as np
 
@@ -38,26 +38,26 @@ from .samplers import (
     sample_sigma2_conditional,
 )
 
+# NUTS transitions of theta in each outer step, between sigma2 draws.
+HMC_STEPS = 5
+
 
 @dataclass(frozen=True)
 class GibbsConfig:
     """Outer-loop settings: n_samples retained draws after burn_in, thinned.
 
-    Each outer step makes hmc_steps NUTS transitions; the step size adapts
+    Each outer step makes HMC_STEPS NUTS transitions; the step size adapts
     during burn_in and is then held at its dual average.
     """
 
     n_samples: int = 100
     burn_in: int = 200
     thinning: int = 1
-    hmc_steps: int = 5
     seed: int = 0
 
     def __post_init__(self):
         if self.n_samples < 1 or self.burn_in < 0 or self.thinning < 1:
             raise ValueError("invalid Gibbs schedule")
-        if self.hmc_steps < 1:
-            raise ValueError("hmc_steps must be >= 1")
 
 
 @dataclass
@@ -125,7 +125,10 @@ def _run_chain(
         if it == cfg.burn_in:
             eps = da.adapted
         logp, g = value_and_grad(theta)
-        for _ in range(cfg.hmc_steps):
+        if not isfinite(logp):
+            raise SamplerError(f"log target is {logp} at the chain's state "
+                               f"(sigma2 = {sigma2:.3e}); the chain cannot move")
+        for _ in range(HMC_STEPS):
             theta, logp, g, acc, _, div = nuts_transition(
                 value_and_grad, theta, logp, g, eps, MAX_TREE_DEPTH, gen
             )

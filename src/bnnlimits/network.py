@@ -126,16 +126,10 @@ class VarianceVector:
     def constant(cls, value: float, n_layers: int) -> "VarianceVector":
         return cls((value,) * n_layers, (value,) * n_layers)
 
-    def with_last_layer(self, sigma2: float) -> "VarianceVector":
-        """Replace both last-layer variances by sigma2 (hierarchical model)."""
-        if sigma2 <= 0:
-            raise ValueError("sigma2 must be strictly positive")
-        return VarianceVector(
-            self.weight[:-1] + (float(sigma2),), self.bias[:-1] + (float(sigma2),)
-        )
-
     def unit_last_layer(self) -> "VarianceVector":
-        return self.with_last_layer(1.0)
+        """Both last-layer variances set to 1 (the hierarchical model's
+        standardized last layer)."""
+        return VarianceVector(self.weight[:-1] + (1.0,), self.bias[:-1] + (1.0,))
 
     @property
     def n_layers(self) -> int:

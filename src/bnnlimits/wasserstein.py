@@ -19,7 +19,7 @@ def _as_array(xs) -> np.ndarray:
     return a[:, None] if a.ndim == 1 else a
 
 
-def w1_exact(xs, ys, cap: int = ASSIGNMENT_CAP) -> float:
+def w1_exact(xs, ys) -> float:
     """Exact empirical W1 between equal-size samples (Euclidean ground cost).
 
     Solves the minimum-cost perfect matching and divides by n.
@@ -31,9 +31,9 @@ def w1_exact(xs, ys, cap: int = ASSIGNMENT_CAP) -> float:
     if x.shape[1] != y.shape[1]:
         raise ValueError("dimensions must match")
     n = x.shape[0]
-    if n > cap:
+    if n > ASSIGNMENT_CAP:
         raise ValueError(
-            f"n={n} exceeds the exact-assignment cap {cap}; use sliced_w1"
+            f"n={n} exceeds the exact-assignment cap {ASSIGNMENT_CAP}; use sliced_w1"
         )
     # slow imports, so only here; cdist builds no n x n x d temporary
     from scipy.optimize import linear_sum_assignment

@@ -3,12 +3,13 @@
 None of these runs in a subcommand. Each is a second path beside one that
 does: a separate log prior and log likelihood beside
 `log_posterior_and_grad`, `pack`/`unpack` beside the architecture's layer
-plan, a PSD solve beside `_condition`'s, a train-only and a joint
-Normal-Inverse-Gamma posterior beside `tp_posterior_predict`, a sorted 1-D
-W1 beside `sliced_w1`'s projections, a weighted W1 beside `w1_exact`, and a
-CSV reader that round-trips `emit_figure_data`. They still call the
-package's `_target_constants`, `_t_predictive`, `psd_cholesky` and
-`w1_exact`, so their tests exercise that code too.
+plan, any last-layer variance beside `unit_last_layer`, a PSD solve beside
+`_condition`'s, a train-only and a joint Normal-Inverse-Gamma posterior
+beside `tp_posterior_predict`, a sorted 1-D W1 beside `sliced_w1`'s
+projections, a weighted W1 (its own assignment, at any size) beside
+`w1_exact`, and a CSV reader that round-trips `emit_figure_data`. They still
+call the package's `_target_constants`, `_t_predictive` and `psd_cholesky`,
+so their tests exercise that code too.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ from math import lcm
 
 import numpy as np
 from scipy.linalg import cho_solve
+from scipy.optimize import linear_sum_assignment
+from scipy.spatial.distance import cdist
 
 from bnnlimits.kernels import KernelMatrix, LinearAlgebraError, psd_cholesky
 from bnnlimits.network import Architecture, VarianceVector, _target_constants
@@ -29,7 +32,7 @@ from bnnlimits.posteriors import (
     StudentTPosterior,
     _t_predictive,
 )
-from bnnlimits.wasserstein import ASSIGNMENT_CAP, _as_array, w1_exact
+from bnnlimits.wasserstein import _as_array
 
 REPLICATION_CAP = 100_000
 
@@ -53,6 +56,13 @@ def pack(arch: Architecture, layers: list[tuple[np.ndarray, np.ndarray]]) -> np.
     return theta
 
 
+def with_last_layer(variances: VarianceVector, sigma2: float) -> VarianceVector:
+    """Both last-layer variances replaced by sigma2 (the centered hierarchical
+    parametrization)."""
+    return VarianceVector(variances.weight[:-1] + (sigma2,),
+                          variances.bias[:-1] + (sigma2,))
+
+
 def log_likelihood(outputs: np.ndarray, y: np.ndarray, sigma2: float) -> float:
     """Log Gaussian likelihood: -(n_L k/2) log(2 pi s) - ||y - z||_F^2/(2s)."""
     if sigma2 <= 0:
@@ -74,7 +84,7 @@ def log_prior(
 ) -> float:
     """Log density of theta under the layer-wise Gaussian prior."""
     if sigma2 is not None:
-        variances = variances.with_last_layer(sigma2)
+        variances = with_last_layer(variances, sigma2)
     scale, _, sum_log_scale, half_n_log2pi = _target_constants(arch, variances)
     z = np.asarray(theta, dtype=float) / scale
     return -0.5 * float(z @ z) - sum_log_scale - half_n_log2pi
@@ -196,7 +206,9 @@ def w1_weighted(support_x, weights_x, support_y, weights_y) -> float:
     y = np.repeat(y, n // y.shape[0], axis=0)
     if x.shape[1] == 1:
         return w1_1d(x, y)
-    return w1_exact(x, y, cap=max(ASSIGNMENT_CAP, n))
+    cost = cdist(x, y)
+    rows, cols = linear_sum_assignment(cost)
+    return float(cost[rows, cols].sum() / n)
 
 
 def read_figure_csv(path: str) -> dict[str, list[float]]:

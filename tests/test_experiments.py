@@ -246,8 +246,10 @@ class TestRunners:
 
     def test_width_jobs_in_a_process_pool_match_serial(self):
         cfg = ExperimentConfig(**FAST)
-        for runner in (run_prior_convergence, run_posterior_convergence):
-            assert runner(cfg, jobs=2).w1 == runner(cfg, jobs=1).w1
+        for runner in (run_posterior_convergence, run_gaussian_baseline):
+            pooled, serial = runner(cfg, jobs=2), runner(cfg, jobs=1)
+            assert np.array_equal(pooled.w1_reps, serial.w1_reps)
+            assert np.array_equal(pooled.sliced, serial.sliced)
 
 
 class TestPriorBlocks:
@@ -262,7 +264,7 @@ class TestPriorBlocks:
 
     def test_block_size_does_not_change_the_draws(self, monkeypatch):
         cfg = ExperimentConfig(**{**FAST, "widths": (8, 128)})
-        _, block = self.blocks(cfg, 128, experiments._prior_threads(cfg, 1))
+        _, block = self.blocks(cfg, 128, experiments._prior_threads())
         assert 1 <= block < cfg.draws and cfg.draws % block != 0
         blocked = run_prior_convergence(cfg)
         monkeypatch.setattr(experiments, "PRIOR_BLOCK_BYTES", 1 << 40)
@@ -274,7 +276,7 @@ class TestPriorBlocks:
     def test_prior_scales_built_once_per_prior(self, monkeypatch):
         # width 128 takes 10 reps x several blocks; every block reads the cached scale
         cfg = ExperimentConfig(**{**FAST, "widths": (8, 128)})
-        threads = experiments._prior_threads(cfg, 1)
+        threads = experiments._prior_threads()
         n_blocks = {w: self.blocks(cfg, w, threads)[0] for w in cfg.widths}
         assert n_blocks[128] > 1
         calls = {}
@@ -309,8 +311,8 @@ class TestPriorBlocks:
         for cpus in (None, 3, 1):  # None: this host's CPUs
             if cpus is not None:
                 monkeypatch.setattr(experiments, "_cpu_count", lambda: cpus)
-                assert experiments._prior_threads(cfg, 1) == cpus
-            assert self.blocks(cfg, 128, experiments._prior_threads(cfg, 1))[0] > 1
+                assert experiments._prior_threads() == cpus
+            assert self.blocks(cfg, 128, experiments._prior_threads())[0] > 1
             reports.append(run_prior_convergence(cfg))
         for other in reports[1:]:
             assert np.array_equal(reports[0].w1, other.w1)
@@ -819,6 +821,13 @@ class TestCli:
         assert main(argv) == EXIT_NUMERICAL
         assert "persistent divergence" in capsys.readouterr().err
 
+    def test_target_not_finite_exit_3(self, tmp_path, capsys):
+        # log(2 pi noise_var) overflows, so the baseline's target is -inf at every theta
+        argv = ["gaussian-baseline", "--config", self._cfg_file(tmp_path, noise_var=1e308),
+                "--out", str(tmp_path / "o")]
+        assert main(argv) == EXIT_NUMERICAL
+        assert "log target is -inf at the chain's state" in capsys.readouterr().err
+
     def test_other_runtime_errors_propagate(self, tmp_path, monkeypatch):
         # only the typed numerical errors map to exit 3; anything else is a bug
         def broken(*args):
@@ -830,15 +839,11 @@ class TestCli:
         with pytest.raises(RuntimeError, match="not a numerical failure"):
             main(argv)
 
-    @pytest.mark.parametrize(
-        "command", ["prior-convergence", "posterior-convergence", "gaussian-baseline"]
-    )
+    @pytest.mark.parametrize("command", ["posterior-convergence", "gaussian-baseline"])
     def test_sweeps_take_jobs(self, command):
         assert build_parser().parse_args([command, "--jobs", "2"]).jobs == 2
 
-    @pytest.mark.parametrize(
-        "command", ["prior-convergence", "posterior-convergence", "gaussian-baseline"]
-    )
+    @pytest.mark.parametrize("command", ["posterior-convergence", "gaussian-baseline"])
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_sweeps_reject_jobs_below_1(self, command, jobs, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -859,7 +864,7 @@ class TestCli:
         assert main(argv) == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["compare", "diagnostics"])
+    @pytest.mark.parametrize("command", ["prior-convergence", "compare", "diagnostics"])
     def test_jobs_rejected_where_unused(self, tmp_path, command, capsys):
         with pytest.raises(SystemExit) as exc:
             main([command, "--jobs", "2", "--out", str(tmp_path)])

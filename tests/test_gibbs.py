@@ -214,12 +214,13 @@ class TestMechanics:
         assert out.evals.shape == (20, 2)
         assert out.diagnostics["n_divergent"] <= 0.5 * out.diagnostics["n_transitions"]
 
-    def test_chain_memory_does_not_grow_with_parameters_per_draw(self):
+    def test_chain_memory_does_not_grow_with_parameters_per_draw(self, monkeypatch):
         # 500 kept draws of 1153 parameters would take 4.6 MB if stored; the
         # chain keeps sigma2 and the test evaluations only
         arch = Architecture((1, 32, 32, 1), ("identity", "erf", "erf"))
         data = Dataset(np.array([[0.2]]), np.array([[0.4]]))
-        cfg = GibbsConfig(n_samples=500, burn_in=5, hmc_steps=1, seed=35)
+        cfg = GibbsConfig(n_samples=500, burn_in=5, seed=35)
+        monkeypatch.setattr(gibbs, "HMC_STEPS", 1)  # keeps the 500-draw chain fast
         tracemalloc.start()
         try:
             with warnings.catch_warnings():
@@ -231,6 +232,24 @@ class TestMechanics:
             tracemalloc.stop()
         assert out.evals.shape == (500, 2)
         assert peak < 0.5 * cfg.n_samples * arch.n_params * 8
+
+    @pytest.mark.parametrize("noise_var", [1e308, 2.9e307])
+    def test_target_not_finite_at_the_state_raises(self, noise_var, monkeypatch):
+        # log(2 pi sigma2) overflows, so the target is -inf at every theta: the
+        # chain stops before its first transition rather than after burn-in
+        transitions = []
+        real = gibbs.nuts_transition
+
+        def counted(*args):
+            transitions.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(gibbs, "nuts_transition", counted)
+        data = Dataset(np.array([[0.2, -0.3]]), np.array([[0.4, 0.1]]))
+        with pytest.raises(SamplerError, match=r"log target is -inf .*sigma2 = "):
+            gibbs_run_fixed_variance(ARCH, VARS, noise_var, data, TEST_X,
+                                     GibbsConfig(n_samples=4, burn_in=2, seed=36))
+        assert transitions == []
 
     def test_persistent_divergence_raises_sampler_error(self, monkeypatch):
         def always_divergent(value_and_grad, theta, logp, grad, eps, max_depth, gen):

@@ -36,6 +36,7 @@ from bnnlimits.kernels import (
 from bnnlimits.experiments import ExperimentConfig
 from bnnlimits.network import ACTIVATIONS
 from bnnlimits.rng import RngStream
+from oracles import with_last_layer
 
 ERF_ARCH = Architecture((1, 8, 1), ("identity", "erf"))
 V5 = VarianceVector.constant(5.0, 2)
@@ -103,7 +104,7 @@ class TestRecursion:
         for method in ("analytic_erf", "hermite_series"):
             kp = rescaled_kernel(ERF_ARCH, V5, x, method=method)
             for sigma2 in (0.5, 2.0, 7.0):
-                v = V5.with_last_layer(sigma2)
+                v = with_last_layer(V5, sigma2)
                 k = kernel_recursion(ERF_ARCH, v, x, method=method)
                 assert np.allclose(k.values, sigma2 * kp.values, atol=1e-10)
 
@@ -369,7 +370,7 @@ class TestSharedRecursion:
     def test_recursion_ignores_last_layer_variances(self):
         x = np.linspace(-1.0, 1.0, 5)[None, :]
         e = kernels._recursion(ERF_ARCH, V5, x)
-        assert np.array_equal(e, kernels._recursion(ERF_ARCH, V5.with_last_layer(0.3), x))
+        assert np.array_equal(e, kernels._recursion(ERF_ARCH, with_last_layer(V5, 0.3), x))
         assert np.array_equal(e, e.T)
 
 

@@ -12,6 +12,7 @@ from scipy.optimize import linear_sum_assignment
 
 from bnnlimits import sliced_w1, w1_exact
 from bnnlimits.rng import RngStream
+from bnnlimits.wasserstein import ASSIGNMENT_CAP
 from oracles import replicate_weighted, w1_1d, w1_weighted
 
 
@@ -70,9 +71,10 @@ class TestW1Exact:
             assert w1_exact(a * x, a * y) == pytest.approx(a * base, abs=1e-10)
 
     def test_cap_exceeded_instructs_sliced(self):
-        x = np.zeros((10, 1))
+        # the check raises before the cost matrix is built
+        x = np.zeros((ASSIGNMENT_CAP + 1, 1))
         with pytest.raises(ValueError, match="sliced_w1"):
-            w1_exact(x, x, cap=5)
+            w1_exact(x, x)
 
     @pytest.mark.parametrize("d", [1, 2, 5, 7])
     def test_cost_equals_broadcast_norm(self, d):
