@@ -34,7 +34,6 @@ from .kernels import (
     KernelMatrix,
     check_hyperparams,
     kernel_recursion,
-    rescaled_kernel,
 )
 from .network import (
     ACTIVATIONS,
@@ -200,8 +199,8 @@ class ExperimentConfig:
 
 @dataclass(kw_only=True)
 class Report:
-    """What every report writes to its .meta.json: the config it ran (whose
-    hash and seed go there too), its run time and its admissibility check."""
+    """What every report writes to its .meta.json: the config it ran (whose hash
+    and seed go there too), its run time and the (a, b) check of its t limit, if any."""
 
     config: ExperimentConfig
     runtime_s: float
@@ -248,39 +247,34 @@ def fit_loglog_slope(widths, w1) -> float | None:
     return float(coef[0])
 
 
-def _limit_kernel(cfg: ExperimentConfig, x_train: np.ndarray,
-                  x_test: np.ndarray | None = None,
-                  rescaled: bool = False) -> KernelMatrix:
-    """Infinite-width kernel K (or K' if rescaled) over x_train then x_test.
-
-    The limit reads only depth, activations and variances, so a width-1
-    architecture stands in for every width.
-    """
-    inputs = x_train if x_test is None else np.concatenate([x_train, x_test], axis=1)
-    build = rescaled_kernel if rescaled else kernel_recursion
-    return build(cfg.architecture(1), cfg.variances(), inputs,
-                 method=cfg.kernel_method, n_train=x_train.shape[1])
+def _limit_e(cfg: ExperimentConfig, data: Dataset, grid: np.ndarray) -> np.ndarray:
+    """Last-layer E of the limit over the training inputs then the grid, which
+    gives K' = E + 1 and K = s2_W E + s2_b. The limit reads no width, so width 1
+    stands in for all; E's train block has the floats of a train-only recursion."""
+    return kernels._recursion(cfg.architecture(1), cfg.variances(),
+                              np.concatenate([data.x, grid], axis=1),
+                              method=cfg.kernel_method)
 
 
-def _t_limit(cfg: ExperimentConfig, data: Dataset, grid: np.ndarray) -> StudentTPosterior:
-    """Student-t posterior predictive of the hierarchical limit at the grid."""
-    kprime = _limit_kernel(cfg, data.x, grid, rescaled=True)
-    return tp_posterior_predict(kprime, data.y, cfg.a, cfg.b)
+def _t_limit(cfg: ExperimentConfig, data: Dataset, e: np.ndarray
+             ) -> tuple[StudentTPosterior, ConstraintReport | None]:
+    """Student-t posterior predictive of the hierarchical limit at the grid,
+    and the (a, b) admissibility report on K' at the training inputs (None
+    without training data), which it logs. `e` is read, not written."""
+    constraint = None
+    if data.k:
+        kp = KernelMatrix(e[:data.k, :data.k] + 1.0, data.k)
+        constraint = check_hyperparams(cfg.a, cfg.b, data.y, kp)
+        log.info(constraint.summary())
+    tp = tp_posterior_predict(KernelMatrix(e + 1.0, data.k), data.y, cfg.a, cfg.b)
+    return tp, constraint
 
 
-def _gp_limit(cfg: ExperimentConfig, data: Dataset, grid: np.ndarray) -> GaussianPosterior:
-    """GP posterior of the fixed-variance limit at the grid."""
-    k = _limit_kernel(cfg, data.x, grid)
+def _gp_limit(cfg: ExperimentConfig, data: Dataset, e: np.ndarray) -> GaussianPosterior:
+    """GP posterior of the fixed-variance limit at the grid; K is built in
+    `e`, which is overwritten."""
+    k = KernelMatrix(kernels._affine(e, cfg.weight_variance, cfg.bias_variance), data.k)
     return gp_posterior(k.train, k.cross, k.test, data.y, cfg.noise_var)
-
-
-def _log_constraint(cfg: ExperimentConfig, data: Dataset) -> ConstraintReport | None:
-    if data.k == 0:
-        return None
-    kp = _limit_kernel(cfg, data.x, rescaled=True)
-    report = check_hyperparams(cfg.a, cfg.b, data.y, kp)
-    log.info(report.summary())
-    return report
 
 
 def _gibbs_config(cfg: ExperimentConfig, width: int, kind: int) -> GibbsConfig:
@@ -396,25 +390,15 @@ def _resampled_w1(evals, idx, rng, limit_sampler):
     return reps, sl
 
 
-def _sweep(cfg: ExperimentConfig, limit_of, job, jobs: int = 1,
-           warn_inadmissible: bool = False) -> ConvergenceReport:
+def _sweep(cfg: ExperimentConfig, limit_of, job, jobs: int = 1) -> ConvergenceReport:
     """Run job(cfg, limit, width) -> (W1 repetitions, sliced W1s) at every width.
 
-    limit_of(data, grid) builds the width-independent limit once; the width
-    jobs run serially or in a pool of up to `jobs` processes (one per
-    width at most). With warn_inadmissible, an (a, b) outside the admissible
-    region gives one UserWarning before the jobs run.
+    limit_of() -> (limit, admissibility report or None) builds the
+    width-independent limit once; the width jobs run serially or in a pool
+    of up to `jobs` processes (one per width at most).
     """
     t0 = time.perf_counter()
-    data = cfg.make_dataset()
-    constraint = _log_constraint(cfg, data)
-    if warn_inadmissible and constraint is not None and not constraint.ok:
-        warnings.warn(
-            "hyperparameters outside the admissible region for the "
-            f"convergence guarantee; {constraint.summary()} (run proceeds)",
-            stacklevel=3,
-        )
-    limit = limit_of(data, cfg.make_test_grid())
+    limit, constraint = limit_of()
     run = functools.partial(job, cfg, limit)
     processes = min(jobs, len(cfg.widths))
     if processes > 1:
@@ -433,9 +417,12 @@ def run_prior_convergence(cfg: ExperimentConfig) -> ConvergenceReport:
     """W1 between prior network draws and NNGP draws, per width.
 
     The widths run in turn, each on its repetition threads (_prior_threads).
+    The limit is the NNGP kernel over the grid alone: no data, no (a, b) check.
     """
     job = functools.partial(_prior_width_job, threads=_prior_threads())
-    return _sweep(cfg, lambda data, grid: _limit_kernel(cfg, grid), job)
+    return _sweep(cfg, lambda: (kernel_recursion(cfg.architecture(1), cfg.variances(),
+                                                 cfg.make_test_grid(),
+                                                 method=cfg.kernel_method), None), job)
 
 
 def run_posterior_convergence(cfg: ExperimentConfig, jobs: int = 1) -> ConvergenceReport:
@@ -443,13 +430,24 @@ def run_posterior_convergence(cfg: ExperimentConfig, jobs: int = 1) -> Convergen
 
     Warns once per run when (a, b) lies outside the admissible region.
     """
-    return _sweep(cfg, functools.partial(_t_limit, cfg), _posterior_width_job, jobs,
-                  warn_inadmissible=True)
+    def limit_of():
+        data = cfg.make_dataset()
+        tp, constraint = _t_limit(cfg, data, _limit_e(cfg, data, cfg.make_test_grid()))
+        if constraint is not None and not constraint.ok:
+            warnings.warn("hyperparameters outside the admissible region for the convergence"
+                          f" guarantee; {constraint.summary()} (run proceeds)", stacklevel=4)
+        return tp, constraint
+
+    return _sweep(cfg, limit_of, _posterior_width_job, jobs)
 
 
 def run_gaussian_baseline(cfg: ExperimentConfig, jobs: int = 1) -> ConvergenceReport:
     """W1 between fixed-variance posterior draws and the GP limit, per width."""
-    return _sweep(cfg, functools.partial(_gp_limit, cfg), _baseline_width_job, jobs)
+    def limit_of():
+        data = cfg.make_dataset()
+        return _gp_limit(cfg, data, _limit_e(cfg, data, cfg.make_test_grid())), None
+
+    return _sweep(cfg, limit_of, _baseline_width_job, jobs)
 
 
 @dataclass
@@ -469,24 +467,19 @@ def run_comparison(cfg: ExperimentConfig) -> ComparisonReport:
     """Paired 2.5/50/97.5% predictive bands for the Student-t and GP limits."""
     t0 = time.perf_counter()
     data = cfg.make_dataset()
-    constraint = _log_constraint(cfg, data)
     grid = cfg.make_test_grid()
     qs = (0.025, 0.5, 0.975)
-    # one recursion's E: K' = E + 1 for the t bands, then K = s2_W E + s2_b in place
-    e = kernels._recursion(cfg.architecture(1), cfg.variances(),
-                           np.concatenate([data.x, grid], axis=1), method=cfg.kernel_method)
-    # the bands read only the diagonal of each scale. The m x m arrays are
-    # freed before the kept band arrays are allocated, so those do not pin
-    # the heap between them (a lower peak RSS over many runs)
-    kp = KernelMatrix(e + 1.0, data.k)
-    tp = tp_posterior_predict(kp, data.y, cfg.a, cfg.b)
+    # one E for both limits: the t reads it, then the GP builds K in it. The
+    # bands read only each scale's diagonal; the m x m arrays are freed before
+    # the band arrays are allocated, so those do not pin the heap between them
+    e = _limit_e(cfg, data, grid)
+    tp, constraint = _t_limit(cfg, data, e)
     loc, nu, t_sd = tp.location, tp.nu, np.sqrt(np.clip(np.diag(tp.scale), 0.0, None))
-    del kp, tp
+    del tp
     tp_bands = loc[:, None] + t_sd[:, None] * special.stdtrit(nu, qs)
-    k = KernelMatrix(kernels._affine(e, cfg.weight_variance, cfg.bias_variance), data.k)
-    gp = gp_posterior(k.train, k.cross, k.test, data.y, cfg.noise_var)
+    gp = _gp_limit(cfg, data, e)
     mean, g_sd = gp.mean, np.sqrt(np.clip(np.diag(gp.cov), 0.0, None))
-    del e, k, gp
+    del e, gp
     gp_bands = mean[:, None] + g_sd[:, None] * special.ndtri(qs)
     return ComparisonReport(
         grid[0], tp_bands, gp_bands, config=cfg,
@@ -531,8 +524,6 @@ def run_bound_diagnostics(
     import scipy.optimize  # a slow import, so only here
 
     t0 = time.perf_counter()
-    data = cfg.make_dataset()
-    constraint = _log_constraint(cfg, data)
     rng = RngStream(cfg.seed, (7,))
     sup_n, lip_n, res2 = [], [], []
     for sigma2, n in settings:
@@ -561,10 +552,8 @@ def run_bound_diagnostics(
         sup_n.append(best_d)
         lip_n.append(best_g)
         res2.append(best_r)
-    return BoundDiagnostics(
-        list(settings), sup_n, lip_n, res2, config=cfg,
-        runtime_s=time.perf_counter() - t0, constraint=constraint,
-    )
+    return BoundDiagnostics(list(settings), sup_n, lip_n, res2, config=cfg,
+                            runtime_s=time.perf_counter() - t0)
 
 
 def _cell(v) -> str:

@@ -31,6 +31,8 @@ def w1_exact(xs, ys) -> float:
     if x.shape[1] != y.shape[1]:
         raise ValueError("dimensions must match")
     n = x.shape[0]
+    if n == 0:
+        raise ValueError("samples are empty")
     if n > ASSIGNMENT_CAP:
         raise ValueError(
             f"n={n} exceeds the exact-assignment cap {ASSIGNMENT_CAP}; use sliced_w1"
@@ -50,6 +52,8 @@ def sliced_w1(xs, ys, n_projections: int, rng: RngStream) -> float:
     y = _as_array(ys)
     if x.shape != y.shape:
         raise ValueError("sample sizes and dimensions must match")
+    if x.shape[0] == 0 or n_projections < 1:
+        raise ValueError("need at least one sample and one projection")
     dirs = rng.gen.standard_normal((n_projections, x.shape[1]))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     xs_proj = np.sort(x @ dirs.T, axis=0)

@@ -30,6 +30,8 @@ from bnnlimits.experiments import (
     run_posterior_convergence,
     run_prior_convergence,
 )
+from bnnlimits.kernels import check_hyperparams, kernel_recursion, rescaled_kernel
+from bnnlimits.posteriors import gp_posterior, tp_posterior_predict
 from oracles import read_figure_csv
 from test_samplers import NeverAccepts
 
@@ -340,33 +342,33 @@ class TestPriorBlocks:
         assert peak < 16 * 2**20
 
 
+def _count_recursions(monkeypatch) -> list:
+    """A list that gets one entry per kernels._recursion call from now on."""
+    builds = []
+
+    def counted(*args, _fn=kernels._recursion, **kwargs):
+        builds.append(1)
+        return _fn(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, "_recursion", counted)
+    return builds
+
+
 class TestLimitBuiltOnce:
-    """The limit does not depend on width, so each runner builds it once."""
+    """The limit does not depend on width, so each run makes one kernel
+    recursion: its E feeds every limit kernel and the (a, b) check."""
 
-    @pytest.fixture
-    def calls(self, monkeypatch):
-        counts = {"kernel_recursion": 0, "rescaled_kernel": 0}
-        for name in counts:
-            def counted(*args, _name=name, _fn=getattr(experiments, name), **kwargs):
-                counts[_name] += 1
-                return _fn(*args, **kwargs)
-
-            monkeypatch.setattr(experiments, name, counted)
-        return counts
-
-    # rescaled_kernel feeds the admissibility check once per run, and the
-    # Student-t limit once more in the posterior run.
-    @pytest.mark.parametrize(
-        "runner, expected",
-        [
-            (run_posterior_convergence, {"kernel_recursion": 0, "rescaled_kernel": 2}),
-            (run_prior_convergence, {"kernel_recursion": 1, "rescaled_kernel": 1}),
-            (run_gaussian_baseline, {"kernel_recursion": 1, "rescaled_kernel": 1}),
-        ],
-    )
-    def test_kernel_builds_per_run(self, calls, runner, expected):
+    @pytest.mark.parametrize("runner, expected", [
+        (run_prior_convergence, 1),  # through kernel_recursion over the grid
+        (run_posterior_convergence, 1),
+        (run_gaussian_baseline, 1),
+        (run_comparison, 1),
+        (run_bound_diagnostics, 0),
+    ])
+    def test_kernel_builds_per_run(self, monkeypatch, runner, expected):
+        builds = _count_recursions(monkeypatch)
         runner(ExperimentConfig(**FAST))
-        assert calls == expected
+        assert len(builds) == expected
 
 
 class TestLimitKernelsFactor:
@@ -374,12 +376,10 @@ class TestLimitKernelsFactor:
 
     @pytest.mark.parametrize("rescaled", [False, True])
     def test_band_grid_kernels_factor(self, rescaled):
-        path = os.path.join(os.path.dirname(__file__), "..", "configs",
-                            "posterior_convergence.json")
-        with open(path) as f:
-            cfg = ExperimentConfig.from_dict({**json.load(f), "test_grid": 1024})
-        x = cfg.make_dataset().x
-        k = experiments._limit_kernel(cfg, x, cfg.make_test_grid(), rescaled=rescaled)
+        cfg = _band_config(test_grid=1024)
+        e = experiments._limit_e(cfg, cfg.make_dataset(), cfg.make_test_grid())
+        k = kernels.KernelMatrix(e + 1.0 if rescaled else kernels._affine(
+            e, cfg.weight_variance, cfg.bias_variance), cfg.k)
         assert k.values.shape[0] == 1032
         np.linalg.cholesky(k.values)
 
@@ -400,11 +400,17 @@ class TestComparisonSharedBuild:
         _band_config(test_grid=1024),
     ], ids=["fast", "no-data", "band-grid"])
     def test_bands_match_separate_limits(self, cfg):
+        # the public path perfbench checks against: each limit kernel from its
+        # own recursion over train + grid, then each posterior
         from scipy import special
 
-        data, grid = cfg.make_dataset(), cfg.make_test_grid()
-        tp = experiments._t_limit(cfg, data, grid)
-        gp = experiments._gp_limit(cfg, data, grid)
+        data = cfg.make_dataset()
+        x = np.concatenate([data.x, cfg.make_test_grid()], axis=1)
+        args = (cfg.architecture(1), cfg.variances(), x)
+        kw = dict(method=cfg.kernel_method, n_train=data.k)
+        tp = tp_posterior_predict(rescaled_kernel(*args, **kw), data.y, cfg.a, cfg.b)
+        k = kernel_recursion(*args, **kw)
+        gp = gp_posterior(k.train, k.cross, k.test, data.y, cfg.noise_var)
         qs = (0.025, 0.5, 0.975)
         t_sd = np.sqrt(np.clip(np.diag(tp.scale), 0.0, None))
         g_sd = np.sqrt(np.clip(np.diag(gp.cov), 0.0, None))
@@ -413,18 +419,6 @@ class TestComparisonSharedBuild:
             rep.tp_bands, tp.location[:, None] + t_sd[:, None] * special.stdtrit(tp.nu, qs))
         assert np.array_equal(
             rep.gp_bands, gp.mean[:, None] + g_sd[:, None] * special.ndtri(qs))
-
-    def test_two_recursions_per_run(self, monkeypatch):
-        # one K' for the admissibility check, one E shared by K' and K
-        builds = []
-
-        def counted(*args, _fn=kernels._recursion, **kwargs):
-            builds.append(1)
-            return _fn(*args, **kwargs)
-
-        monkeypatch.setattr(kernels, "_recursion", counted)
-        run_comparison(ExperimentConfig(**FAST))
-        assert len(builds) == 2
 
     def test_one_call_to_each_public_posterior(self, monkeypatch):
         calls = []
@@ -610,8 +604,11 @@ class TestWriter:
         rep = run(cfg)
         meta = json.load(open(emit_figure_data(rep, str(tmp_path))[1]))
         assert meta["config_hash"] == cfg.hash() and meta["seed"] == 5
-        assert meta["constraint"] == dataclasses.asdict(rep.constraint)
-        assert meta["constraint"]["op_norm"] > 0
+        if run is run_comparison:
+            assert meta["constraint"] == dataclasses.asdict(rep.constraint)
+            assert meta["constraint"]["op_norm"] > 0
+        else:  # no Student-t limit, so no (a, b) check
+            assert rep.constraint is None and meta["constraint"] is None
 
     @pytest.mark.parametrize(
         "run",
@@ -732,7 +729,6 @@ class TestCli:
         ("posterior-convergence", "data_noise", 1e150),  # the sigma2 step's c'^2 overflows
         ("compare", "data_noise", 1e200),  # the t rate b + y^T (K' + I)^-1 y / 2 overflows
         ("compare", "data_noise", 1.7e308),  # some observations are inf
-        ("prior-convergence", "data_noise", 1.7e308),  # ||y||^2 in the (a, b) check is inf
     ])
     def test_overflowing_config_exit_3(self, tmp_path, capsys, command, field, value):
         path = tmp_path / "cfg.json"
@@ -745,6 +741,18 @@ class TestCli:
         assert rc == EXIT_NUMERICAL
         assert "numerical failure" in capsys.readouterr().err
         assert not out.exists()  # no file, so no non-finite cell
+
+    def test_prior_convergence_reads_no_data(self, tmp_path):
+        # the prior sweep neither fits nor checks the observations, so ones
+        # too large for floating point change nothing it writes
+        written = []
+        for noise in (0.1, 1.7e308):
+            out = tmp_path / f"o{noise}"
+            argv = ["prior-convergence", "--config", self._cfg_file(tmp_path, data_noise=noise),
+                    "--out", str(out)]
+            assert main(argv) == EXIT_OK
+            written.append((out / "w1_vs_width.csv").read_text())
+        assert written[0] == written[1]
 
     def test_unreadable_and_malformed_config_exit_2(self, tmp_path):
         assert main(["compare", "--config", str(tmp_path / "missing.json")]) == EXIT_CONFIG
@@ -891,16 +899,35 @@ class TestConstraintReporting:
             f.name for f in dataclasses.fields(type(rep.constraint))
         }
 
+    @pytest.mark.parametrize("name, overrides", [
+        ("posterior_convergence.json", {}),
+        ("prior_convergence.json", {}),  # relu at depth 3
+        ("gaussian_baseline.json", {}),
+        ("posterior_convergence.json", {"activation": "tanh"}),
+        ("posterior_convergence.json", {"activation": "relu", "n_hidden_layers": 1}),
+    ], ids=["posterior", "prior", "baseline", "tanh", "relu-depth-1"])
+    def test_report_from_e_equals_train_only_check(self, name, overrides):
+        # E's train block has the floats of K' built on the training inputs alone
+        with open(os.path.join(os.path.dirname(__file__), "..", "configs", name)) as f:
+            cfg = ExperimentConfig.from_dict({**json.load(f), **overrides})
+        data = cfg.make_dataset()
+        _, report = experiments._t_limit(
+            cfg, data, experiments._limit_e(cfg, data, cfg.make_test_grid()))
+        kp = rescaled_kernel(cfg.architecture(1), cfg.variances(), data.x,
+                             method=cfg.kernel_method)
+        assert report == check_hyperparams(cfg.a, cfg.b, data.y, kp)
+
+    def test_no_report_without_training_data(self):
+        cfg = ExperimentConfig(**{**FAST, "k": 0})
+        data = cfg.make_dataset()
+        _, report = experiments._t_limit(
+            cfg, data, experiments._limit_e(cfg, data, cfg.make_test_grid()))
+        assert report is None and run_comparison(cfg).constraint is None
+
     def test_constraint_violation_warns_but_runs(self, monkeypatch):
         # b = 0.01 is far below the admissible bound for this dataset: one
-        # warning per run, and no kernel beyond the run's own two
-        builds = []
-
-        def counted(*args, _fn=kernels._recursion, **kwargs):
-            builds.append(1)
-            return _fn(*args, **kwargs)
-
-        monkeypatch.setattr(kernels, "_recursion", counted)
+        # warning per run, and no kernel beyond the run's own one
+        builds = _count_recursions(monkeypatch)
         cfg = ExperimentConfig(**{**FAST, "b": 0.01})
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -911,5 +938,5 @@ class TestConstraintReporting:
         assert str(user[0].message).endswith("(run proceeds)")
         assert not rep.constraint.ok
         assert len(rep.w1) == 2
-        # one K' for the admissibility check, one for the Student-t limit
-        assert len(builds) == 2
+        # one E for the admissibility check and the Student-t limit
+        assert len(builds) == 1

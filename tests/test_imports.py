@@ -1,5 +1,5 @@
-"""Every name a module imports is used by that module, and every function
-and class in `src/` is used by code outside its own definition."""
+"""Every name a module imports is used by that module, and every function,
+class and method in `src/` is used by code outside its own definition."""
 
 import ast
 import pathlib
@@ -81,6 +81,65 @@ def test_every_src_definition_is_used():
                if p.name != "__init__.py"}
     others = [p.read_text() for p in sorted(ROOT.glob("perfbench/*.py"))]
     assert unreferenced_definitions(modules, others) == UNREFERENCED_ALLOWED
+
+
+def unreferenced_methods(modules: dict[str, str], others: list[str]) -> list[str]:
+    """`module.Class.name` of each non-dunder method or property of a
+    module-level class whose name no code reads outside its own body.
+
+    The scan goes by name alone, so it cannot tell apart two attributes of
+    one name: a method counts as read wherever any attribute or variable of
+    its name is read. `StudentTPosterior.mean` counts as read because
+    `GaussianPosterior.mean`, a field, is read.
+    """
+    trees = {module: ast.parse(text) for module, text in modules.items()}
+    # (name, node) of every name and attribute name read anywhere
+    reads = [(n.id if isinstance(n, ast.Name) else n.attr, n)
+             for tree in [*trees.values(), *map(ast.parse, others)]
+             for n in ast.walk(tree) if isinstance(n, (ast.Name, ast.Attribute))]
+    unread = []
+    for module, tree in trees.items():
+        for cls in (s for s in tree.body if isinstance(s, ast.ClassDef)):
+            for d in cls.body:
+                if (not isinstance(d, ast.FunctionDef)
+                        or d.name.startswith("__") and d.name.endswith("__")):
+                    continue
+                own = {id(n) for n in ast.walk(d)}
+                if not any(name == d.name and id(n) not in own for name, n in reads):
+                    unread.append(f"{module}.{cls.name}.{d.name}")
+    return sorted(unread)
+
+
+# Read by no code in `src/` or `perfbench/`: the gates in tests/test_acceptance.py
+# call each of these.
+UNREAD_METHODS_ALLOWED = [
+    "network.VarianceVector.constant",
+    "posteriors.StudentTPosterior.covariance",
+    "samplers.Sigma2ConditionalParams.log_density",
+]
+
+
+def test_every_src_method_is_read():
+    modules = {p.stem: p.read_text() for p in sorted(ROOT.glob("src/bnnlimits/*.py"))}
+    others = [p.read_text() for p in sorted(ROOT.glob("perfbench/*.py"))]
+    assert unreferenced_methods(modules, others) == UNREAD_METHODS_ALLOWED
+
+
+def test_method_scan_counts_only_reads_outside_the_method():
+    modules = {
+        "a": (
+            "class C:\n"
+            "    def __init__(self):\n        self.used()\n"
+            "    def used(self):\n        return 1\n"
+            "    def recursive(self):\n        return self.recursive()\n"
+            "    @property\n    def prop(self):\n        return 2\n"
+            "    def bench_only(self):\n        pass\n"
+            "    def unused(self):\n        'unused'\n"
+        ),
+        "b": "import a\nprint(a.C().prop)  # unused\n",
+    }
+    others = ["import a\na.C().bench_only()\n"]
+    assert unreferenced_methods(modules, others) == ["a.C.recursive", "a.C.unused"]
 
 
 def test_definition_scan_counts_only_code_outside_the_definition():

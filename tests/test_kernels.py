@@ -374,6 +374,27 @@ class TestSharedRecursion:
         assert np.array_equal(e, e.T)
 
 
+class TestJointRecursion:
+    """One recursion over train + grid has, in its train and grid blocks, the
+    floats of a train-only and a grid-only recursion."""
+
+    @pytest.mark.parametrize("method, act", [("analytic_erf", "erf"),
+                                             ("analytic_relu", "relu"),
+                                             ("hermite_series", "tanh")])
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_blocks_equal_separate_recursions(self, method, act, depth):
+        arch = Architecture((1,) + (3,) * depth + (1,), ("identity",) + (act,) * depth)
+        v = VarianceVector(tuple(1.5 + 0.7 * i for i in range(depth + 1)),
+                           tuple(0.3 + 1.1 * i for i in range(depth + 1)))
+        x_train = np.linspace(-1.0, 1.0, 8)[None, :]
+        grid = np.linspace(-1.0, 1.0, 64)[None, :]
+        e = kernels._recursion(arch, v, np.concatenate([x_train, grid], axis=1),
+                               method=method)
+        k = x_train.shape[1]
+        assert np.array_equal(e[:k, :k], kernels._recursion(arch, v, x_train, method=method))
+        assert np.array_equal(e[k:, k:], kernels._recursion(arch, v, grid, method=method))
+
+
 class TestBlockCheck:
     """The 2x2 block check reads the diagonal as a column and a row."""
 

@@ -76,6 +76,11 @@ class TestW1Exact:
         with pytest.raises(ValueError, match="sliced_w1"):
             w1_exact(x, x)
 
+    def test_empty_samples_rejected(self):
+        # the mean cost of an empty matching is 0 / 0
+        with pytest.raises(ValueError, match="samples are empty"):
+            w1_exact(np.zeros((0, 2)), np.zeros((0, 2)))
+
     @pytest.mark.parametrize("d", [1, 2, 5, 7])
     def test_cost_equals_broadcast_norm(self, d):
         # below 8 terms numpy sums each squared distance in order, as cdist
@@ -146,6 +151,15 @@ class TestSlicedW1:
         # one sample against several would broadcast into a number
         with pytest.raises(ValueError, match="sample sizes and dimensions must match"):
             sliced_w1(np.zeros(shape_x), np.zeros(shape_y), 4, RngStream(0))
+
+    def test_empty_samples_rejected(self):
+        with pytest.raises(ValueError, match="at least one sample"):
+            sliced_w1(np.zeros((0, 2)), np.zeros((0, 2)), 4, RngStream(0))
+
+    def test_no_projection_rejected(self):
+        # the mean over no directions is 0 / 0
+        with pytest.raises(ValueError, match="one projection"):
+            sliced_w1(np.zeros((3, 2)), np.ones((3, 2)), 0, RngStream(0))
 
     def test_projection_count_stability(self):
         rng = RngStream(11)
