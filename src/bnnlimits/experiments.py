@@ -27,11 +27,12 @@ import scipy
 from scipy import special
 
 from . import __version__, kernels, network
-from .gibbs import GibbsConfig, gibbs_run, gibbs_run_fixed_variance
+from .gibbs import GibbsConfig, PosteriorSamples, gibbs_run, gibbs_run_fixed_variance
 from .kernels import (
     CLOSED_FORMS,
     ConstraintReport,
     KernelMatrix,
+    LinearAlgebraError,
     check_hyperparams,
     kernel_recursion,
 )
@@ -66,8 +67,6 @@ DOMAIN = (-1.0, 1.0)
 BOUND_RESTARTS = 8
 # Resampling repetitions of each width's W1, which give its bands.
 W1_REPS = 10
-# Random directions of each repetition's sliced W1 over the full test grid.
-SLICED_PROJECTIONS = 128
 
 
 class ConfigError(ValueError):
@@ -185,8 +184,11 @@ class ExperimentConfig:
     def make_dataset(self) -> Dataset:
         x = np.linspace(*DOMAIN, self.k)
         noise = RngStream(self.seed, (100,)).gen.standard_normal(self.k)
-        return Dataset(x[None, :], (np.sin(2.0 * math.pi * x)
-                                    + self.data_noise * noise)[None, :])
+        with np.errstate(over="ignore"):  # an overflow raises below
+            y = np.sin(2.0 * math.pi * x) + self.data_noise * noise
+        if not np.all(np.isfinite(y)):
+            raise LinearAlgebraError(f"data_noise = {self.data_noise:.6g} overflows the observations")
+        return Dataset(x[None, :], y[None, :])
 
     def make_test_grid(self) -> np.ndarray:
         return np.linspace(*DOMAIN, self.test_grid)[None, :]
@@ -277,11 +279,18 @@ def _gp_limit(cfg: ExperimentConfig, data: Dataset, e: np.ndarray) -> GaussianPo
     return gp_posterior(k.train, k.cross, k.test, data.y, cfg.noise_var)
 
 
-def _gibbs_config(cfg: ExperimentConfig, width: int, kind: int) -> GibbsConfig:
-    """MCMC schedule of one width, seeded per (experiment seed, width, sweep kind)."""
-    h = hashlib.sha256(f"{cfg.seed}:{width}:{kind}".encode()).digest()
-    return GibbsConfig(n_samples=cfg.draws, burn_in=cfg.burn_in,
+def posterior_draws(cfg: ExperimentConfig, width: int, gaussian: bool = False
+                    ) -> PosteriorSamples:
+    """Gibbs draws of the width's network posterior at the test grid: hierarchical,
+    or with the fixed variance noise_var if `gaussian`. The chain is seeded per
+    (experiment seed, width, model); every finite-width chain of a run is made here."""
+    h = hashlib.sha256(f"{cfg.seed}:{width}:{3 if gaussian else 1}".encode()).digest()
+    gcfg = GibbsConfig(n_samples=cfg.draws, burn_in=cfg.burn_in,
                        seed=int.from_bytes(h[:8], "little") >> 1)
+    arch, data, grid = cfg.architecture(width), cfg.make_dataset(), cfg.make_test_grid()
+    if gaussian:
+        return gibbs_run_fixed_variance(arch, cfg.variances(), cfg.noise_var, data, grid, gcfg)
+    return gibbs_run(arch, cfg.variances(), cfg.a, cfg.b, data, grid, gcfg)
 
 
 def _cpu_count() -> int:
@@ -339,7 +348,7 @@ def _prior_width_job(cfg: ExperimentConfig, kernel: KernelMatrix, width: int,
         gp_full = sample_mvn(
             np.zeros(grid.shape[1]), kernel.values, r_gp.child(0), size=cfg.draws
         )
-        return w1, sliced_w1(bnn, gp_full, SLICED_PROJECTIONS, r_gp.child(1))
+        return w1, sliced_w1(bnn, gp_full, r_gp.child(1))
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
         results = list(pool.map(repetition, RngStream(cfg.seed, (width,)).split(W1_REPS)))
@@ -349,30 +358,16 @@ def _prior_width_job(cfg: ExperimentConfig, kernel: KernelMatrix, width: int,
 def _posterior_width_job(cfg: ExperimentConfig, tp: StudentTPosterior,
                          width: int) -> tuple[list[float], list[float]]:
     """Per-width W1 between Gibbs posterior draws and draws of the t limit `tp`."""
-    data = cfg.make_dataset()
-    grid = cfg.make_test_grid()
-    idx = cfg.w1_subgrid_idx()
-    arch = cfg.architecture(width)
-    gcfg = _gibbs_config(cfg, width, 1)
-    samples = gibbs_run(arch, cfg.variances(), cfg.a, cfg.b, data, grid, gcfg)
-    rng = RngStream(cfg.seed, (width, 2))
-    return _resampled_w1(samples.evals, idx, rng,
+    return _resampled_w1(posterior_draws(cfg, width).evals, cfg.w1_subgrid_idx(),
+                         RngStream(cfg.seed, (width, 2)),
                          lambda r, n: sample_mvt(tp.nu, tp.location, tp.scale, r, size=n))
 
 
 def _baseline_width_job(cfg: ExperimentConfig, gp: GaussianPosterior,
                         width: int) -> tuple[list[float], list[float]]:
     """Per-width W1 between fixed-variance posterior draws and the GP limit `gp`."""
-    data = cfg.make_dataset()
-    grid = cfg.make_test_grid()
-    idx = cfg.w1_subgrid_idx()
-    arch = cfg.architecture(width)
-    gcfg = _gibbs_config(cfg, width, 3)
-    samples = gibbs_run_fixed_variance(
-        arch, cfg.variances(), cfg.noise_var, data, grid, gcfg
-    )
-    rng = RngStream(cfg.seed, (width, 4))
-    return _resampled_w1(samples.evals, idx, rng,
+    return _resampled_w1(posterior_draws(cfg, width, gaussian=True).evals,
+                         cfg.w1_subgrid_idx(), RngStream(cfg.seed, (width, 4)),
                          lambda r, n: sample_mvn(gp.mean, gp.cov, r, size=n))
 
 
@@ -386,7 +381,7 @@ def _resampled_w1(evals, idx, rng, limit_sampler):
         bnn = evals[pick]
         lim = limit_sampler(r_lim, n)
         reps.append(w1_exact(bnn[:, idx], lim[:, idx]))
-        sl.append(sliced_w1(bnn, lim, SLICED_PROJECTIONS, r_lim.child(0)))
+        sl.append(sliced_w1(bnn, lim, r_lim.child(0)))
     return reps, sl
 
 

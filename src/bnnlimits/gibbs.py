@@ -29,7 +29,7 @@ from .network import (
     log_posterior_and_grad,
     sample_prior_params,
 )
-from .nuts import MAX_TREE_DEPTH, DualAveraging, find_reasonable_epsilon, nuts_transition
+from .nuts import DualAveraging, find_reasonable_epsilon, nuts_transition
 from .rng import RngStream
 from .samplers import (
     SamplerError,
@@ -130,7 +130,7 @@ def _run_chain(
                                f"(sigma2 = {sigma2:.3e}); the chain cannot move")
         for _ in range(HMC_STEPS):
             theta, logp, g, acc, _, div = nuts_transition(
-                value_and_grad, theta, logp, g, eps, MAX_TREE_DEPTH, gen
+                value_and_grad, theta, logp, g, eps, gen
             )
             n_div += int(div)
             accepts.append(acc)

@@ -226,6 +226,9 @@ def _check_block_psd(k11, k12, k22):
         )
 
 
+# An overflow here or in _affine leaves inf or NaN, which the next layer's check or
+# KernelMatrix raises on as KernelDegeneracyError, not a numpy warning.
+@np.errstate(over="ignore", invalid="ignore")
 def _recursion(
     arch: Architecture,
     variances: VarianceVector,
@@ -278,6 +281,7 @@ def _recursion(
     return K
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _affine(e: np.ndarray, weight: float, bias: float) -> np.ndarray:
     """weight * e + bias, computed in e: the same floats, no second array."""
     e *= weight

@@ -108,7 +108,7 @@ def _build_tree(value_and_grad, edge, depth, direction, eps, h0, gen):
     return t
 
 
-def nuts_transition(value_and_grad, theta, logp, grad, eps, max_depth, gen):
+def nuts_transition(value_and_grad, theta, logp, grad, eps, gen):
     """One no-U-turn transition. Returns (theta, logp, grad, mean_accept, depth, divergent)."""
     r0 = gen.standard_normal(theta.shape[0])
     h0 = _hamiltonian(logp, r0)
@@ -118,7 +118,7 @@ def nuts_transition(value_and_grad, theta, logp, grad, eps, max_depth, gen):
     sum_accept, n_accept = 0.0, 0
     divergent = False
     depth = 0
-    while depth < max_depth:
+    while depth < MAX_TREE_DEPTH:
         direction = 1 if gen.random() < 0.5 else -1
         sub = _build_tree(value_and_grad, plus if direction == 1 else minus, depth,
                           direction, eps, h0, gen)

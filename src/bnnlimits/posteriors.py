@@ -6,7 +6,8 @@ sigma2 * M^{-1}, M = I + K'^{-1}, while sigma2 | D is Inverse-Gamma;
 marginalizing gives a multivariate Student-t. Every posterior here is one
 Gaussian conditioning step (_condition) on a kernel with noise * I: the GP
 baseline on K with noise_var (gp_posterior), the Student-t on K' with unit
-noise (_t_predictive), its scale then multiplied by the Inverse-Gamma rate. At the training inputs the step
+noise (tp_posterior_predict), its scale then multiplied by the Inverse-Gamma
+rate over the shape. At the training inputs the step
 gives M^{-1} = K'(K' + I)^{-1} = K' - K'(K' + I)^{-1}K', and
 I - M^{-1} = (K' + I)^{-1}, so the rate is beta = b + y^T (K' + I)^{-1} y / 2.
 Single-output networks only (n_L = 1).
@@ -113,23 +114,14 @@ def tp_posterior_predict(
     nu = 2a + k, beta_post = b + y (K'_D + I)^{-1} y^T / 2; with no data
     (k = 0) this is the marginal prior t_{2a}(0, (b/a) K'_T).
     """
-    location, schur, alpha, beta = _t_predictive(
-        kprime_full.train, kprime_full.cross, kprime_full.test, y, a, b
-    )
-    schur *= beta / alpha  # in place: schur is the conditioning step's own array
-    return StudentTPosterior(2.0 * alpha, location, schur)
-
-
-def _t_predictive(kd, kc, kt, y, a: float, b: float
-                  ) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """(location, Schur complement, alpha, beta): _condition on K' with unit noise.
-
-    The t has nu = 2 alpha and scale (beta / alpha) times the Schur complement.
-    """
     if a <= 0 or b <= 0:
         raise ValueError("a and b must be strictly positive")
-    location, schur, y_alpha = _condition(kd, kc, kt, y, 1.0)
-    return location, schur, a + kd.shape[0] / 2.0, b + 0.5 * y_alpha
+    location, schur, y_alpha = _condition(
+        kprime_full.train, kprime_full.cross, kprime_full.test, y, 1.0
+    )
+    alpha = a + kprime_full.n_train / 2.0
+    schur *= (b + 0.5 * y_alpha) / alpha  # in place: the conditioning step's own array
+    return StudentTPosterior(2.0 * alpha, location, schur)
 
 
 def student_t_logpdf(

@@ -12,6 +12,8 @@ import numpy as np
 from .rng import RngStream
 
 ASSIGNMENT_CAP = 2048
+# Random unit directions sliced_w1 averages over.
+SLICED_PROJECTIONS = 128
 
 
 def _as_array(xs) -> np.ndarray:
@@ -46,15 +48,15 @@ def w1_exact(xs, ys) -> float:
     return float(cost[rows, cols].sum() / n)
 
 
-def sliced_w1(xs, ys, n_projections: int, rng: RngStream) -> float:
-    """Average 1-D W1 of equal-size samples over uniformly random unit directions."""
+def sliced_w1(xs, ys, rng: RngStream) -> float:
+    """Average 1-D W1 of equal-size samples over SLICED_PROJECTIONS random unit directions."""
     x = _as_array(xs)
     y = _as_array(ys)
     if x.shape != y.shape:
         raise ValueError("sample sizes and dimensions must match")
-    if x.shape[0] == 0 or n_projections < 1:
-        raise ValueError("need at least one sample and one projection")
-    dirs = rng.gen.standard_normal((n_projections, x.shape[1]))
+    if x.shape[0] == 0:
+        raise ValueError("need at least one sample")
+    dirs = rng.gen.standard_normal((SLICED_PROJECTIONS, x.shape[1]))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     xs_proj = np.sort(x @ dirs.T, axis=0)
     ys_proj = np.sort(y @ dirs.T, axis=0)

@@ -8,7 +8,7 @@ plan, any last-layer variance beside `unit_last_layer`, a PSD solve beside
 beside `tp_posterior_predict`, a sorted 1-D W1 beside `sliced_w1`'s
 projections, a weighted W1 (its own assignment, at any size) beside
 `w1_exact`, and a CSV reader that round-trips `emit_figure_data`. They still
-call the package's `_target_constants`, `_t_predictive` and `psd_cholesky`,
+call the package's `_target_constants`, `_condition` and `psd_cholesky`,
 so their tests exercise that code too.
 """
 
@@ -30,7 +30,7 @@ from bnnlimits.network import Architecture, VarianceVector, _target_constants
 from bnnlimits.posteriors import (
     GaussianPosterior,
     StudentTPosterior,
-    _t_predictive,
+    _condition,
 )
 from bnnlimits.wasserstein import _as_array
 
@@ -120,6 +120,16 @@ def solve_psd(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return cho_solve((factor[0], True), B)
 
 
+def _nig_update(k: np.ndarray, y: np.ndarray, a: float, b: float
+                ) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """(mean, M^{-1}, alpha, beta) at the training inputs: _condition on K'
+    with unit noise, then the Inverse-Gamma update of (a, b)."""
+    if a <= 0 or b <= 0:
+        raise ValueError("a and b must be strictly positive")
+    mean, minv, y_alpha = _condition(k, k, k, y, 1.0)
+    return mean, minv, a + k.shape[0] / 2.0, b + 0.5 * y_alpha
+
+
 def nig_posterior(
     kprime_train: KernelMatrix | np.ndarray, y: np.ndarray, a: float, b: float
 ) -> tuple[np.ndarray, GaussianPosterior, IGPosterior]:
@@ -131,7 +141,7 @@ def nig_posterior(
     b + y (I - M^{-1}) y^T / 2).
     """
     k = _train_block(kprime_train)
-    mean, minv, alpha, beta = _t_predictive(k, k, k, y, a, b)
+    mean, minv, alpha, beta = _nig_update(k, y, a, b)
     kinv = solve_psd(k, np.eye(k.shape[0]))
     return (np.eye(k.shape[0]) + 0.5 * (kinv + kinv.T), GaussianPosterior(mean, minv),
             IGPosterior(alpha, beta))
@@ -152,7 +162,7 @@ def tp_posterior_train(
             stacklevel=2,
         )
     k = _train_block(kprime_train)
-    location, minv, alpha, beta = _t_predictive(k, k, k, y, a, b)
+    location, minv, alpha, beta = _nig_update(k, y, a, b)
     minv *= beta / alpha  # in place: minv is the conditioning step's own array
     return StudentTPosterior(2.0 * alpha, location, minv)
 

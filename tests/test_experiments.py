@@ -1,6 +1,7 @@
 """Tests for the experiment configs, runners, data export, and CLI."""
 
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -24,12 +25,14 @@ from bnnlimits.experiments import (
     fit_loglog_slope,
     likelihood_lipschitz,
     likelihood_sup,
+    posterior_draws,
     run_bound_diagnostics,
     run_comparison,
     run_gaussian_baseline,
     run_posterior_convergence,
     run_prior_convergence,
 )
+from bnnlimits.gibbs import GibbsConfig, gibbs_run, gibbs_run_fixed_variance
 from bnnlimits.kernels import check_hyperparams, kernel_recursion, rescaled_kernel
 from bnnlimits.posteriors import gp_posterior, tp_posterior_predict
 from oracles import read_figure_csv
@@ -252,6 +255,44 @@ class TestRunners:
             pooled, serial = runner(cfg, jobs=2), runner(cfg, jobs=1)
             assert np.array_equal(pooled.w1_reps, serial.w1_reps)
             assert np.array_equal(pooled.sliced, serial.sliced)
+
+
+class TestPosteriorDraws:
+    """Every finite-width chain of a sweep is made by posterior_draws."""
+
+    @pytest.mark.parametrize("runner, used, unused", [
+        (run_posterior_convergence, "gibbs_run", "gibbs_run_fixed_variance"),
+        (run_gaussian_baseline, "gibbs_run_fixed_variance", "gibbs_run"),
+    ])
+    def test_one_chain_per_width_through_the_module_attribute(self, monkeypatch, runner,
+                                                              used, unused):
+        # a benchmark captures each width's draws by patching these two attributes
+        seen = {used: [], unused: []}
+        for name, widths in seen.items():
+            def counted(arch, *args, _real=getattr(experiments, name), _widths=widths):
+                _widths.append(arch.widths[1])
+                return _real(arch, *args)
+
+            monkeypatch.setattr(experiments, name, counted)
+        cfg = ExperimentConfig(**FAST)
+        runner(cfg)
+        assert seen == {used: list(cfg.widths), unused: []}
+
+    @pytest.mark.parametrize("gaussian", [False, True])
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_draws_equal_the_chain_at_its_seed(self, gaussian, width):
+        # the seed is sha256 of "seed:width:1" (hierarchical) or ":3" (Gaussian)
+        cfg = ExperimentConfig(**FAST, seed=5)
+        h = hashlib.sha256(f"5:{width}:{3 if gaussian else 1}".encode()).digest()
+        gcfg = GibbsConfig(n_samples=cfg.draws, burn_in=cfg.burn_in,
+                           seed=int.from_bytes(h[:8], "little") >> 1)
+        args = (cfg.architecture(width), cfg.variances())
+        data, grid = cfg.make_dataset(), cfg.make_test_grid()
+        direct = (gibbs_run_fixed_variance(*args, cfg.noise_var, data, grid, gcfg) if gaussian
+                  else gibbs_run(*args, cfg.a, cfg.b, data, grid, gcfg))
+        got = posterior_draws(cfg, width, gaussian)
+        assert np.array_equal(got.evals, direct.evals)
+        assert np.array_equal(got.sigma2, direct.sigma2)
 
 
 class TestPriorBlocks:
@@ -754,6 +795,33 @@ class TestCli:
             written.append((out / "w1_vs_width.csv").read_text())
         assert written[0] == written[1]
 
+    @pytest.mark.parametrize("command, extra", [
+        # the layer-2 kernel overflows (see test_degenerate_kernel_exit_3)
+        ("prior-convergence", dict(activation="relu", weight_variance=1e200)),
+        ("compare", dict(activation="relu", weight_variance=1e200)),
+        # the layer-2 expectation is finite, and its variance map overflows
+        ("compare", dict(activation="relu", weight_variance=3e154)),
+        # the last layer's variance map overflows
+        ("prior-convergence", dict(activation="relu", weight_variance=3e154,
+                                   n_hidden_layers=1)),
+        # the observations overflow
+        ("posterior-convergence", dict(data_noise=1.7e308)),
+        ("gaussian-baseline", dict(data_noise=1.7e308)),
+        ("compare", dict(data_noise=1.7e308)),
+    ])
+    def test_overflow_exit_3_with_warnings_as_errors(self, tmp_path, capsys, command, extra):
+        # as under python -W error: an overflow is a typed failure, not a warning
+        out = tmp_path / "o"
+        argv = [command, "--config", self._cfg_file(tmp_path, **extra), "--out", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(argv)
+        assert rc == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert ("data_noise = 1.7e+308" if "data_noise" in extra
+                else "kernel matrix has non-finite entries") in err
+        assert not out.exists()
+
     def test_unreadable_and_malformed_config_exit_2(self, tmp_path):
         assert main(["compare", "--config", str(tmp_path / "missing.json")]) == EXIT_CONFIG
         path = tmp_path / "mal.json"
@@ -820,7 +888,7 @@ class TestCli:
         assert "rejection step accepted none" in capsys.readouterr().err
 
     def test_persistent_divergence_exit_3(self, tmp_path, monkeypatch, capsys):
-        def always_divergent(value_and_grad, theta, logp, grad, eps, max_depth, gen):
+        def always_divergent(value_and_grad, theta, logp, grad, eps, gen):
             return theta, logp, grad, 0.0, 0, True
 
         monkeypatch.setattr(gibbs, "nuts_transition", always_divergent)

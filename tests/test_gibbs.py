@@ -252,7 +252,7 @@ class TestMechanics:
         assert transitions == []
 
     def test_persistent_divergence_raises_sampler_error(self, monkeypatch):
-        def always_divergent(value_and_grad, theta, logp, grad, eps, max_depth, gen):
+        def always_divergent(value_and_grad, theta, logp, grad, eps, gen):
             return theta, logp, grad, 0.0, 0, True
 
         monkeypatch.setattr(gibbs, "nuts_transition", always_divergent)

@@ -1,5 +1,6 @@
-"""Every name a module imports is used by that module, and every function,
-class and method in `src/` is used by code outside its own definition."""
+"""Every name a module imports is used by that module, every function,
+class and method in `src/` is used by code outside its own definition, and
+no parameter of a `src/` function carries one fixed value."""
 
 import ast
 import pathlib
@@ -162,3 +163,97 @@ def test_definition_scan_counts_only_code_outside_the_definition():
     others = ["import a\na.bench_only()\n"]
     assert unreferenced_definitions(modules, others) == [
         "a.recursive", "a.unused_doc", "b.user"]
+
+
+def _passed(node: ast.expr) -> str | None:
+    """A passed value that is fixed in the code: a literal or an ALL_CAPS
+    name, as written; None for anything else."""
+    if isinstance(node, ast.Constant):
+        return repr(node.value)
+    name = getattr(node, "id", None) or getattr(node, "attr", "")
+    return name if name.isupper() else None
+
+
+def fixed_parameters(modules: dict[str, str], others: list[str]) -> list[str]:
+    """`module.function(parameter)` for each parameter of a module-level
+    function to which every call of the function passes the same literal or
+    ALL_CAPS name, or which every call leaves out.
+
+    Calls are found by the callee's name (`f(...)` or `m.f(...)`) in
+    `modules` and `others`. A function is skipped, as not all its calls can
+    be seen, when it has no call, when its name is read other than as a
+    callee (passed as a value), or when a call unpacks `*args` or `**kwargs`.
+    """
+    trees = {module: ast.parse(text) for module, text in modules.items()}
+    all_trees = [*trees.values(), *map(ast.parse, others)]
+    calls, callees = {}, set()
+    for tree in all_trees:
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Call) and isinstance(n.func, (ast.Name, ast.Attribute)):
+                callees.add(id(n.func))
+                name = n.func.id if isinstance(n.func, ast.Name) else n.func.attr
+                calls.setdefault(name, []).append(n)
+    as_value = {n.id if isinstance(n, ast.Name) else n.attr
+                for tree in all_trees for n in ast.walk(tree)
+                if isinstance(n, (ast.Name, ast.Attribute)) and id(n) not in callees}
+    fixed = []
+    for module, tree in trees.items():
+        for d in tree.body:
+            if (not isinstance(d, ast.FunctionDef) or d.name in as_value
+                    or not calls.get(d.name)):
+                continue
+            sites = calls[d.name]
+            if any(isinstance(a, ast.Starred) for c in sites for a in c.args) or any(
+                    k.arg is None for c in sites for k in c.keywords):
+                continue
+            positional = d.args.posonlyargs + d.args.args
+            for i, param in enumerate(positional + d.args.kwonlyargs):
+                values = set()
+                for c in sites:
+                    if i < len(positional) and i < len(c.args):
+                        values.add(_passed(c.args[i]))
+                    else:
+                        kw = [k.value for k in c.keywords if k.arg == param.arg]
+                        values.add(_passed(kw[0]) if kw else "left out")
+                if len(values) == 1 and None not in values:
+                    fixed.append(f"{module}.{d.name}({param.arg})")
+    return sorted(fixed)
+
+
+# Parameters every call in `src/` and `perfbench/` fixes, with why each stays.
+FIXED_PARAMETERS_ALLOWED = [
+    # the console entry point reads sys.argv; tests pass their own argv
+    "cli.main(argv)",
+    # the gates in tests/test_acceptance.py draw many at once
+    "samplers.sample_sigma2_conditional(size)",
+]
+
+
+def test_no_src_parameter_carries_one_fixed_value():
+    modules = {p.stem: p.read_text() for p in sorted(ROOT.glob("src/bnnlimits/*.py"))}
+    others = [p.read_text() for p in sorted(ROOT.glob("perfbench/*.py"))]
+    assert fixed_parameters(modules, others) == FIXED_PARAMETERS_ALLOWED
+
+
+def test_parameter_scan_sees_literals_constants_and_defaults():
+    modules = {
+        "a": (
+            "import functools\n"
+            "def f(x, depth, scale=1.0, *, tag=None):\n    pass\n"
+            "def g(x, n):\n    pass\n"
+            "def h(x):\n    pass\n"
+            "def passed(x, n):\n    pass\n"
+            "def unpacked(x, n):\n    pass\n"
+            "def uncalled(x, n):\n    pass\n"
+            "functools.partial(passed, n=2)\n"
+        ),
+        "b": (
+            "import a\nN = 4\n"
+            "a.f(x, DEPTH, tag='t')\n"
+            "a.g(1, N)\na.g(y, n)\na.h(0.5)\n"
+            "a.passed(1, 3)\na.unpacked(*args)\n"
+        ),
+    }
+    others = ["import a\na.f(y, depth=DEPTH, tag='t')\na.h(0.5)\n"]
+    assert fixed_parameters(modules, others) == [
+        "a.f(depth)", "a.f(scale)", "a.f(tag)", "a.h(x)"]

@@ -7,7 +7,7 @@ import struct
 import numpy as np
 import pytest
 
-from bnnlimits import Architecture, Dataset, VarianceVector, log_posterior_and_grad
+from bnnlimits import Architecture, Dataset, VarianceVector, log_posterior_and_grad, nuts
 from bnnlimits.nuts import (
     DualAveraging,
     _build_tree,
@@ -138,7 +138,8 @@ class TestLeaf:
 
 
 class TestTransition:
-    def test_one_target_evaluation_per_depth_one_transition(self):
+    def test_one_target_evaluation_per_depth_one_transition(self, monkeypatch):
+        monkeypatch.setattr(nuts, "MAX_TREE_DEPTH", 1)
         calls = []
 
         def value_and_grad(th):
@@ -150,7 +151,7 @@ class TestTransition:
         logp, grad = -0.0, -theta
         for _ in range(50):
             theta, logp, grad, *_ = nuts_transition(value_and_grad, theta, logp, grad,
-                                                    0.1, 1, gen)
+                                                    0.1, gen)
         # one leapfrog step per transition; the caller supplies the start's value
         assert len(calls) == 50
 

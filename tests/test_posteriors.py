@@ -360,11 +360,11 @@ class TestStudentTLogpdf:
 
 
 class TestOneConditioningPath:
-    """Every posterior is one _condition call, made by _t_predictive or gp_posterior."""
+    """Every posterior is one _condition call, made by tp_posterior_predict or gp_posterior."""
 
-    def test_condition_called_only_in_t_predictive_and_gp_posterior(self):
+    def test_condition_called_only_in_tp_posterior_predict_and_gp_posterior(self):
         found = _matching_lines(r"(?<!def )\b_condition\(")
-        assert sorted(d for d, _ in found) == ["_t_predictive", "gp_posterior"]
+        assert sorted(d for d, _ in found) == ["gp_posterior", "tp_posterior_predict"]
 
     @pytest.mark.parametrize("family", ["t", "gp"])
     def test_posterior_holds_the_one_test_by_test_array(self, family):

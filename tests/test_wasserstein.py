@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 from scipy.optimize import linear_sum_assignment
 
-from bnnlimits import sliced_w1, w1_exact
+from bnnlimits import sliced_w1, w1_exact, wasserstein
 from bnnlimits.rng import RngStream
 from bnnlimits.wasserstein import ASSIGNMENT_CAP
 from oracles import replicate_weighted, w1_1d, w1_weighted
@@ -134,15 +134,13 @@ class TestMetricAxioms:
 class TestSlicedW1:
     def test_identical_sets_zero(self):
         x = RngStream(7).gen.standard_normal((20, 3))
-        assert sliced_w1(x, x.copy(), 100, RngStream(8)) == pytest.approx(0.0,
-                                                                          abs=1e-12)
+        assert sliced_w1(x, x.copy(), RngStream(8)) == pytest.approx(0.0, abs=1e-12)
 
     def test_d1_equals_w1_1d(self):
         rng = RngStream(9)
         x = rng.gen.standard_normal(30)
         y = rng.gen.standard_normal(30)
-        assert sliced_w1(x, y, 17, RngStream(10)) == pytest.approx(w1_1d(x, y),
-                                                                   abs=1e-12)
+        assert sliced_w1(x, y, RngStream(10)) == pytest.approx(w1_1d(x, y), abs=1e-12)
 
     @pytest.mark.parametrize("shape_x, shape_y",
                              [((1, 3), (5, 3)), ((4, 3), (5, 3)), ((1, 1), (5, 1)),
@@ -150,23 +148,20 @@ class TestSlicedW1:
     def test_rejects_unequal_shapes(self, shape_x, shape_y):
         # one sample against several would broadcast into a number
         with pytest.raises(ValueError, match="sample sizes and dimensions must match"):
-            sliced_w1(np.zeros(shape_x), np.zeros(shape_y), 4, RngStream(0))
+            sliced_w1(np.zeros(shape_x), np.zeros(shape_y), RngStream(0))
 
     def test_empty_samples_rejected(self):
         with pytest.raises(ValueError, match="at least one sample"):
-            sliced_w1(np.zeros((0, 2)), np.zeros((0, 2)), 4, RngStream(0))
+            sliced_w1(np.zeros((0, 2)), np.zeros((0, 2)), RngStream(0))
 
-    def test_no_projection_rejected(self):
-        # the mean over no directions is 0 / 0
-        with pytest.raises(ValueError, match="one projection"):
-            sliced_w1(np.zeros((3, 2)), np.ones((3, 2)), 0, RngStream(0))
-
-    def test_projection_count_stability(self):
+    def test_projection_count_stability(self, monkeypatch):
         rng = RngStream(11)
         x = rng.gen.standard_normal((200, 3))
         y = rng.gen.standard_normal((200, 3)) + 0.5
-        a = sliced_w1(x, y, 500, RngStream(12))
-        b = sliced_w1(x, y, 1000, RngStream(13))
+        monkeypatch.setattr(wasserstein, "SLICED_PROJECTIONS", 500)
+        a = sliced_w1(x, y, RngStream(12))
+        monkeypatch.setattr(wasserstein, "SLICED_PROJECTIONS", 1000)
+        b = sliced_w1(x, y, RngStream(13))
         assert abs(a - b) / b < 0.05
 
 
