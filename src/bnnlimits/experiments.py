@@ -187,7 +187,7 @@ class ExperimentConfig:
         with np.errstate(over="ignore"):  # an overflow raises below
             y = np.sin(2.0 * math.pi * x) + self.data_noise * noise
         if not np.all(np.isfinite(y)):
-            raise LinearAlgebraError(f"data_noise = {self.data_noise:.6g} overflows the observations")
+            raise LinearAlgebraError(f"data_noise = {self.data_noise:.6g} overflows the data")
         return Dataset(x[None, :], y[None, :])
 
     def make_test_grid(self) -> np.ndarray:

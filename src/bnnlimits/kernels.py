@@ -226,9 +226,6 @@ def _check_block_psd(k11, k12, k22):
         )
 
 
-# An overflow here or in _affine leaves inf or NaN, which the next layer's check or
-# KernelMatrix raises on as KernelDegeneracyError, not a numpy warning.
-@np.errstate(over="ignore", invalid="ignore")
 def _recursion(
     arch: Architecture,
     variances: VarianceVector,
@@ -252,36 +249,39 @@ def _recursion(
               "analytic_relu": _expect_analytic_relu}.get(method, _expect_series)
 
     K = x.T @ x  # the floats of s2_W * (x.T @ x) / d_in + s2_b, in one array
-    K *= variances.weight[0]
-    K /= arch.d_in
-    K += variances.bias[0]
-    m = K.shape[0]
-    rows = max(1, KERNEL_BLOCK_BYTES // max(1, 8 * m))
-    for l in range(2, arch.n_layers + 1):
-        # each entry's E reads only itself and the diagonal, so E overwrites K
-        # block by block; the diagonal, a column and a row, is read first.
-        # Every entry's formula is symmetric in its two points, so E is too.
-        d = K.diagonal().copy()
-        if not np.all(np.isfinite(d)):  # the 2x2 checks let inf and NaN through
-            raise KernelDegeneracyError(
-                f"kernel matrix has non-finite entries at layer {l - 1}"
-            )
-        k22, a = d[None, :], None
-        if expect is _expect_series:
-            a, e_diag = _series_coefficients(ACTIVATIONS[arch.activations[l - 1]][0], d)
-        for r in range(0, m, rows):
-            block, k11 = K[r : r + rows], d[r : r + rows, None]
-            _check_block_psd(k11, block, k22)
-            coefs = () if a is None else (a[:, r : r + rows, None], a[:, None, :])
-            block[...] = expect(k11, block, k22, *coefs)
-        if a is not None:  # the exact 1-D value only adds to a PSD diagonal
-            np.fill_diagonal(K, np.maximum(K.diagonal(), e_diag))
-        if l < arch.n_layers:
-            _affine(K, variances.weight[l - 1], variances.bias[l - 1])
+    rows = max(1, KERNEL_BLOCK_BYTES // max(1, 8 * len(K)))
+    l = 1  # the layer whose kernel is being built
+    try:  # an overflow, or inf - inf, would leave it non-finite or silently wrong
+        with np.errstate(over="raise", invalid="raise"):
+            K *= variances.weight[0]
+            K /= arch.d_in
+            K += variances.bias[0]
+            for l in range(2, arch.n_layers + 1):
+                # each entry's E reads only itself and the diagonal, so E overwrites K
+                # block by block; the diagonal, a column and a row, is read first.
+                # Every entry's formula is symmetric in its two points, so E is too.
+                d = K.diagonal().copy()
+                if not np.all(np.isfinite(d)):  # from the inputs, or _affine's inf
+                    raise KernelDegeneracyError(
+                        f"kernel matrix has non-finite entries at layer {l - 1}")
+                k22, a = d[None, :], None
+                if expect is _expect_series:
+                    a, e_diag = _series_coefficients(ACTIVATIONS[arch.activations[l - 1]][0], d)
+                for r in range(0, len(K), rows):
+                    block, k11 = K[r : r + rows], d[r : r + rows, None]
+                    _check_block_psd(k11, block, k22)
+                    coefs = () if a is None else (a[:, r : r + rows, None], a[:, None, :])
+                    block[...] = expect(k11, block, k22, *coefs)
+                if a is not None:  # the exact 1-D value only adds to a PSD diagonal
+                    np.fill_diagonal(K, np.maximum(K.diagonal(), e_diag))
+                if l < arch.n_layers:
+                    _affine(K, variances.weight[l - 1], variances.bias[l - 1])
+    except FloatingPointError as exc:
+        raise KernelDegeneracyError(f"kernel matrix has non-finite entries at layer {l}") from exc
     return K
 
 
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(over="ignore")  # an inf that the next layer or KernelMatrix raises on
 def _affine(e: np.ndarray, weight: float, bias: float) -> np.ndarray:
     """weight * e + bias, computed in e: the same floats, no second array."""
     e *= weight

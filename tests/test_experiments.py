@@ -769,7 +769,10 @@ class TestCli:
         ("posterior-convergence", "a", 1e-300),  # the Gamma draw underflows to 0
         ("posterior-convergence", "data_noise", 1e150),  # the sigma2 step's c'^2 overflows
         ("compare", "data_noise", 1e200),  # the t rate b + y^T (K' + I)^-1 y / 2 overflows
-        ("compare", "data_noise", 1.7e308),  # some observations are inf
+        # some observations are inf
+        ("compare", "data_noise", 1.7e308),
+        ("posterior-convergence", "data_noise", 1.7e308),
+        ("gaussian-baseline", "data_noise", 1.7e308),
     ])
     def test_overflowing_config_exit_3(self, tmp_path, capsys, command, field, value):
         path = tmp_path / "cfg.json"
@@ -777,7 +780,9 @@ class TestCli:
                                     "test_grid": 4, "w1_grid": 2, field: value}))
         out = tmp_path / "o"
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # the inadmissible (a, b) warning
+            # as under python -W error: an overflow is a typed failure, not a warning
+            warnings.simplefilter("error")
+            warnings.filterwarnings("ignore", "hyperparameters", UserWarning)  # (a, b)
             rc = main([command, "--config", str(path), "--out", str(out)])
         assert rc == EXIT_NUMERICAL
         assert "numerical failure" in capsys.readouterr().err
@@ -795,33 +800,6 @@ class TestCli:
             written.append((out / "w1_vs_width.csv").read_text())
         assert written[0] == written[1]
 
-    @pytest.mark.parametrize("command, extra", [
-        # the layer-2 kernel overflows (see test_degenerate_kernel_exit_3)
-        ("prior-convergence", dict(activation="relu", weight_variance=1e200)),
-        ("compare", dict(activation="relu", weight_variance=1e200)),
-        # the layer-2 expectation is finite, and its variance map overflows
-        ("compare", dict(activation="relu", weight_variance=3e154)),
-        # the last layer's variance map overflows
-        ("prior-convergence", dict(activation="relu", weight_variance=3e154,
-                                   n_hidden_layers=1)),
-        # the observations overflow
-        ("posterior-convergence", dict(data_noise=1.7e308)),
-        ("gaussian-baseline", dict(data_noise=1.7e308)),
-        ("compare", dict(data_noise=1.7e308)),
-    ])
-    def test_overflow_exit_3_with_warnings_as_errors(self, tmp_path, capsys, command, extra):
-        # as under python -W error: an overflow is a typed failure, not a warning
-        out = tmp_path / "o"
-        argv = [command, "--config", self._cfg_file(tmp_path, **extra), "--out", str(out)]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            rc = main(argv)
-        assert rc == EXIT_NUMERICAL
-        err = capsys.readouterr().err
-        assert ("data_noise = 1.7e+308" if "data_noise" in extra
-                else "kernel matrix has non-finite entries") in err
-        assert not out.exists()
-
     def test_unreadable_and_malformed_config_exit_2(self, tmp_path):
         assert main(["compare", "--config", str(tmp_path / "missing.json")]) == EXIT_CONFIG
         path = tmp_path / "mal.json"
@@ -831,24 +809,37 @@ class TestCli:
         path2.write_text("[1, 2]")
         assert main(["compare", "--config", str(path2)]) == EXIT_CONFIG
 
-    def test_degenerate_kernel_exit_3(self, tmp_path, capsys):
-        # relu is positively homogeneous, so each layer scales the kernel by
-        # about the weight variance: the layer-2 kernel overflows to inf, and
-        # the last layer's, built from it, is not finite
+    @pytest.mark.parametrize("activation, weight_variance, n_hidden_layers", [
+        # each layer-1 kernel entry is finite and k11 k22 of the layer-2
+        # step overflows; relu, positively homogeneous, would then scale each
+        # later layer by about the weight variance
+        ("relu", 1e200, 2),
+        ("relu", 3e154, 2),
+        ("relu", 3e154, 1),
+        # erf's closed form would read the correlation as k12 / inf = 0
+        ("erf", 1e200, 1),
+    ])
+    def test_degenerate_kernel_exit_3(self, tmp_path, capsys, activation,
+                                      weight_variance, n_hidden_layers):
         cfg = self._cfg_file(
             tmp_path,
-            activation="relu",
-            weight_variance=1e200,
-            n_hidden_layers=2,
+            activation=activation,
+            weight_variance=weight_variance,
+            n_hidden_layers=n_hidden_layers,
             test_grid=64,
             w1_grid=3,
             k=8,
         )
         for command in ("prior-convergence", "compare"):
-            rc = main([command, "--config", cfg, "--out", str(tmp_path / command)])
+            out = tmp_path / command
+            with warnings.catch_warnings():
+                # as under python -W error: an overflow is a typed failure, not a warning
+                warnings.simplefilter("error")
+                rc = main([command, "--config", cfg, "--out", str(out)])
             assert rc == EXIT_NUMERICAL
             err = capsys.readouterr().err
-            assert "numerical failure: kernel matrix has non-finite entries" in err
+            assert "numerical failure: kernel matrix has non-finite entries at layer 2" in err
+            assert not out.exists()
 
     @pytest.mark.parametrize(
         "command",

@@ -429,10 +429,19 @@ class TestBlockCheck:
         arch = Architecture((1, 4, 4, 1), ("identity", "relu", "relu"))
         v = VarianceVector.constant(weight_variance, 3)
         x = np.array([[x0, -0.3, 0.8]])
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(KernelDegeneracyError,
-                               match=f"non-finite entries at layer {layer}$"):
-                kernels._recursion(arch, v, x, method="analytic_relu")
+        with pytest.raises(KernelDegeneracyError,
+                           match=f"non-finite entries at layer {layer}$"):
+            kernels._recursion(arch, v, x, method="analytic_relu")
+
+    @pytest.mark.parametrize("method", ["analytic_erf", "hermite_series"])
+    def test_overflowing_correlation_raises(self, method):
+        # every layer-1 entry is finite, but k11 k22 overflows: read as
+        # k12 / inf = 0, the correlation would give a finite, wrong E
+        arch = Architecture((1, 4, 1), ("identity", "erf"))
+        v = VarianceVector.constant(1e200, 2)
+        x = np.array([[0.5, -0.3, 0.8]])
+        with pytest.raises(KernelDegeneracyError, match="non-finite entries at layer 2$"):
+            kernels._recursion(arch, v, x, method=method)
 
 
 class TestKernelMatrix:
