@@ -13,6 +13,7 @@ import logging
 import os
 import sys
 
+from . import experiments
 from .experiments import (
     ConfigError,
     ExperimentConfig,
@@ -31,7 +32,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
-# subcommand -> (runner, whether it runs its widths in --jobs processes)
+# subcommand -> (runner, whether it runs its widths in processes, one per CPU)
 COMMANDS = {
     "prior-convergence": (run_prior_convergence, False),
     "posterior-convergence": (run_posterior_convergence, True),
@@ -41,13 +42,6 @@ COMMANDS = {
 }
 
 
-def positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bnnlimits",
@@ -55,13 +49,11 @@ def build_parser() -> argparse.ArgumentParser:
         "networks and their Gaussian/Student-t process limits.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, jobs) in COMMANDS.items():
+    for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON config file path")
         p.add_argument("--seed", type=int, default=None, help="override RNG seed")
         p.add_argument("--out", default="out", help="output directory")
-        if jobs:
-            p.add_argument("--jobs", type=positive_int, default=1, help="parallel width jobs")
     return parser
 
 
@@ -73,7 +65,7 @@ def load_config(path: str | None, seed: int | None) -> ExperimentConfig:
                 d = json.load(f)
         except OSError as e:
             raise ConfigError(f"cannot read config {path}: {e}") from e
-        except json.JSONDecodeError as e:
+        except (ValueError, RecursionError) as e:  # not JSON, not UTF-8, or nested too deep
             raise ConfigError(f"invalid JSON in {path}: {e}") from e
         if not isinstance(d, dict):
             raise ConfigError("config file must contain a JSON object")
@@ -107,13 +99,15 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"config error: cannot create output directory: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    runner, jobs = COMMANDS[args.command]
+    runner, pooled = COMMANDS[args.command]
     try:
-        report = runner(cfg, jobs=args.jobs) if jobs else runner(cfg)
+        report = runner(cfg, jobs=experiments._cpu_count()) if pooled else runner(cfg)
         paths = emit_figure_data(report, args.out)
-    except (KernelDegeneracyError, LinearAlgebraError, SamplerError) as e:
-        for d in made:  # a failed run leaves no directory behind that it made
+    except BaseException as e:
+        for d in made:  # a run that does not finish leaves no directory behind that it made
             os.rmdir(d)
+        if not isinstance(e, (KernelDegeneracyError, LinearAlgebraError, SamplerError)):
+            raise
         print(f"numerical failure: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
     for p in paths:

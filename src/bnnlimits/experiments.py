@@ -63,7 +63,9 @@ PRIOR_BLOCK_BYTES = 2 << 20
 
 # The training inputs and the test grid are evenly spaced on this interval.
 DOMAIN = (-1.0, 1.0)
-# Nelder-Mead starts of each maximization in run_bound_diagnostics.
+# (sigma2, n_L * k) settings at which run_bound_diagnostics checks the
+# constants, and the Nelder-Mead starts of each of its maximizations.
+BOUND_SETTINGS = ((1.0, 1), (4.0, 2), (0.5, 3))
 BOUND_RESTARTS = 8
 # Resampling repetitions of each width's W1, which give its bands.
 W1_REPS = 10
@@ -316,16 +318,17 @@ def _prior_block_draws(arch: Architecture, m: int, threads: int) -> int:
     return max(1, PRIOR_BLOCK_BYTES // (threads * per_draw))
 
 
-def _prior_width_job(cfg: ExperimentConfig, kernel: KernelMatrix, width: int,
-                     threads: int) -> tuple[list[float], list[float]]:
+def _prior_width_job(cfg: ExperimentConfig, kernel: KernelMatrix,
+                     width: int) -> tuple[list[float], list[float]]:
     """Per-width W1 between prior network draws and draws of the NNGP `kernel`.
 
-    The repetitions run on `threads` threads (numpy and scipy release the
-    GIL), each on its own child stream, and are collected in order. Each
+    The repetitions run on _prior_threads() threads (numpy and scipy release
+    the GIL), each on its own child stream, and are collected in order. Each
     thread draws and evaluates its prior parameters in blocks of whole draws
     (_prior_block_draws), so only the (draws, m) outputs are kept; the draws
     are the same for any block size and thread count.
     """
+    threads = _prior_threads()
     grid = cfg.make_test_grid()
     idx = cfg.w1_subgrid_idx()
     arch = cfg.architecture(width)
@@ -414,10 +417,10 @@ def run_prior_convergence(cfg: ExperimentConfig) -> ConvergenceReport:
     The widths run in turn, each on its repetition threads (_prior_threads).
     The limit is the NNGP kernel over the grid alone: no data, no (a, b) check.
     """
-    job = functools.partial(_prior_width_job, threads=_prior_threads())
     return _sweep(cfg, lambda: (kernel_recursion(cfg.architecture(1), cfg.variances(),
                                                  cfg.make_test_grid(),
-                                                 method=cfg.kernel_method), None), job)
+                                                 method=cfg.kernel_method), None),
+                  _prior_width_job)
 
 
 def run_posterior_convergence(cfg: ExperimentConfig, jobs: int = 1) -> ConvergenceReport:
@@ -507,11 +510,9 @@ def likelihood_lipschitz(sigma2: float, n: int) -> float:
     return math.exp(-0.5) / math.sqrt(sigma2) * likelihood_sup(sigma2, n)
 
 
-def run_bound_diagnostics(
-    cfg: ExperimentConfig,
-    settings: tuple[tuple[float, int], ...] = ((1.0, 1), (4.0, 2), (0.5, 3)),
-) -> BoundDiagnostics:
-    """Maximize the Gaussian likelihood and its gradient norm numerically.
+def run_bound_diagnostics(cfg: ExperimentConfig) -> BoundDiagnostics:
+    """Maximize the Gaussian likelihood and its gradient norm numerically,
+    at each of BOUND_SETTINGS.
 
     The density maximum over z is the sup constant; the maximum gradient
     norm is the Lipschitz constant, attained where ||y - z||^2 = sigma2.
@@ -521,7 +522,7 @@ def run_bound_diagnostics(
     t0 = time.perf_counter()
     rng = RngStream(cfg.seed, (7,))
     sup_n, lip_n, res2 = [], [], []
-    for sigma2, n in settings:
+    for sigma2, n in BOUND_SETTINGS:
         y = rng.gen.standard_normal(n)
 
         def neg_density(z):
@@ -547,7 +548,7 @@ def run_bound_diagnostics(
         sup_n.append(best_d)
         lip_n.append(best_g)
         res2.append(best_r)
-    return BoundDiagnostics(list(settings), sup_n, lip_n, res2, config=cfg,
+    return BoundDiagnostics(list(BOUND_SETTINGS), sup_n, lip_n, res2, config=cfg,
                             runtime_s=time.perf_counter() - t0)
 
 

@@ -76,16 +76,6 @@ class StudentTPosterior:
     location: np.ndarray
     scale: np.ndarray
 
-    def mean(self) -> np.ndarray:
-        if self.nu <= 1:
-            raise ValueError("mean requires nu > 1")
-        return self.location
-
-    def covariance(self) -> np.ndarray:
-        if self.nu <= 2:
-            raise ValueError("covariance requires nu > 2")
-        return self.nu / (self.nu - 2.0) * self.scale
-
 
 def gp_posterior(
     k_train: np.ndarray,

@@ -88,15 +88,6 @@ class Sigma2ConditionalParams:
         if self.a_prime <= 0 or self.b_prime <= 0:
             raise ValueError("a' and b' must be strictly positive")
 
-    def log_density(self, s: np.ndarray) -> np.ndarray:
-        """Unnormalized log density in the sigma2 variable."""
-        s = np.asarray(s, dtype=float)
-        return (
-            -(self.a_prime + 1.0) * np.log(s)
-            - self.b_prime / s
-            + self.c_prime / np.sqrt(s)
-        )
-
 
 def sample_sigma2_conditional(
     p: Sigma2ConditionalParams, rng: RngStream, size: int | None = None

@@ -7,9 +7,10 @@ plan, any last-layer variance beside `unit_last_layer`, a PSD solve beside
 `_condition`'s, a train-only and a joint Normal-Inverse-Gamma posterior
 beside `tp_posterior_predict`, a sorted 1-D W1 beside `sliced_w1`'s
 projections, a weighted W1 (its own assignment, at any size) beside
-`w1_exact`, and a CSV reader that round-trips `emit_figure_data`. They still
-call the package's `_target_constants`, `_condition` and `psd_cholesky`,
-so their tests exercise that code too.
+`w1_exact`, the sigma2 conditional's log density beside
+`sample_sigma2_conditional`, and a CSV reader that round-trips
+`emit_figure_data`. They still call the package's `_target_constants`,
+`_condition` and `psd_cholesky`, so their tests exercise that code too.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from bnnlimits.posteriors import (
     StudentTPosterior,
     _condition,
 )
+from bnnlimits.samplers import Sigma2ConditionalParams
 from bnnlimits.wasserstein import _as_array
 
 REPLICATION_CAP = 100_000
@@ -196,6 +198,12 @@ def replicate_weighted(
         raise ValueError(f"common denominator {denom} exceeds cap {cap}")
     counts = [int(f * denom) for f in fracs]
     return np.repeat(support, counts, axis=0)
+
+
+def sigma2_log_density(p: Sigma2ConditionalParams, s) -> np.ndarray:
+    """Unnormalized log density of the sigma2 conditional with parameters p at s."""
+    s = np.asarray(s, dtype=float)
+    return -(p.a_prime + 1.0) * np.log(s) - p.b_prime / s + p.c_prime / np.sqrt(s)
 
 
 def w1_1d(xs, ys) -> float:

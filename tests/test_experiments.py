@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from bnnlimits import cli, experiments, gibbs, kernels, network
-from bnnlimits.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, build_parser, main
+from bnnlimits.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from bnnlimits.experiments import (
     BoundDiagnostics,
     ComparisonReport,
@@ -808,6 +808,12 @@ class TestCli:
         path2 = tmp_path / "list.json"
         path2.write_text("[1, 2]")
         assert main(["compare", "--config", str(path2)]) == EXIT_CONFIG
+        path3 = tmp_path / "binary.json"
+        path3.write_bytes(b"\xff")  # not UTF-8
+        assert main(["compare", "--config", str(path3)]) == EXIT_CONFIG
+        path4 = tmp_path / "deep.json"
+        path4.write_text("[" * 100_000)  # nested beyond the decoder's recursion limit
+        assert main(["compare", "--config", str(path4)]) == EXIT_CONFIG
 
     @pytest.mark.parametrize("activation, weight_variance, n_hidden_layers", [
         # each layer-1 kernel entry is finite and k11 k22 of the layer-2
@@ -906,17 +912,43 @@ class TestCli:
         with pytest.raises(RuntimeError, match="not a numerical failure"):
             main(argv)
 
-    @pytest.mark.parametrize("command", ["posterior-convergence", "gaussian-baseline"])
-    def test_sweeps_take_jobs(self, command):
-        assert build_parser().parse_args([command, "--jobs", "2"]).jobs == 2
+    def test_run_that_raises_leaves_no_out(self, tmp_path):
+        # as under python -W error, the admissibility warning (b = 0.01) ends the
+        # run: a run that does not finish, for any reason, removes the
+        # directories it made
+        out = tmp_path / "new" / "o"
+        argv = ["posterior-convergence", "--config", self._cfg_file(tmp_path, b=0.01),
+                "--out", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UserWarning, match="admissible"):
+                main(argv)
+        assert not (tmp_path / "new").exists()
 
-    @pytest.mark.parametrize("command", ["posterior-convergence", "gaussian-baseline"])
-    @pytest.mark.parametrize("jobs", ["0", "-3"])
-    def test_sweeps_reject_jobs_below_1(self, command, jobs, capsys):
-        with pytest.raises(SystemExit) as exc:
-            build_parser().parse_args([command, "--jobs", jobs])
-        assert exc.value.code == 2  # argparse's usage error
-        assert "--jobs" in capsys.readouterr().err
+    @pytest.mark.parametrize("command, runner", [
+        ("posterior-convergence", run_posterior_convergence),
+        ("gaussian-baseline", run_gaussian_baseline),
+    ])
+    @pytest.mark.parametrize("cpus, pools", [(1, []), (2, [2]), (3, [2])])
+    def test_mcmc_widths_run_in_one_process_per_cpu(self, tmp_path, monkeypatch, command,
+                                                    runner, cpus, pools):
+        # min(len(widths), CPUs) worker processes, and no pool on one CPU
+        built = []
+
+        class Recorded(experiments.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                built.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(experiments, "_cpu_count", lambda: cpus)
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", Recorded)
+        out = tmp_path / "o"
+        argv = [command, "--config", self._cfg_file(tmp_path), "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        assert built == pools
+        emit_figure_data(runner(ExperimentConfig(**FAST)), str(tmp_path / "serial"))
+        csv = "w1_vs_width.csv"
+        assert (out / csv).read_bytes() == (tmp_path / "serial" / csv).read_bytes()
 
     @pytest.mark.parametrize("out", ["file", "file/sub"])
     def test_unusable_out_exit_2_before_the_run(self, tmp_path, monkeypatch, capsys, out):
@@ -931,8 +963,8 @@ class TestCli:
         assert main(argv) == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["prior-convergence", "compare", "diagnostics"])
-    def test_jobs_rejected_where_unused(self, tmp_path, command, capsys):
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_no_subcommand_takes_jobs(self, tmp_path, command, capsys):
         with pytest.raises(SystemExit) as exc:
             main([command, "--jobs", "2", "--out", str(tmp_path)])
         assert exc.value.code == 2  # argparse's usage error

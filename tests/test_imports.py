@@ -111,12 +111,10 @@ def unreferenced_methods(modules: dict[str, str], others: list[str]) -> list[str
     return sorted(unread)
 
 
-# Read by no code in `src/` or `perfbench/`: the gates in tests/test_acceptance.py
-# call each of these.
+# Read by no code in `src/` or `perfbench/`: the README's library quick start
+# calls it, and tests/test_readme.py runs that.
 UNREAD_METHODS_ALLOWED = [
     "network.VarianceVector.constant",
-    "posteriors.StudentTPosterior.covariance",
-    "samplers.Sigma2ConditionalParams.log_density",
 ]
 
 

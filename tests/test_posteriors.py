@@ -172,8 +172,8 @@ class TestTpPosteriorTrain:
             a, b = 3.0, 2.0
             tp = tp_posterior_train(k, y, a, b)
             mean, cov = tp_moments_by_grid(k, y, a, b)
-            assert np.allclose(tp.mean(), mean, rtol=1e-3, atol=1e-12)
-            assert np.allclose(tp.covariance(), cov, rtol=1e-3)
+            assert np.allclose(tp.location, mean, rtol=1e-3, atol=1e-12)
+            assert np.allclose(tp.nu / (tp.nu - 2.0) * tp.scale, cov, rtol=1e-3)
 
     def test_warns_for_small_a(self):
         with pytest.warns(UserWarning):
@@ -199,8 +199,9 @@ class TestTpPosteriorTrain:
         minv = np.linalg.inv(np.eye(4) + np.linalg.inv(k.train))
         gp_mean = minv @ y
         gp_cov = s0 * minv
-        assert np.max(np.abs(tp.mean() - gp_mean)) < 1e-3
-        assert np.max(np.abs(tp.covariance() - gp_cov)) < 1e-2 * np.max(np.abs(gp_cov))
+        assert np.max(np.abs(tp.location - gp_mean)) < 1e-3
+        tp_cov = tp.nu / (tp.nu - 2.0) * tp.scale
+        assert np.max(np.abs(tp_cov - gp_cov)) < 1e-2 * np.max(np.abs(gp_cov))
 
 
 class TestTpPosteriorPredict:
@@ -258,7 +259,7 @@ class TestTpPosteriorPredict:
         mean = c_mean
         cov = es * schur
         assert np.allclose(pr.location, mean, atol=1e-10)
-        assert np.allclose(pr.covariance(), cov, rtol=2e-3)
+        assert np.allclose(pr.nu / (pr.nu - 2.0) * pr.scale, cov, rtol=2e-3)
 
     def test_empty_train_reduces_to_prior_t(self):
         kt = np.array([[2.0, 0.5], [0.5, 1.0]])

@@ -1,5 +1,6 @@
-"""The README's library quick start runs as written."""
+"""The README runs as written and names what the code has: config fields, CLI flags."""
 
+import argparse
 import os
 import re
 
@@ -33,3 +34,17 @@ def test_config_schema_table_names_every_field():
     rows = [line for line in section.splitlines() if line.startswith("| `")]
     named = [n for row in rows for n in re.findall(r"`(\w+)`", row.split("|")[1])]
     assert sorted(named) == sorted(f.name for f in fields(ExperimentConfig))
+
+
+def test_cli_section_names_every_flag():
+    from bnnlimits.cli import build_parser
+
+    with open(README) as f:
+        text = f.read()
+    section = text.split("## CLI", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"`(--[\w-]+)[^`]*`", section))
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    flags = {o for p in sub.choices.values() for a in p._actions for o in a.option_strings
+             if o.startswith("--") and o != "--help"}
+    assert named == flags
