@@ -358,31 +358,19 @@ def _prior_width_job(cfg: ExperimentConfig, kernel: KernelMatrix,
     return [w1 for w1, _ in results], [sl for _, sl in results]
 
 
-def _posterior_width_job(cfg: ExperimentConfig, tp: StudentTPosterior,
+def _posterior_width_job(cfg: ExperimentConfig, limit: StudentTPosterior | GaussianPosterior,
                          width: int) -> tuple[list[float], list[float]]:
-    """Per-width W1 between Gibbs posterior draws and draws of the t limit `tp`."""
-    return _resampled_w1(posterior_draws(cfg, width).evals, cfg.w1_subgrid_idx(),
-                         RngStream(cfg.seed, (width, 2)),
-                         lambda r, n: sample_mvt(tp.nu, tp.location, tp.scale, r, size=n))
-
-
-def _baseline_width_job(cfg: ExperimentConfig, gp: GaussianPosterior,
-                        width: int) -> tuple[list[float], list[float]]:
-    """Per-width W1 between fixed-variance posterior draws and the GP limit `gp`."""
-    return _resampled_w1(posterior_draws(cfg, width, gaussian=True).evals,
-                         cfg.w1_subgrid_idx(), RngStream(cfg.seed, (width, 4)),
-                         lambda r, n: sample_mvn(gp.mean, gp.cov, r, size=n))
-
-
-def _resampled_w1(evals, idx, rng, limit_sampler):
-    """Bootstrap the finite-width pool; fresh limit draws per repetition."""
+    """Per-width W1 between bootstrapped posterior draws and fresh draws of the
+    `limit`; a GaussianPosterior means the fixed-variance model."""
+    gaussian = isinstance(limit, GaussianPosterior)
+    evals = posterior_draws(cfg, width, gaussian).evals
+    idx, n = cfg.w1_subgrid_idx(), len(evals)
     reps, sl = [], []
-    n = evals.shape[0]
-    for rep_rng in rng.split(W1_REPS):
+    for rep_rng in RngStream(cfg.seed, (width, 4 if gaussian else 2)).split(W1_REPS):
         r_boot, r_lim = rep_rng.split(2)
-        pick = r_boot.gen.integers(0, n, size=n)
-        bnn = evals[pick]
-        lim = limit_sampler(r_lim, n)
+        bnn = evals[r_boot.gen.integers(0, n, size=n)]
+        lim = (sample_mvn(limit.mean, limit.cov, r_lim, size=n) if gaussian
+               else sample_mvt(limit.nu, limit.location, limit.scale, r_lim, size=n))
         reps.append(w1_exact(bnn[:, idx], lim[:, idx]))
         sl.append(sliced_w1(bnn, lim, r_lim.child(0)))
     return reps, sl
@@ -423,29 +411,33 @@ def run_prior_convergence(cfg: ExperimentConfig) -> ConvergenceReport:
                   _prior_width_job)
 
 
+def _posterior_limit(cfg: ExperimentConfig, gaussian: bool
+                     ) -> tuple[StudentTPosterior | GaussianPosterior, ConstraintReport | None]:
+    """An MCMC sweep's limit and (a, b) report: the GP limit if `gaussian`, else the
+    Student-t limit, which warns when (a, b) lies outside the admissible region. The
+    warning names the runner's caller: stack level 4, after this, _sweep and the runner."""
+    data = cfg.make_dataset()
+    e = _limit_e(cfg, data, cfg.make_test_grid())
+    if gaussian:
+        return _gp_limit(cfg, data, e), None
+    tp, constraint = _t_limit(cfg, data, e)
+    if constraint is not None and not constraint.ok:
+        warnings.warn("hyperparameters outside the admissible region for the convergence"
+                      f" guarantee; {constraint.summary()} (run proceeds)", stacklevel=4)
+    return tp, constraint
+
+
 def run_posterior_convergence(cfg: ExperimentConfig, jobs: int = 1) -> ConvergenceReport:
     """W1 between Gibbs posterior draws and Student-t limit draws, per width.
 
     Warns once per run when (a, b) lies outside the admissible region.
     """
-    def limit_of():
-        data = cfg.make_dataset()
-        tp, constraint = _t_limit(cfg, data, _limit_e(cfg, data, cfg.make_test_grid()))
-        if constraint is not None and not constraint.ok:
-            warnings.warn("hyperparameters outside the admissible region for the convergence"
-                          f" guarantee; {constraint.summary()} (run proceeds)", stacklevel=4)
-        return tp, constraint
-
-    return _sweep(cfg, limit_of, _posterior_width_job, jobs)
+    return _sweep(cfg, functools.partial(_posterior_limit, cfg, False), _posterior_width_job, jobs)
 
 
 def run_gaussian_baseline(cfg: ExperimentConfig, jobs: int = 1) -> ConvergenceReport:
     """W1 between fixed-variance posterior draws and the GP limit, per width."""
-    def limit_of():
-        data = cfg.make_dataset()
-        return _gp_limit(cfg, data, _limit_e(cfg, data, cfg.make_test_grid())), None
-
-    return _sweep(cfg, limit_of, _baseline_width_job, jobs)
+    return _sweep(cfg, functools.partial(_posterior_limit, cfg, True), _posterior_width_job, jobs)
 
 
 @dataclass

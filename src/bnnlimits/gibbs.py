@@ -74,6 +74,9 @@ class PosteriorSamples:
     diagnostics: dict
 
 
+# an overflow is a divergence (non-finite energy) or a SamplerError (non-finite
+# target or sigma2 rate), the step-size search included
+@np.errstate(over="ignore", invalid="ignore")
 def _run_chain(
     arch: Architecture,
     variances: VarianceVector,

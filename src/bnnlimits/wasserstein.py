@@ -7,6 +7,8 @@ larger problems.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .rng import RngStream
@@ -43,9 +45,15 @@ def w1_exact(xs, ys) -> float:
     from scipy.optimize import linear_sum_assignment
     from scipy.spatial.distance import cdist
 
+    # cdist squares the differences, so samples near 1e154 would cost inf: those
+    # are scaled by a power of two, which is exact, and the W1 scaled back
+    top = max(np.max(np.abs(x), initial=0.0), np.max(np.abs(y), initial=0.0))
+    exp = math.frexp(top)[1] if top >= 2.0**500 else 0
+    if exp:
+        x, y = np.ldexp(x, -exp), np.ldexp(y, -exp)
     cost = cdist(x, y)
     rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].sum() / n)
+    return math.ldexp(float(cost[rows, cols].sum() / n), exp)
 
 
 def sliced_w1(xs, ys, rng: RngStream) -> float:

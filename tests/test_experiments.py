@@ -278,6 +278,25 @@ class TestPosteriorDraws:
         runner(cfg)
         assert seen == {used: list(cfg.widths), unused: []}
 
+    @pytest.mark.parametrize("runner, used, unused", [
+        (run_posterior_convergence, "sample_mvt", "sample_mvn"),
+        (run_gaussian_baseline, "sample_mvn", "sample_mvt"),
+    ])
+    def test_limit_draws_follow_the_limit_through_the_module_attribute(
+            self, monkeypatch, runner, used, unused):
+        # the one width job reads the model from its limit; a benchmark times
+        # the limit draws by patching these two attributes
+        calls = {used: 0, unused: 0}
+        for name in calls:
+            def counted(*args, _real=getattr(experiments, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(experiments, name, counted)
+        cfg = ExperimentConfig(**FAST)
+        runner(cfg)
+        assert calls == {used: experiments.W1_REPS * len(cfg.widths), unused: 0}
+
     @pytest.mark.parametrize("gaussian", [False, True])
     @pytest.mark.parametrize("width", [1, 3])
     def test_draws_equal_the_chain_at_its_seed(self, gaussian, width):
@@ -788,6 +807,35 @@ class TestCli:
         assert "numerical failure" in capsys.readouterr().err
         assert not out.exists()  # no file, so no non-finite cell
 
+    @pytest.mark.parametrize("variance", [1e100, 3e153])
+    @pytest.mark.parametrize("activation", ["relu", "identity"])
+    @pytest.mark.parametrize(
+        "command",
+        ["prior-convergence", "posterior-convergence", "gaussian-baseline", "compare"],
+    )
+    def test_extreme_finite_variances_exit_0_or_3(self, tmp_path, command, activation,
+                                                  variance):
+        # the limit kernel is finite at these variances, but network outputs
+        # this large overflow the chain's squared residuals and, at 3e153,
+        # the squared distances of the exact W1
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"n_hidden_layers": 1, "activation": activation,
+                                    "weight_variance": variance, "bias_variance": variance,
+                                    "widths": [1, 2], "draws": 4, "burn_in": 2,
+                                    "test_grid": 4, "w1_grid": 2}))
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            # as under python -W error: an overflow is a typed failure, not a warning
+            warnings.simplefilter("error")
+            warnings.filterwarnings("ignore", "hyperparameters", UserWarning)  # (a, b)
+            rc = main([command, "--config", str(path), "--out", str(out)])
+        assert rc in (EXIT_OK, EXIT_NUMERICAL)
+        if rc == EXIT_NUMERICAL:
+            assert not out.exists()
+        else:
+            rows = next(out.glob("*.csv")).read_text().splitlines()[1:]
+            assert rows and all(math.isfinite(float(c)) for r in rows for c in r.split(","))
+
     def test_prior_convergence_reads_no_data(self, tmp_path):
         # the prior sweep neither fits nor checks the observations, so ones
         # too large for floating point change nothing it writes
@@ -1027,6 +1075,7 @@ class TestConstraintReporting:
         assert len(user) == 1
         assert "admissible" in str(user[0].message)
         assert str(user[0].message).endswith("(run proceeds)")
+        assert user[0].filename == __file__  # the runner's caller
         assert not rep.constraint.ok
         assert len(rep.w1) == 2
         # one E for the admissibility check and the Student-t limit

@@ -72,8 +72,8 @@ def unreferenced_definitions(modules: dict[str, str], others: list[str]) -> list
                   if not any(d.name in names for stmt, names in reads if stmt is not d))
 
 
-# Called by no code yet: the posterior-bracket runner of ROADMAP direction 1
-# weights each draw by this density.
+# Called by no code yet: the exact posterior sampler of ROADMAP direction 2
+# weights each hidden set by this density.
 UNREFERENCED_ALLOWED = ["posteriors.student_t_logpdf"]
 
 

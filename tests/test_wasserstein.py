@@ -70,6 +70,15 @@ class TestW1Exact:
         for a in (0.5, 2.0, 7.0):
             assert w1_exact(a * x, a * y) == pytest.approx(a * base, abs=1e-10)
 
+    @pytest.mark.parametrize("power", [510, 512])
+    def test_huge_samples_scale_exactly(self, power):
+        # from 2**500 on the samples are scaled by a power of two, which is
+        # exact; at 2**512 the unscaled squared differences would overflow
+        rng = RngStream(6)
+        x = rng.gen.standard_normal((12, 3))
+        y = rng.gen.standard_normal((12, 3))
+        assert w1_exact(x * 2.0**power, y * 2.0**power) == 2.0**power * w1_exact(x, y)
+
     def test_cap_exceeded_instructs_sliced(self):
         # the check raises before the cost matrix is built
         x = np.zeros((ASSIGNMENT_CAP + 1, 1))
