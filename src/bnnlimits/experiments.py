@@ -337,7 +337,7 @@ def _prior_width_job(cfg: ExperimentConfig, kernel: KernelMatrix,
     sizes = [min(block, cfg.draws - start) for start in range(0, cfg.draws, block)]
     ksub = kernel.values[np.ix_(idx, idx)]
     # build the shared prior scale once, not once per thread that misses the cache
-    network._target_constants(arch, variances)
+    network._prior_scale(arch, variances)
 
     def repetition(rep_rng: RngStream) -> tuple[float, float]:
         r_bnn, r_gp = rep_rng.split(2)

@@ -1,17 +1,20 @@
 """Gibbs sampler for the hierarchical network posterior.
 
 Alternates NUTS updates of the parameters given the likelihood variance with
-exact draws of the variance given the parameters. The chain state keeps the
-last layer standardized (unit prior variances) so that the variance
-conditional stays exact:
+exact draws of the variance given the parameters. The chain state is the
+standardized vector z = theta / prior scale of every layer, on which the
+prior is N(0, I); NUTS's identity mass matrix on z is the prior precision on
+theta. The last layer's prior scale is that of unit variances, so theta_std =
+z * scale has a standardized last layer and the variance conditional stays
+exact:
 
     p(sigma2 | theta_std, D) ∝ sigma2^{-(a'+1)} e^{-b'/sigma2} e^{c'/sqrt(sigma2)}
     a' = a + k n_L / 2,  b' = b + ||y||_F^2 / 2,  c' = <y, f_theta_std(x)>,
 
 which follows from the likelihood N(y; sigma * f_theta_std(x), sigma2 I)
 after the constant e^{-||f||^2/2} factor drops. Raw parameters are recovered
-by scaling the last layer by sigma. The fixed-variance baseline runs the same
-loop on raw parameters with sigma2 held.
+by scaling the last layer of theta_std by sigma. The fixed-variance baseline
+runs the same loop with the raw prior's scale and sigma2 held.
 """
 
 from __future__ import annotations
@@ -25,9 +28,9 @@ from .network import (
     Architecture,
     Dataset,
     VarianceVector,
+    _prior_scale,
     forward,
     log_posterior_and_grad,
-    sample_prior_params,
 )
 from .nuts import DualAveraging, find_reasonable_epsilon, nuts_transition
 from .rng import RngStream
@@ -91,7 +94,9 @@ def _run_chain(
     With ig = (a, b), the last-layer variances are unit, the output is scaled
     by sqrt(sigma2), and sigma2 is drawn from its exact conditional after
     each outer step. With ig = None, sigma2 is fixed and the scale is 1.
-    Scaling a kept draw's last layer by the output scale gives its raw theta.
+    The state z maps to theta = z * scale only where the network is
+    evaluated; scaling a kept draw's last layer by the output scale gives its
+    raw theta.
     """
     rng = RngStream(cfg.seed)
     rng_theta, rng_sigma, rng_init = rng.split(3)
@@ -101,17 +106,19 @@ def _run_chain(
         a_prime = a + data.k * arch.d_out / 2.0
         b_prime = b + 0.5 * float(np.sum(data.y**2))
     output_scale = 1.0 if ig is None else sqrt(sigma2)
+    scale = _prior_scale(arch, variances)
 
-    def value_and_grad(theta):
+    def value_and_grad(z):
         # Reads the current sigma2 and output_scale. This name, like every
         # other one from this module's imports, is looked up at call time, so
         # a wrapper set on this module (e.g. for tracing) sees every call
         return log_posterior_and_grad(
-            arch, variances, theta, sigma2, data, output_scale=output_scale
+            arch, variances, z, sigma2, data, output_scale=output_scale
         )
 
-    theta = sample_prior_params(arch, variances, rng_init)
-    eps = find_reasonable_epsilon(value_and_grad, theta, gen)
+    # the prior draw sample_prior_params would scale
+    z = rng_init.gen.standard_normal(arch.n_params)
+    eps = find_reasonable_epsilon(value_and_grad, z, gen)
     da = DualAveraging(eps)
 
     n_outer = cfg.burn_in + cfg.n_samples * cfg.thinning
@@ -124,29 +131,32 @@ def _run_chain(
     accepts = []
     kept = 0
 
+    # The target at the state moves only with sigma2, and each transition
+    # returns the one at its new state; None marks it as not yet evaluated.
+    logp = None
     for it in range(n_outer):
         if it == cfg.burn_in:
             eps = da.adapted
-        logp, g = value_and_grad(theta)
-        if not isfinite(logp):
-            raise SamplerError(f"log target is {logp} at the chain's state "
-                               f"(sigma2 = {sigma2:.3e}); the chain cannot move")
+        if logp is None:
+            logp, g = value_and_grad(z)
+            if not isfinite(logp):
+                raise SamplerError(f"log target is {logp} at the chain's state "
+                                   f"(sigma2 = {sigma2:.3e}); the chain cannot move")
         for _ in range(HMC_STEPS):
-            theta, logp, g, acc, _, div = nuts_transition(
-                value_and_grad, theta, logp, g, eps, gen
-            )
+            z, logp, g, acc, _, div = nuts_transition(value_and_grad, z, logp, g, eps, gen)
             n_div += int(div)
             accepts.append(acc)
             if it < cfg.burn_in:
                 eps = da.update(acc)
         if ig is not None:
-            c_prime = float(np.sum(data.y * forward(arch, theta, data.x)))
+            c_prime = float(np.sum(data.y * forward(arch, z * scale, data.x)))
             p = Sigma2ConditionalParams(a_prime, b_prime, c_prime)
             sigma2 = float(sample_sigma2_conditional(p, rng_sigma))
             output_scale = sqrt(sigma2)
+            logp = None
         if it >= cfg.burn_in and (it - cfg.burn_in) % cfg.thinning == 0:
             sigma2s[kept] = sigma2
-            raw = theta.copy()
+            raw = z * scale
             for sl in arch.layout()[-1]:
                 raw[sl] *= output_scale
             evals[kept] = np.ravel(forward(arch, raw, test_inputs))

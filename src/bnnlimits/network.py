@@ -20,30 +20,32 @@ from .rng import RngStream
 TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
 
 
+# Each activation comes with c * its derivative, so that the target folds a
+# layer's weight scale c into the derivative at no extra array operation.
 def _identity(x):
     return x
 
 
-def _identity_deriv(x):
-    return np.ones_like(x)
+def _identity_deriv(x, c):
+    return np.full_like(x, c)
 
 
-def _erf_deriv(x):
-    return TWO_OVER_SQRT_PI * np.exp(-x * x)
+def _erf_deriv(x, c):
+    return np.exp(-x * x) * (c * TWO_OVER_SQRT_PI)
 
 
 def _relu(x):
     return np.maximum(x, 0.0)
 
 
-def _relu_deriv(x):
+def _relu_deriv(x, c):
     # subgradient at 0 is 0
-    return (x > 0).astype(float)
+    return (x > 0) * c
 
 
-def _tanh_deriv(x):
+def _tanh_deriv(x, c):
     t = np.tanh(x)
-    return 1.0 - t * t
+    return (1.0 - t * t) * c
 
 
 ACTIVATIONS = {
@@ -79,8 +81,8 @@ class Architecture:
                 raise ValueError(f"unknown activation {tag!r}")
         # The layer plan is read on every target evaluation, so it is built
         # once: per layer (weight slice, bias slice, n_out, n_in, activation,
-        # its derivative). n_params and _plan are plain attributes, outside
-        # eq and hash.
+        # its scaled derivative). n_params and _plan are plain attributes,
+        # outside eq and hash.
         plan, pos = [], 0
         for n_in, n_out, tag in zip(self.widths, self.widths[1:], self.activations):
             w = slice(pos, pos + n_out * n_in)
@@ -178,24 +180,18 @@ def prior_scales(arch: Architecture, variances: VarianceVector) -> np.ndarray:
     return scale
 
 
-# Priors whose target constants are kept. Every sampler and the prior sweep
-# read one prior per width, so one entry serves the width that runs, and the
-# next width's prior frees the arrays of the last one.
-TARGET_CACHE_SIZE = 1
+# Priors whose scale is kept. Every sampler and the prior sweep read one
+# prior per width, so one entry serves the width that runs, and the next
+# width's prior frees the array of the last one.
+PRIOR_CACHE_SIZE = 1
 
 
-@lru_cache(maxsize=TARGET_CACHE_SIZE)
-def _target_constants(arch: Architecture, variances: VarianceVector):
-    """(scale, -scale**2, sum(log scale), (n/2) log(2 pi)) of one prior, built once.
-
-    The arrays are read-only because every caller shares them.
-    """
+@lru_cache(maxsize=PRIOR_CACHE_SIZE)
+def _prior_scale(arch: Architecture, variances: VarianceVector) -> np.ndarray:
+    """prior_scales of one prior, built once and read-only: every caller shares it."""
     scale = prior_scales(arch, variances)
-    neg_scale2 = -(scale**2)
     scale.flags.writeable = False
-    neg_scale2.flags.writeable = False
-    half_n_log2pi = 0.5 * len(scale) * math.log(2 * math.pi)
-    return scale, neg_scale2, float(np.sum(np.log(scale))), half_n_log2pi
+    return scale
 
 
 def sample_prior_params(
@@ -208,13 +204,13 @@ def sample_prior_params(
 
     Draws are standard normals scaled per coordinate, so two calls with the
     same stream and different variances are coupled by an exact rescaling.
-    The scale is the target's cached one, applied in place, so a call builds
-    no scale vector and allocates one array of the returned shape. Consecutive
-    calls on one stream give the same draws as one call for their total,
-    which lets callers draw in blocks.
+    The scale is the cached one (_prior_scale), applied in place, so a call
+    builds no scale vector and allocates one array of the returned shape.
+    Consecutive calls on one stream give the same draws as one call for their
+    total, which lets callers draw in blocks.
     Returns shape (n_params,) or (n_draws, n_params).
     """
-    scale = _target_constants(arch, variances)[0]
+    scale = _prior_scale(arch, variances)
     shape = (arch.n_params,) if n_draws is None else (n_draws, arch.n_params)
     theta = rng.gen.standard_normal(shape)
     theta *= scale
@@ -255,52 +251,60 @@ def forward_batch(
 def log_posterior_and_grad(
     arch: Architecture,
     variances: VarianceVector,
-    theta: np.ndarray,
+    z: np.ndarray,
     sigma2: float,
     data: Dataset,
     output_scale: float = 1.0,
 ) -> tuple[float, np.ndarray]:
-    """Unnormalized log posterior of theta given sigma2 and its gradient.
+    """Log posterior of the standardized parameters z given sigma2, and its gradient.
 
-    Target: log prior(theta | variances) + log N(y; output_scale * f_theta(x), sigma2 I).
-    With output_scale=1 and last-layer variances set to sigma2 this is the
-    centered parametrization; with unit last-layer variances and
-    output_scale=sqrt(sigma2) it is the standardized one. The gradient is
-    computed by reverse-mode accumulation through the network, walking the
-    architecture's layer plan with the cached prior constants.
+    z is theta / prior_scales(arch, variances), so its prior is N(0, I). Target:
+    log N(z; 0, I) + log N(y; output_scale * f_theta(x), sigma2 I) at theta =
+    z * scale, i.e. the log posterior of theta plus sum(log scale). With
+    output_scale=1 and last-layer variances set to sigma2 this is the centered
+    parametrization; with unit last-layer variances and output_scale=sqrt(sigma2)
+    the standardized one. Each layer's scale enters as two scalars,
+    sqrt(sigma2_W/n_in) on its activations and sigma_b on its bias, so no
+    full-length product runs and the gradient is -z plus backprop.
     """
     if sigma2 <= 0:
         raise ValueError("sigma2 must be strictly positive")
-    scale, neg_scale2, sum_log_scale, half_n_log2pi = _target_constants(arch, variances)
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != scale.shape:
-        raise ValueError(f"theta has shape {theta.shape}, expected {scale.shape}")
-    z = theta / scale
-    logpri = -0.5 * float(z @ z) - sum_log_scale - half_n_log2pi
-    grad = theta / neg_scale2
+    _check_arch_vars(arch, variances)
+    z = np.asarray(z, dtype=float)
+    if z.shape != (arch.n_params,):
+        raise ValueError(f"z has shape {z.shape}, expected ({arch.n_params},)")
+    logpri = -0.5 * float(z @ z) - 0.5 * z.size * math.log(2.0 * math.pi)
+    grad = np.empty_like(z)
 
-    # Forward pass keeping each layer's input h and activation a = phi(h).
+    # Forward pass keeping each layer's input h, weights W and scaled
+    # activation a = s_w * phi(h), which serves the layer's output and its
+    # weight gradient. The last layer's two scalars carry output_scale too.
     cache = []
     h = data.x
-    for ws, bs, n_out, n_in, phi, _ in arch._plan:
-        a = phi(h)
-        cache.append((h, a))
-        h = theta[ws].reshape(n_out, n_in) @ a + theta[bs][:, None]
-    resid = data.y - output_scale * h
+    last = arch.n_layers - 1
+    for l, ((ws, bs, n_out, n_in, phi, _), var_w, var_b) in enumerate(
+        zip(arch._plan, variances.weight, variances.bias)
+    ):
+        s_w, s_b = math.sqrt(var_w / n_in), math.sqrt(var_b)
+        if l == last:
+            s_w, s_b = output_scale * s_w, output_scale * s_b
+        a = s_w * phi(h)
+        W = z[ws].reshape(n_out, n_in)
+        cache.append((h, a, W, s_w, s_b))
+        h = W @ a + s_b * z[bs][:, None]
+    resid = data.y - h
     loglik = (
         -0.5 * data.y.size * math.log(2.0 * math.pi * sigma2)
-        - float((resid**2).sum()) / (2.0 * sigma2)
+        - float(np.vdot(resid, resid)) / (2.0 * sigma2)
     )
 
-    # Backprop d loglik / d theta. d loglik/d out = output_scale * resid / sigma2.
-    g_out = output_scale * resid / sigma2
-    for l in range(arch.n_layers - 1, -1, -1):
-        h, a = cache[l]
+    # Backprop d loglik / d z, written into the gradient as backprop - z.
+    g_out = resid / sigma2
+    for l in range(last, -1, -1):
+        h, a, W, s_w, s_b = cache[l]
         ws, bs, n_out, n_in, _, dphi = arch._plan[l]
-        gw = grad[ws].reshape(n_out, n_in)
-        gw += g_out @ a.T
-        grad[bs] += g_out.sum(axis=1)
+        np.subtract(g_out @ a.T, W, out=grad[ws].reshape(n_out, n_in))
+        np.subtract(s_b * np.add.reduce(g_out, 1), z[bs], out=grad[bs])
         if l > 0:
-            g_out = (theta[ws].reshape(n_out, n_in).T @ g_out) * dphi(h)
+            g_out = (W.T @ g_out) * dphi(h, s_w)
     return logpri + loglik, grad
-

@@ -9,7 +9,7 @@ beside `tp_posterior_predict`, a sorted 1-D W1 beside `sliced_w1`'s
 projections, a weighted W1 (its own assignment, at any size) beside
 `w1_exact`, the sigma2 conditional's log density beside
 `sample_sigma2_conditional`, and a CSV reader that round-trips
-`emit_figure_data`. They still call the package's `_target_constants`,
+`emit_figure_data`. They still call the package's `prior_scales`,
 `_condition` and `psd_cholesky`, so their tests exercise that code too.
 """
 
@@ -27,7 +27,7 @@ from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
 from bnnlimits.kernels import KernelMatrix, LinearAlgebraError, psd_cholesky
-from bnnlimits.network import Architecture, VarianceVector, _target_constants
+from bnnlimits.network import Architecture, VarianceVector, prior_scales
 from bnnlimits.posteriors import (
     GaussianPosterior,
     StudentTPosterior,
@@ -87,9 +87,10 @@ def log_prior(
     """Log density of theta under the layer-wise Gaussian prior."""
     if sigma2 is not None:
         variances = with_last_layer(variances, sigma2)
-    scale, _, sum_log_scale, half_n_log2pi = _target_constants(arch, variances)
+    scale = prior_scales(arch, variances)
     z = np.asarray(theta, dtype=float) / scale
-    return -0.5 * float(z @ z) - sum_log_scale - half_n_log2pi
+    return (-0.5 * float(z @ z) - float(np.sum(np.log(scale)))
+            - 0.5 * len(scale) * math.log(2 * math.pi))
 
 
 @dataclass(frozen=True)

@@ -348,14 +348,14 @@ class TestPriorBlocks:
             return prior_scales(arch, variances)
 
         prior_scales = network.prior_scales
-        network._target_constants.cache_clear()
+        network._prior_scale.cache_clear()
         monkeypatch.setattr(network, "prior_scales", counted)
         cached = run_prior_convergence(cfg)
         assert sorted(calls.values()) == [1, 1]
         assert {a.widths[1] for a, _ in calls} == {8, 128}
 
-        uncached = network._target_constants.__wrapped__
-        monkeypatch.setattr(network, "_target_constants", uncached)
+        uncached = network._prior_scale.__wrapped__
+        monkeypatch.setattr(network, "_prior_scale", uncached)
         rebuilt = run_prior_convergence(cfg)
         # uncached: per width, one build before its threads start and one per
         # block of each of its W1_REPS reps
@@ -382,10 +382,10 @@ class TestPriorBlocks:
             assert np.array_equal(reports[0].sliced, other.sliced)
 
     def test_prior_cache_keeps_only_the_running_width(self):
-        network._target_constants.cache_clear()
+        network._prior_scale.cache_clear()
         run_prior_convergence(ExperimentConfig(**{**FAST, "widths": (1, 2, 4)}))
-        held = network._target_constants.cache_info().currsize
-        assert 1 <= held <= network.TARGET_CACHE_SIZE
+        held = network._prior_scale.cache_info().currsize
+        assert 1 <= held <= network.PRIOR_CACHE_SIZE
 
     def test_memory_does_not_grow_with_draws_times_params(self):
         # All 200 width-128 draws of the pinned config hold 51 MiB of parameters.

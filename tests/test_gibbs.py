@@ -19,6 +19,7 @@ from bnnlimits import (
     sample_prior_params,
 )
 from bnnlimits import gibbs
+from bnnlimits.network import prior_scales
 from bnnlimits.rng import RngStream
 from bnnlimits.samplers import SamplerError
 
@@ -109,6 +110,22 @@ class TestPriorRecovery:
         w = np.array(thetas)[:, ws].ravel()
         assert abs(w.mean()) < 5 * mcmc_stderr(w)
         assert abs(np.mean(w**2) - 1.0) < 5 * mcmc_stderr(w**2)
+
+    def test_every_layer_prior_recovered_through_the_scale(self, monkeypatch):
+        # the chain runs on theta / prior scale; layers whose scales differ
+        # must each come back standard normal after the map to raw theta
+        arch = Architecture((1, 3, 3, 1), ("identity", "erf", "erf"))
+        v = VarianceVector((5.0, 0.5, 2.0), (0.1, 3.0, 1.0))
+        cfg = GibbsConfig(n_samples=2000, burn_in=100, seed=37)
+        thetas = record_raw_thetas(monkeypatch, TEST_X)
+        gibbs_run_fixed_variance(arch, v, 0.1, EMPTY, TEST_X, cfg)
+        z = np.array(thetas) / prior_scales(arch, v)
+        assert z.shape == (cfg.n_samples, arch.n_params)
+        for ws, bs in arch.layout():
+            layer = np.concatenate([z[:, ws], z[:, bs]], axis=1)
+            mean, mean_sq = layer.mean(axis=1), (layer**2).mean(axis=1)
+            assert abs(mean.mean()) < 5 * mcmc_stderr(mean)
+            assert abs(mean_sq.mean() - 1.0) < 5 * mcmc_stderr(mean_sq)
 
 
 @pytest.mark.slow

@@ -202,6 +202,29 @@ def _fd_gradient(fun, theta, h=1e-5):
     return g
 
 
+def _theta_space_target(arch, variances, theta, sigma2, data):
+    """Log posterior of raw theta and its gradient, by plain backprop in theta."""
+    sc = prior_scales(arch, variances)
+    val = log_prior(arch, variances, theta)
+    grad = -theta / sc**2
+    cache, h = [], data.x
+    for (W, b), tag in zip(unpack(arch, theta), arch.activations):
+        a = ACTIVATIONS[tag][0](h)
+        cache.append((h, a))
+        h = W @ a + b[:, None]
+    val += log_likelihood(h, data.y, sigma2)
+    g_out = (data.y - h) / sigma2
+    for l in range(arch.n_layers - 1, -1, -1):
+        h, a = cache[l]
+        ws, bs = arch.layout()[l]
+        W = theta[ws].reshape(arch.widths[l + 1], arch.widths[l])
+        grad[ws] += np.ravel(g_out @ a.T)
+        grad[bs] += g_out.sum(axis=1)
+        if l > 0:
+            g_out = (W.T @ g_out) * ACTIVATIONS[arch.activations[l]][1](h, 1.0)
+    return val, grad
+
+
 class TestGradient:
     def test_zero_theta_zero_data_gradient_vanishes(self):
         arch = Architecture((1, 2, 1), ("identity", "erf"))
@@ -249,57 +272,65 @@ class TestGradient:
         assert np.allclose(g, _fd_gradient(fun, theta), rtol=1e-4, atol=1e-6)
 
     def test_value_matches_prior_plus_likelihood_as_variances_change(self):
-        # the prior constants are cached per (architecture, variances); the
-        # value must follow every change of variances, with and without data
+        # the prior scale is cached per (architecture, variances); the target
+        # must follow every change of variances, with and without data. In z
+        # it is the theta-space log posterior at theta = z * s plus sum(log s),
+        # and its gradient is the theta-gradient times s
         arch = Architecture((2, 3, 1), ("identity", "erf"))
         rng = RngStream(13)
-        theta = rng.gen.standard_normal(arch.n_params)
+        z = rng.gen.standard_normal(arch.n_params)
         data = Dataset(rng.gen.standard_normal((2, 5)), rng.gen.standard_normal((1, 5)))
         empty = Dataset(np.zeros((2, 0)), np.zeros((1, 0)))
-        out = forward(arch, theta, data.x)
         v1 = VarianceVector((1.5, 0.8), (0.5, 2.0))
         v2 = with_last_layer(v1, 3.0)
         for v in (v1, v2, v1):
-            lp = log_prior(arch, v, theta)
-            val, g = log_posterior_and_grad(arch, v, theta, 0.7, data)
-            assert val == pytest.approx(lp + log_likelihood(out, data.y, 0.7), rel=1e-12)
-            val0, g0 = log_posterior_and_grad(arch, v, theta, 0.7, empty)
+            sc = prior_scales(arch, v)
+            theta = z * sc
+            lp = log_prior(arch, v, theta) + float(np.sum(np.log(sc)))
+            ll = log_likelihood(forward(arch, theta, data.x), data.y, 0.7)
+            val, g = log_posterior_and_grad(arch, v, z, 0.7, data)
+            assert val == pytest.approx(lp + ll, rel=1e-12)
+            theta_val, theta_grad = _theta_space_target(arch, v, theta, 0.7, data)
+            assert theta_val == pytest.approx(lp + ll - np.sum(np.log(sc)), rel=1e-12)
+            assert np.allclose(g, theta_grad * sc, rtol=1e-12, atol=1e-12)
+            val0, g0 = log_posterior_and_grad(arch, v, z, 0.7, empty)
             assert val0 == pytest.approx(lp, rel=1e-12)
-            assert np.allclose(g0, -theta / prior_scales(arch, v) ** 2, rtol=1e-12)
+            assert np.array_equal(g0, -z)
 
     @pytest.mark.parametrize("act, scale", [("erf", 0.9), ("relu", 1.0), ("tanh", 1.3)])
     def test_bitwise_equal_to_the_unpacked_formulation(self, act, scale):
-        # The target walks the layer plan with cached constants; every
-        # rewrite must round exactly like the plain formulation below.
+        # The target walks the layer plan with per-layer prior scalars; every
+        # rewrite must round exactly like the plain z-space formulation below.
         arch = Architecture((1, 8, 8, 1), ("identity", act, act))
         v = VarianceVector((2.0, 1.5, 1.0), (0.3, 0.2, 1.0))
         rng = RngStream(14)
-        theta = rng.gen.standard_normal(arch.n_params)
+        z = rng.gen.standard_normal(arch.n_params)
         data = Dataset(rng.gen.standard_normal((1, 6)), rng.gen.standard_normal((1, 6)))
         sigma2 = 0.7
-        val, grad = log_posterior_and_grad(arch, v, theta, sigma2, data, output_scale=scale)
+        val, grad = log_posterior_and_grad(arch, v, z, sigma2, data, output_scale=scale)
 
-        sc = prior_scales(arch, v)
-        z = theta / sc
-        ref_val = float(-0.5 * z @ z - np.sum(np.log(sc)) - 0.5 * len(sc) * math.log(2 * math.pi))
-        ref_grad = -theta / sc**2
+        ref_val = -0.5 * float(z @ z) - 0.5 * len(z) * math.log(2 * math.pi)
+        ref_grad = -z
         cache, h = [], data.x
-        for (W, b), tag in zip(unpack(arch, theta), arch.activations):
-            phi, _ = ACTIVATIONS[tag]
-            cache.append((h, phi(h)))
-            h = W @ phi(h) + b[:, None]
-        resid = data.y - scale * h
+        for l, (Z, zb) in enumerate(unpack(arch, z)):
+            s_w = math.sqrt(v.weight[l] / arch.widths[l])
+            s_b = math.sqrt(v.bias[l])
+            if l == arch.n_layers - 1:  # the output scale rides on the last layer
+                s_w, s_b = scale * s_w, scale * s_b
+            a = s_w * ACTIVATIONS[arch.activations[l]][0](h)
+            cache.append((h, a, Z, s_w, s_b))
+            h = Z @ a + s_b * zb[:, None]
+        resid = data.y - h
         ref_val += (-0.5 * data.y.size * math.log(2.0 * math.pi * sigma2)
-                    - float(np.sum(resid**2)) / (2.0 * sigma2))
-        g_out = scale * resid / sigma2
+                    - float(np.vdot(resid, resid)) / (2.0 * sigma2))
+        g_out = resid / sigma2
         for l in range(arch.n_layers - 1, -1, -1):
-            h, a = cache[l]
+            h, a, Z, s_w, s_b = cache[l]
             ws, bs = arch.layout()[l]
             ref_grad[ws] += np.ravel(g_out @ a.T)
-            ref_grad[bs] += g_out.sum(axis=1)
+            ref_grad[bs] += s_b * g_out.sum(axis=1)
             if l > 0:
-                W = theta[ws].reshape(arch.widths[l + 1], arch.widths[l])
-                g_out = (W.T @ g_out) * ACTIVATIONS[arch.activations[l]][1](h)
+                g_out = (Z.T @ g_out) * ACTIVATIONS[arch.activations[l]][1](h, s_w)
         assert val == ref_val
         assert grad.tobytes() == ref_grad.tobytes()
 
