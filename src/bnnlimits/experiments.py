@@ -283,9 +283,10 @@ def _gp_limit(cfg: ExperimentConfig, data: Dataset, e: np.ndarray) -> GaussianPo
 
 def posterior_draws(cfg: ExperimentConfig, width: int, gaussian: bool = False
                     ) -> PosteriorSamples:
-    """Gibbs draws of the width's network posterior at the test grid: hierarchical,
-    or with the fixed variance noise_var if `gaussian`. The chain is seeded per
-    (experiment seed, width, model); every finite-width chain of a run is made here."""
+    """Draws of the width's network posterior at the test grid: the hierarchical
+    slice, last-layer and sigma2 sweep (gibbs_run), or the NUTS chain at the fixed
+    variance noise_var if `gaussian`. The chain is seeded per (experiment seed,
+    width, model); every finite-width chain of a run is made here."""
     h = hashlib.sha256(f"{cfg.seed}:{width}:{3 if gaussian else 1}".encode()).digest()
     gcfg = GibbsConfig(n_samples=cfg.draws, burn_in=cfg.burn_in,
                        seed=int.from_bytes(h[:8], "little") >> 1)

@@ -248,24 +248,41 @@ def forward_batch(
     return h
 
 
+def last_layer_inputs(
+    arch: Architecture, variances: VarianceVector, hidden: np.ndarray, x: np.ndarray
+) -> np.ndarray:
+    """The last layer's scaled inputs psi = [s_w phi(h_L); s_b 1] at the columns of x.
+
+    hidden is z = theta / prior scale of layers 1..L-1, the flat layout up to
+    the last layer's weights. The output at x is u psi, with u = [W_L | b_L]
+    the last layer's z, so given the hidden layers the output's covariance is
+    psi^T psi. Returns shape (n_{L-1} + 1, m).
+    """
+    h = x
+    for (ws, bs, n_out, n_in, phi, _), var_w, var_b in zip(
+        arch._plan[:-1], variances.weight, variances.bias
+    ):
+        a = math.sqrt(var_w / n_in) * phi(h)
+        h = hidden[ws].reshape(n_out, n_in) @ a + math.sqrt(var_b) * hidden[bs][:, None]
+    n_in, phi = arch._plan[-1][3:5]
+    return np.vstack([math.sqrt(variances.weight[-1] / n_in) * phi(h),
+                      np.full((1, h.shape[1]), math.sqrt(variances.bias[-1]))])
+
+
 def log_posterior_and_grad(
     arch: Architecture,
     variances: VarianceVector,
     z: np.ndarray,
     sigma2: float,
     data: Dataset,
-    output_scale: float = 1.0,
 ) -> tuple[float, np.ndarray]:
     """Log posterior of the standardized parameters z given sigma2, and its gradient.
 
     z is theta / prior_scales(arch, variances), so its prior is N(0, I). Target:
-    log N(z; 0, I) + log N(y; output_scale * f_theta(x), sigma2 I) at theta =
-    z * scale, i.e. the log posterior of theta plus sum(log scale). With
-    output_scale=1 and last-layer variances set to sigma2 this is the centered
-    parametrization; with unit last-layer variances and output_scale=sqrt(sigma2)
-    the standardized one. Each layer's scale enters as two scalars,
-    sqrt(sigma2_W/n_in) on its activations and sigma_b on its bias, so no
-    full-length product runs and the gradient is -z plus backprop.
+    log N(z; 0, I) + log N(y; f_theta(x), sigma2 I) at theta = z * scale, i.e.
+    the log posterior of theta plus sum(log scale). Each layer's scale enters
+    as two scalars, sqrt(sigma2_W/n_in) on its activations and sigma_b on its
+    bias, so no full-length product runs and the gradient is -z plus backprop.
     """
     if sigma2 <= 0:
         raise ValueError("sigma2 must be strictly positive")
@@ -278,16 +295,14 @@ def log_posterior_and_grad(
 
     # Forward pass keeping each layer's input h, weights W and scaled
     # activation a = s_w * phi(h), which serves the layer's output and its
-    # weight gradient. The last layer's two scalars carry output_scale too.
+    # weight gradient.
     cache = []
     h = data.x
     last = arch.n_layers - 1
-    for l, ((ws, bs, n_out, n_in, phi, _), var_w, var_b) in enumerate(
-        zip(arch._plan, variances.weight, variances.bias)
+    for (ws, bs, n_out, n_in, phi, _), var_w, var_b in zip(
+        arch._plan, variances.weight, variances.bias
     ):
         s_w, s_b = math.sqrt(var_w / n_in), math.sqrt(var_b)
-        if l == last:
-            s_w, s_b = output_scale * s_w, output_scale * s_b
         a = s_w * phi(h)
         W = z[ws].reshape(n_out, n_in)
         cache.append((h, a, W, s_w, s_b))

@@ -3,9 +3,10 @@
 Recursive doubling with multinomial state selection, identity mass matrix,
 and dual-averaged step size. Generic over one value-and-gradient callable,
 value_and_grad(theta) -> (log_density, grad), so the same transition serves
-both parametrizations of the network posterior and scalar test targets.
-Each leapfrog step evaluates the target exactly once. The loop that drives
-these pieces is the Gibbs sampler's (gibbs._run_chain).
+the network posterior and scalar test targets. Each leapfrog step evaluates
+the target exactly once. The loop that drives these pieces is the
+fixed-variance baseline's (gibbs._run_chain); the hierarchical chain moves
+its hidden layers by elliptical slice steps instead.
 """
 
 from __future__ import annotations

@@ -937,7 +937,7 @@ class TestCli:
             return theta, logp, grad, 0.0, 0, True
 
         monkeypatch.setattr(gibbs, "nuts_transition", always_divergent)
-        argv = ["posterior-convergence", "--config", self._cfg_file(tmp_path),
+        argv = ["gaussian-baseline", "--config", self._cfg_file(tmp_path),
                 "--out", str(tmp_path / "o")]
         assert main(argv) == EXIT_NUMERICAL
         assert "persistent divergence" in capsys.readouterr().err
@@ -949,13 +949,17 @@ class TestCli:
         assert main(argv) == EXIT_NUMERICAL
         assert "log target is -inf at the chain's state" in capsys.readouterr().err
 
-    def test_other_runtime_errors_propagate(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("command, step", [
+        ("gaussian-baseline", "nuts_transition"),
+        ("posterior-convergence", "sample_sigma2_conditional"),
+    ])
+    def test_other_runtime_errors_propagate(self, tmp_path, monkeypatch, command, step):
         # only the typed numerical errors map to exit 3; anything else is a bug
         def broken(*args):
             raise RuntimeError("not a numerical failure")
 
-        monkeypatch.setattr(gibbs, "nuts_transition", broken)
-        argv = ["posterior-convergence", "--config", self._cfg_file(tmp_path),
+        monkeypatch.setattr(gibbs, step, broken)
+        argv = [command, "--config", self._cfg_file(tmp_path),
                 "--out", str(tmp_path / "o")]
         with pytest.raises(RuntimeError, match="not a numerical failure"):
             main(argv)

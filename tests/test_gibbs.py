@@ -1,6 +1,8 @@
 """Gibbs trainer tests: prior recovery, oracle agreement, reproducibility."""
 
+import json
 import math
+import pathlib
 import tracemalloc
 import warnings
 
@@ -19,7 +21,9 @@ from bnnlimits import (
     sample_prior_params,
 )
 from bnnlimits import gibbs
-from bnnlimits.network import prior_scales
+from bnnlimits.experiments import ExperimentConfig
+from bnnlimits.kernels import LinearAlgebraError
+from bnnlimits.network import last_layer_inputs, prior_scales
 from bnnlimits.rng import RngStream
 from bnnlimits.samplers import SamplerError
 
@@ -27,6 +31,9 @@ ARCH = Architecture((1, 1, 1), ("identity", "erf"))
 VARS = VarianceVector.constant(1.0, 2)
 EMPTY = Dataset(np.empty((1, 0)), np.empty((1, 0)))
 TEST_X = np.array([[-1.0, 1.0]])
+IS_BLOCK = 200_000  # importance draws per block
+POSTERIOR_CONFIG = (pathlib.Path(__file__).resolve().parent.parent
+                    / "configs" / "posterior_convergence.json")
 
 
 def importance_oracle(arch, variances, a, b, data, test, n, seed):
@@ -39,12 +46,17 @@ def importance_oracle(arch, variances, a, b, data, test, n, seed):
     rng = RngStream(seed)
     r_s, r_t = rng.split(2)
     s2 = 1.0 / r_s.gen.gamma(a, 1.0 / b, size=n)
-    theta = sample_prior_params(arch, variances.unit_last_layer(), r_t, n_draws=n)
     allx = np.concatenate([data.x, test], axis=1)
-    f = forward_batch(arch, theta, allx)[:, 0, :]
-    fx, ft = f[:, : data.k], f[:, data.k :]
-    resid2 = ((data.y[0] - np.sqrt(s2)[:, None] * fx) ** 2).sum(axis=1)
-    logw = -0.5 * data.k * np.log(2 * np.pi * s2) - resid2 / (2 * s2)
+    logw, ft = np.empty(n), np.empty((n, test.shape[1]))
+    # in blocks of draws, which give the same draws as one call
+    for lo in range(0, n, IS_BLOCK):
+        block = slice(lo, min(lo + IS_BLOCK, n))
+        theta = sample_prior_params(arch, variances.unit_last_layer(), r_t,
+                                    n_draws=block.stop - block.start)
+        f = forward_batch(arch, theta, allx)[:, 0, :]
+        ft[block] = f[:, data.k :]
+        resid2 = ((data.y[0] - np.sqrt(s2[block])[:, None] * f[:, : data.k]) ** 2).sum(axis=1)
+        logw[block] = -0.5 * data.k * np.log(2 * np.pi * s2[block]) - resid2 / (2 * s2[block])
     w = np.exp(logw - logw.max())
     w /= w.sum()
     f_raw = np.sqrt(s2)[:, None] * ft
@@ -127,6 +139,46 @@ class TestPriorRecovery:
             assert abs(mean.mean()) < 5 * mcmc_stderr(mean)
             assert abs(mean_sq.mean() - 1.0) < 5 * mcmc_stderr(mean_sq)
 
+    def test_hierarchical_every_layer_prior_recovered(self, monkeypatch):
+        # with no data every slice proposal is accepted, so each step moves
+        # the hidden layers to a fresh point of their prior's ellipse; a
+        # chain that never moves them would keep its first draw
+        arch = Architecture((1, 3, 3, 1), ("identity", "erf", "erf"))
+        v = VarianceVector((5.0, 0.5, 2.0), (0.1, 3.0, 1.0))
+        cfg = GibbsConfig(n_samples=2000, burn_in=100, seed=38)
+        thetas = record_raw_thetas(monkeypatch, TEST_X)
+        out = gibbs_run(arch, v, 3.0, 2.0, EMPTY, TEST_X, cfg)
+        z = np.array(thetas) / prior_scales(arch, v.unit_last_layer())
+        top = arch.layout()[-1][0].start
+        z[:, top:] /= np.sqrt(out.sigma2)[:, None]
+        assert out.diagnostics["loglik_evals"] == out.diagnostics["n_transitions"]
+        for ws, bs in arch.layout():
+            layer = np.concatenate([z[:, ws], z[:, bs]], axis=1)
+            mean, mean_sq = layer.mean(axis=1), (layer**2).mean(axis=1)
+            assert abs(mean.mean()) < 5 * mcmc_stderr(mean)
+            assert abs(mean_sq.mean() - 1.0) < 5 * mcmc_stderr(mean_sq)
+
+
+def test_last_layer_draw_matches_the_dense_conditional():
+    # at fixed hidden layers and sigma2, the draw through the k x k factor
+    # is N(A^-1 psi y / sigma, A^-1) with A = I + psi psi^T
+    arch = Architecture((1, 3, 3, 1), ("identity", "erf", "erf"))
+    v = VarianceVector.constant(2.0, 3).unit_last_layer()
+    rng = RngStream(39)
+    top = arch.layout()[-1][0].start
+    x = np.linspace(-1.0, 1.0, 5)[None, :]
+    psi = last_layer_inputs(arch, v, rng.gen.standard_normal(top), x)
+    y, sigma, n = np.sin(3.0 * x), 0.6, 20_000
+    chol = np.linalg.cholesky(psi.T @ psi + np.eye(5))
+    u = gibbs._last_layer_draw(psi, chol, np.repeat(y / sigma, n, axis=0), rng.gen)
+    cov = np.linalg.inv(np.eye(4) + psi @ psi.T)
+    mean = cov @ psi @ y[0] / sigma
+    assert u.shape == (n, 4)
+    assert np.all(np.abs(u.mean(axis=0) - mean) < 4 * np.sqrt(np.diag(cov) / n))
+    d = np.diag(cov)
+    cov_se = np.sqrt((np.outer(d, d) + cov**2) / n)
+    assert np.all(np.abs(np.cov(u.T) - cov) < 4 * cov_se)
+
 
 @pytest.mark.slow
 class TestOracleAgreement:
@@ -172,6 +224,22 @@ class TestOracleAgreement:
             assert abs(out.evals[:, j].mean() - est_f[j]) < 3 * math.hypot(
                 se_f[j], g_se
             )
+
+    def test_pinned_posterior_at_width_4_matches_importance_sampling(self):
+        # the pinned posterior config's data (k = 8, sin(2 pi x)) and its W1
+        # subgrid, at width 4
+        cfg = ExperimentConfig.from_dict(json.loads(POSTERIOR_CONFIG.read_text()))
+        arch, data = cfg.architecture(4), cfg.make_dataset()
+        test = cfg.make_test_grid()[:, cfg.w1_subgrid_idx()]
+        est_s2, est_f, se_s2, se_f, _ = importance_oracle(
+            arch, cfg.variances(), cfg.a, cfg.b, data, test, 2_000_000, seed=40
+        )
+        out = gibbs_run(arch, cfg.variances(), cfg.a, cfg.b, data, test,
+                        GibbsConfig(n_samples=4000, burn_in=300, seed=41))
+        assert abs(out.sigma2.mean() - est_s2) < 3 * math.hypot(se_s2, mcmc_stderr(out.sigma2))
+        for j in range(test.shape[1]):
+            g_se = mcmc_stderr(out.evals[:, j])
+            assert abs(out.evals[:, j].mean() - est_f[j]) < 3 * math.hypot(se_f[j], g_se)
 
     def test_doubling_m_keeps_means_in_band(self):
         # chain-stationarity smoke test
@@ -231,19 +299,22 @@ class TestMechanics:
         assert out.evals.shape == (20, 2)
         assert out.diagnostics["n_divergent"] <= 0.5 * out.diagnostics["n_transitions"]
 
-    def test_chain_memory_does_not_grow_with_parameters_per_draw(self, monkeypatch):
-        # 500 kept draws of 1153 parameters would take 4.6 MB if stored; the
+    @pytest.mark.parametrize("hierarchical", [True, False])
+    def test_chain_memory_does_not_grow_with_parameters_per_draw(self, monkeypatch,
+                                                                  hierarchical):
+        # 500 kept draws of 1153 parameters would take 4.6 MB if stored; either
         # chain keeps sigma2 and the test evaluations only
         arch = Architecture((1, 32, 32, 1), ("identity", "erf", "erf"))
         data = Dataset(np.array([[0.2]]), np.array([[0.4]]))
         cfg = GibbsConfig(n_samples=500, burn_in=5, seed=35)
-        monkeypatch.setattr(gibbs, "HMC_STEPS", 1)  # keeps the 500-draw chain fast
+        v = VarianceVector.constant(1.0, 3)
+        monkeypatch.setattr(gibbs, "HMC_STEPS", 1)  # keeps the baseline's chain fast
         tracemalloc.start()
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                out = gibbs_run(arch, VarianceVector.constant(1.0, 3), 3.0, 2.0,
-                                data, TEST_X, cfg)
+                out = (gibbs_run(arch, v, 3.0, 2.0, data, TEST_X, cfg) if hierarchical
+                       else gibbs_run_fixed_variance(arch, v, 0.1, data, TEST_X, cfg))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -268,6 +339,23 @@ class TestMechanics:
                                      GibbsConfig(n_samples=4, burn_in=2, seed=36))
         assert transitions == []
 
+    def test_likelihood_not_finite_at_the_state_raises(self, monkeypatch):
+        # at sigma2 = 1e-320 the collapsed likelihood's quadratic term
+        # overflows, so the next slice step has no level to slice at
+        monkeypatch.setattr(gibbs, "sample_sigma2_conditional", lambda p, rng: 1e-320)
+        data = Dataset(np.array([[0.2, -0.3]]), np.array([[0.4, 0.1]]))
+        with pytest.raises(SamplerError, match=r"log likelihood is -inf .*sigma2 = "):
+            gibbs_run(ARCH, VARS, 3.0, 2.0, data, TEST_X,
+                      GibbsConfig(n_samples=4, burn_in=2, seed=36))
+
+    def test_initial_state_that_does_not_factor_raises(self):
+        # outputs near 1e200 make K'_D infinite at every state
+        arch = Architecture((1, 2, 2, 1), ("identity",) * 3)
+        data = Dataset(np.array([[0.2, -0.3]]), np.array([[0.4, 0.1]]))
+        with pytest.raises(LinearAlgebraError, match="initial state"):
+            gibbs_run(arch, VarianceVector.constant(1e200, 3), 3.0, 2.0, data, TEST_X,
+                      GibbsConfig(n_samples=4, burn_in=2, seed=36))
+
     def test_persistent_divergence_raises_sampler_error(self, monkeypatch):
         def always_divergent(value_and_grad, theta, logp, grad, eps, gen):
             return theta, logp, grad, 0.0, 0, True
@@ -277,5 +365,5 @@ class TestMechanics:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             with pytest.raises(SamplerError, match="persistent divergence"):
-                gibbs_run(ARCH, VARS, 3.0, 2.0, data, TEST_X,
-                          GibbsConfig(n_samples=5, burn_in=5, seed=34))
+                gibbs_run_fixed_variance(ARCH, VARS, 0.1, data, TEST_X,
+                                         GibbsConfig(n_samples=5, burn_in=5, seed=34))

@@ -254,21 +254,20 @@ class TestGradient:
         fd = _fd_gradient(fun, theta)
         assert np.allclose(g, fd, rtol=1e-4, atol=1e-6)
 
-    def test_output_scale_gradient_finite_differences(self):
-        # standardized parametrization: likelihood mean is sqrt(sigma2) * f
+    def test_fixed_variance_gradient_finite_differences(self):
+        # the baseline's target: last-layer prior variances apart from sigma2
         arch = Architecture((1, 3, 1), ("identity", "erf"))
         v = VarianceVector.constant(1.0, 2)
         rng = RngStream(11)
         theta = rng.gen.standard_normal(arch.n_params)
         data = Dataset(rng.gen.standard_normal((1, 3)), rng.gen.standard_normal((1, 3)))
         sigma2 = 2.3
-        scale = math.sqrt(sigma2)
 
         def fun(t):
-            val, _ = log_posterior_and_grad(arch, v, t, sigma2, data, output_scale=scale)
+            val, _ = log_posterior_and_grad(arch, v, t, sigma2, data)
             return val
 
-        _, g = log_posterior_and_grad(arch, v, theta, sigma2, data, output_scale=scale)
+        _, g = log_posterior_and_grad(arch, v, theta, sigma2, data)
         assert np.allclose(g, _fd_gradient(fun, theta), rtol=1e-4, atol=1e-6)
 
     def test_value_matches_prior_plus_likelihood_as_variances_change(self):
@@ -297,8 +296,8 @@ class TestGradient:
             assert val0 == pytest.approx(lp, rel=1e-12)
             assert np.array_equal(g0, -z)
 
-    @pytest.mark.parametrize("act, scale", [("erf", 0.9), ("relu", 1.0), ("tanh", 1.3)])
-    def test_bitwise_equal_to_the_unpacked_formulation(self, act, scale):
+    @pytest.mark.parametrize("act", ["erf", "relu", "tanh"])
+    def test_bitwise_equal_to_the_unpacked_formulation(self, act):
         # The target walks the layer plan with per-layer prior scalars; every
         # rewrite must round exactly like the plain z-space formulation below.
         arch = Architecture((1, 8, 8, 1), ("identity", act, act))
@@ -307,7 +306,7 @@ class TestGradient:
         z = rng.gen.standard_normal(arch.n_params)
         data = Dataset(rng.gen.standard_normal((1, 6)), rng.gen.standard_normal((1, 6)))
         sigma2 = 0.7
-        val, grad = log_posterior_and_grad(arch, v, z, sigma2, data, output_scale=scale)
+        val, grad = log_posterior_and_grad(arch, v, z, sigma2, data)
 
         ref_val = -0.5 * float(z @ z) - 0.5 * len(z) * math.log(2 * math.pi)
         ref_grad = -z
@@ -315,8 +314,6 @@ class TestGradient:
         for l, (Z, zb) in enumerate(unpack(arch, z)):
             s_w = math.sqrt(v.weight[l] / arch.widths[l])
             s_b = math.sqrt(v.bias[l])
-            if l == arch.n_layers - 1:  # the output scale rides on the last layer
-                s_w, s_b = scale * s_w, scale * s_b
             a = s_w * ACTIVATIONS[arch.activations[l]][0](h)
             cache.append((h, a, Z, s_w, s_b))
             h = Z @ a + s_b * zb[:, None]

@@ -73,14 +73,9 @@ def _network_target():
     variances = VarianceVector.constant(1.0, 2)
     rng = RngStream(5)
     data = Dataset(rng.gen.standard_normal((1, 6)), rng.gen.standard_normal((1, 6)))
-    sigma2 = 0.8
-    scale = math.sqrt(sigma2)
     theta = rng.gen.standard_normal(arch.n_params)
     r = rng.gen.standard_normal(arch.n_params)
-    return (
-        lambda th: log_posterior_and_grad(arch, variances, th, sigma2, data, output_scale=scale),
-        theta, r,
-    )
+    return lambda th: log_posterior_and_grad(arch, variances, th, 0.8, data), theta, r
 
 
 class TestLeaf:
