@@ -25,7 +25,6 @@ from .posteriors import (  # noqa: F401
     GaussianPosterior,
     StudentTPosterior,
     gp_posterior,
-    student_t_logpdf,
     tp_posterior_predict,
 )
 from .samplers import (  # noqa: F401

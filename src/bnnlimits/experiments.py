@@ -58,7 +58,8 @@ log = logging.getLogger("bnnlimits")
 
 # Bytes of prior draws one width job holds at a time: each of its threads
 # draws and evaluates the prior in blocks of whole draws, whose parameters
-# and layer activations take about this size divided by the thread count.
+# and layer activations at the W1 subgrid points take about this size
+# divided by the thread count.
 PRIOR_BLOCK_BYTES = 2 << 20
 
 # The training inputs and the test grid are evenly spaced on this interval.
@@ -217,8 +218,9 @@ class Report:
 
 @dataclass
 class ConvergenceReport(Report):
-    """Per-width W1 repetitions and mean sliced W1s; each width's w1 (mean),
-    w1_lo and w1_hi (min, max) and the log-log slope of w1 follow from them."""
+    """Per-width W1 repetitions and mean sliced W1s, both at the W1 subgrid;
+    each width's w1 (mean), w1_lo and w1_hi (min, max) and the log-log slope
+    of w1 follow from them."""
 
     widths: list[int]
     w1_reps: list[list[float]]
@@ -313,7 +315,8 @@ def _prior_threads() -> int:
 def _prior_block_draws(arch: Architecture, m: int, threads: int) -> int:
     """Draws per block: PRIOR_BLOCK_BYTES shared among the threads.
 
-    A draw holds its parameters and its layer activations at the m points.
+    A draw holds its parameters and its layer activations at the m points
+    (the W1 subgrid's).
     """
     per_draw = 8 * (arch.n_params + m * sum(arch.widths[1:]))
     return max(1, PRIOR_BLOCK_BYTES // (threads * per_draw))
@@ -321,22 +324,22 @@ def _prior_block_draws(arch: Architecture, m: int, threads: int) -> int:
 
 def _prior_width_job(cfg: ExperimentConfig, kernel: KernelMatrix,
                      width: int) -> tuple[list[float], list[float]]:
-    """Per-width W1 between prior network draws and draws of the NNGP `kernel`.
+    """Per-width exact and sliced W1 between prior network draws and draws of
+    the NNGP `kernel`, both at the W1 subgrid.
 
-    The repetitions run on _prior_threads() threads (numpy and scipy release
-    the GIL), each on its own child stream, and are collected in order. Each
-    thread draws and evaluates its prior parameters in blocks of whole draws
-    (_prior_block_draws), so only the (draws, m) outputs are kept; the draws
-    are the same for any block size and thread count.
+    The networks are evaluated at the subgrid points alone, the inputs of
+    `kernel`. The repetitions run on _prior_threads() threads (numpy and
+    scipy release the GIL), each on its own child stream, and are collected
+    in order. Each thread draws and evaluates its prior parameters in blocks
+    of whole draws (_prior_block_draws), so only the (draws, subgrid) outputs
+    are kept; the draws are the same for any block size and thread count.
     """
     threads = _prior_threads()
-    grid = cfg.make_test_grid()
-    idx = cfg.w1_subgrid_idx()
+    points = cfg.make_test_grid()[:, cfg.w1_subgrid_idx()]
     arch = cfg.architecture(width)
     variances = cfg.variances()
-    block = _prior_block_draws(arch, grid.shape[1], threads)
+    block = _prior_block_draws(arch, points.shape[1], threads)
     sizes = [min(block, cfg.draws - start) for start in range(0, cfg.draws, block)]
-    ksub = kernel.values[np.ix_(idx, idx)]
     # build the shared prior scale once, not once per thread that misses the cache
     network._prior_scale(arch, variances)
 
@@ -344,15 +347,11 @@ def _prior_width_job(cfg: ExperimentConfig, kernel: KernelMatrix,
         r_bnn, r_gp = rep_rng.split(2)
         bnn = np.concatenate([
             forward_batch(arch, sample_prior_params(arch, variances, r_bnn, n_draws=n),
-                          grid)[:, 0, :]
+                          points)[:, 0, :]
             for n in sizes
         ])
-        gp = sample_mvn(np.zeros(len(idx)), ksub, r_gp, size=cfg.draws)
-        w1 = w1_exact(bnn[:, idx], gp)
-        gp_full = sample_mvn(
-            np.zeros(grid.shape[1]), kernel.values, r_gp.child(0), size=cfg.draws
-        )
-        return w1, sliced_w1(bnn, gp_full, r_gp.child(1))
+        gp = sample_mvn(np.zeros(points.shape[1]), kernel.values, r_gp, size=cfg.draws)
+        return w1_exact(bnn, gp), sliced_w1(bnn, gp, r_gp.child(1))
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
         results = list(pool.map(repetition, RngStream(cfg.seed, (width,)).split(W1_REPS)))
@@ -361,18 +360,20 @@ def _prior_width_job(cfg: ExperimentConfig, kernel: KernelMatrix,
 
 def _posterior_width_job(cfg: ExperimentConfig, limit: StudentTPosterior | GaussianPosterior,
                          width: int) -> tuple[list[float], list[float]]:
-    """Per-width W1 between bootstrapped posterior draws and fresh draws of the
-    `limit`; a GaussianPosterior means the fixed-variance model."""
+    """Per-width exact and sliced W1, at the W1 subgrid, between bootstrapped
+    posterior draws and fresh draws of the `limit`; a GaussianPosterior means
+    the fixed-variance model."""
     gaussian = isinstance(limit, GaussianPosterior)
-    evals = posterior_draws(cfg, width, gaussian).evals
-    idx, n = cfg.w1_subgrid_idx(), len(evals)
+    idx = cfg.w1_subgrid_idx()
+    evals = posterior_draws(cfg, width, gaussian).evals[:, idx]
+    n = len(evals)
     reps, sl = [], []
     for rep_rng in RngStream(cfg.seed, (width, 4 if gaussian else 2)).split(W1_REPS):
         r_boot, r_lim = rep_rng.split(2)
         bnn = evals[r_boot.gen.integers(0, n, size=n)]
         lim = (sample_mvn(limit.mean, limit.cov, r_lim, size=n) if gaussian
-               else sample_mvt(limit.nu, limit.location, limit.scale, r_lim, size=n))
-        reps.append(w1_exact(bnn[:, idx], lim[:, idx]))
+               else sample_mvt(limit.nu, limit.location, limit.scale, r_lim, size=n))[:, idx]
+        reps.append(w1_exact(bnn, lim))
         sl.append(sliced_w1(bnn, lim, r_lim.child(0)))
     return reps, sl
 
@@ -401,13 +402,14 @@ def _sweep(cfg: ExperimentConfig, limit_of, job, jobs: int = 1) -> ConvergenceRe
 
 
 def run_prior_convergence(cfg: ExperimentConfig) -> ConvergenceReport:
-    """W1 between prior network draws and NNGP draws, per width.
+    """W1 between prior network draws and NNGP draws, per width, at the W1 subgrid.
 
     The widths run in turn, each on its repetition threads (_prior_threads).
-    The limit is the NNGP kernel over the grid alone: no data, no (a, b) check.
+    The limit is the NNGP kernel over the subgrid points alone: no data, no
+    (a, b) check, and no other grid point.
     """
     return _sweep(cfg, lambda: (kernel_recursion(cfg.architecture(1), cfg.variances(),
-                                                 cfg.make_test_grid(),
+                                                 cfg.make_test_grid()[:, cfg.w1_subgrid_idx()],
                                                  method=cfg.kernel_method), None),
                   _prior_width_job)
 

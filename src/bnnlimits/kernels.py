@@ -24,7 +24,7 @@ SYM_TOL = 1e-12
 # Diagonal jitter ladder, in units of a matrix's scale, climbed by
 # psd_cholesky: KernelMatrix climbs it up to |PSD_FLOOR| to certify a kernel,
 # posteriors._condition and samplers.sample_mvn climb all of it, and
-# posteriors.student_t_logpdf and gibbs._collapsed stay on rung 0.
+# gibbs._collapsed stays on rung 0.
 JITTERS = (0.0, 1e-12, 1e-10, 1e-8)
 
 KERNEL_METHODS = ("analytic_erf", "analytic_relu", "hermite_series")

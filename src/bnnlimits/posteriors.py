@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_solve
-from scipy.special import gammaln
 
 from .kernels import KernelMatrix, LinearAlgebraError, psd_cholesky
 
@@ -113,28 +112,3 @@ def tp_posterior_predict(
     schur *= (b + 0.5 * y_alpha) / alpha  # in place: the conditioning step's own array
     return StudentTPosterior(2.0 * alpha, location, schur)
 
-
-def student_t_logpdf(
-    x: np.ndarray, nu: float, mu: np.ndarray, sigma: np.ndarray
-) -> float:
-    """Log density of the k-dimensional Student-t with scale matrix sigma."""
-    x = np.ravel(np.asarray(x, dtype=float))
-    mu = np.ravel(np.asarray(mu, dtype=float))
-    sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
-    k = x.shape[0]
-    if nu <= 0:
-        raise ValueError("nu must be positive")
-    factor = psd_cholesky(0.5 * (sigma + sigma.T), 0.0)
-    if factor is None:
-        raise LinearAlgebraError("scale matrix must be positive definite")
-    L = factor[0]
-    logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
-    d = x - mu
-    q = float(d @ cho_solve((L, True), d))
-    return float(
-        gammaln((nu + k) / 2.0)
-        - gammaln(nu / 2.0)
-        - 0.5 * k * math.log(nu * math.pi)
-        - 0.5 * logdet
-        - 0.5 * (nu + k) * math.log1p(q / nu)
-    )

@@ -5,9 +5,10 @@ does: a separate log prior and log likelihood beside
 `log_posterior_and_grad`, `pack`/`unpack` beside the architecture's layer
 plan, any last-layer variance beside `unit_last_layer`, a PSD solve beside
 `_condition`'s, a train-only and a joint Normal-Inverse-Gamma posterior
-beside `tp_posterior_predict`, a sorted 1-D W1 beside `sliced_w1`'s
-projections, a weighted W1 (its own assignment, at any size) beside
-`w1_exact`, the sigma2 conditional's log density beside
+beside `tp_posterior_predict`, a Student-t log density beside the
+evidence `gibbs._collapsed` computes, a sorted 1-D W1 beside
+`sliced_w1`'s projections, a weighted W1 (its own assignment, at any size)
+beside `w1_exact`, the sigma2 conditional's log density beside
 `sample_sigma2_conditional`, and a CSV reader that round-trips
 `emit_figure_data`. They still call the package's `prior_scales`,
 `_condition` and `psd_cholesky`, so their tests exercise that code too.
@@ -25,6 +26,7 @@ import numpy as np
 from scipy.linalg import cho_solve
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
+from scipy.special import gammaln
 
 from bnnlimits.kernels import KernelMatrix, LinearAlgebraError, psd_cholesky
 from bnnlimits.network import Architecture, VarianceVector, prior_scales
@@ -178,6 +180,32 @@ def marginalize_nig_to_t(
         raise ValueError("alpha and beta must be strictly positive")
     return StudentTPosterior(2.0 * alpha, np.ravel(np.asarray(mu, dtype=float)),
                              (beta / alpha) * np.atleast_2d(lam))
+
+
+def student_t_logpdf(
+    x: np.ndarray, nu: float, mu: np.ndarray, sigma: np.ndarray
+) -> float:
+    """Log density of the k-dimensional Student-t with scale matrix sigma."""
+    x = np.ravel(np.asarray(x, dtype=float))
+    mu = np.ravel(np.asarray(mu, dtype=float))
+    sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
+    k = x.shape[0]
+    if nu <= 0:
+        raise ValueError("nu must be positive")
+    factor = psd_cholesky(0.5 * (sigma + sigma.T), 0.0)
+    if factor is None:
+        raise LinearAlgebraError("scale matrix must be positive definite")
+    L = factor[0]
+    logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
+    d = x - mu
+    q = float(d @ cho_solve((L, True), d))
+    return float(
+        gammaln((nu + k) / 2.0)
+        - gammaln(nu / 2.0)
+        - 0.5 * k * math.log(nu * math.pi)
+        - 0.5 * logdet
+        - 0.5 * (nu + k) * math.log1p(q / nu)
+    )
 
 
 def replicate_weighted(

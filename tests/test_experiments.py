@@ -200,6 +200,15 @@ class TestRunners:
         assert rep.slope is None  # only two widths
         assert rep.config == cfg
 
+    def test_prior_convergence_reads_only_the_w1_subgrid(self):
+        # both subgrids are the points -1 and 1; the other 62 grid points
+        # change neither the W1 nor the sliced W1
+        on_grid, alone = (run_prior_convergence(ExperimentConfig(**{**FAST, "test_grid": m,
+                                                                    "w1_grid": 2}))
+                          for m in (64, 2))
+        assert np.array_equal(on_grid.w1_reps, alone.w1_reps)
+        assert np.array_equal(on_grid.sliced, alone.sliced)
+
     def test_prior_convergence_deterministic(self):
         cfg = ExperimentConfig(**FAST)
         assert run_prior_convergence(cfg).w1 == run_prior_convergence(cfg).w1
@@ -320,8 +329,8 @@ class TestPriorBlocks:
     @staticmethod
     def blocks(cfg, width, threads):
         """Blocks per repetition of one width job, as the sweep sizes them."""
-        block = experiments._prior_block_draws(cfg.architecture(width), cfg.test_grid,
-                                               threads)
+        block = experiments._prior_block_draws(cfg.architecture(width),
+                                               len(cfg.w1_subgrid_idx()), threads)
         return math.ceil(cfg.draws / block), block
 
     def test_block_size_does_not_change_the_draws(self, monkeypatch):

@@ -26,6 +26,7 @@ from bnnlimits.kernels import LinearAlgebraError
 from bnnlimits.network import last_layer_inputs, prior_scales
 from bnnlimits.rng import RngStream
 from bnnlimits.samplers import SamplerError
+from oracles import student_t_logpdf
 
 ARCH = Architecture((1, 1, 1), ("identity", "erf"))
 VARS = VarianceVector.constant(1.0, 2)
@@ -240,6 +241,26 @@ class TestOracleAgreement:
         for j in range(test.shape[1]):
             g_se = mcmc_stderr(out.evals[:, j])
             assert abs(out.evals[:, j].mean() - est_f[j]) < 3 * math.hypot(se_f[j], g_se)
+
+    def test_collapsed_evidence_is_the_student_t_density_up_to_a_constant(self):
+        # sigma2 ~ IG(a, b) and y | sigma2, hidden ~ N(0, sigma2 (K'_D + I)) give
+        # y | hidden ~ t_2a(0, (b/a)(K'_D + I)), whose log density is
+        # -log det(K'_D + I) / 2 - (a + k/2) log(b + quad / 2) plus an h-free constant
+        cfg = ExperimentConfig.from_dict(json.loads(POSTERIOR_CONFIG.read_text()))
+        arch, data = cfg.architecture(4), cfg.make_dataset()
+        variances = cfg.variances().unit_last_layer()
+        a, b, k = cfg.a, cfg.b, data.k
+        top = arch.layout()[-1][0].start
+        densities, gaps = [], []
+        for seed in (42, 43):
+            hidden = RngStream(seed).gen.standard_normal(top)
+            psi, _, half_logdet, quad = gibbs._collapsed(arch, variances, hidden, data)
+            t = student_t_logpdf(data.y[0], 2.0 * a, np.zeros(k),
+                                 (b / a) * (psi.T @ psi + np.eye(k)))
+            densities.append(t)
+            gaps.append(t + half_logdet + (a + k / 2.0) * math.log(b + quad / 2.0))
+        assert abs(densities[0] - densities[1]) > 0.1
+        assert gaps[0] == pytest.approx(gaps[1], rel=0, abs=1e-10)
 
     def test_doubling_m_keeps_means_in_band(self):
         # chain-stationarity smoke test

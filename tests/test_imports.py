@@ -72,9 +72,7 @@ def unreferenced_definitions(modules: dict[str, str], others: list[str]) -> list
                   if not any(d.name in names for stmt, names in reads if stmt is not d))
 
 
-# Called by no code yet: the exact posterior sampler of ROADMAP direction 2
-# weights each hidden set by this density.
-UNREFERENCED_ALLOWED = ["posteriors.student_t_logpdf"]
+UNREFERENCED_ALLOWED = []
 
 
 def test_every_src_definition_is_used():

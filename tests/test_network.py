@@ -115,6 +115,20 @@ class TestForward:
         for i in range(5):
             assert np.array_equal(out[i], forward(arch, thetas[i], x))
 
+    @pytest.mark.parametrize("act", ["erf", "relu", "tanh"])
+    @pytest.mark.parametrize("width", [1, 8, 128])
+    def test_forward_batch_at_grid_columns_equals_those_columns(self, act, width):
+        # the prior sweep evaluates its draws at the W1 subgrid points alone
+        arch = Architecture((1, width, width, 1), ("identity", act, act))
+        v = VarianceVector.constant(5.0, arch.n_layers)
+        thetas = sample_prior_params(arch, v, RngStream(4), n_draws=5)
+        grid = np.linspace(-1, 1, 64)[None, :]
+        idx = np.array([0, 21, 42, 63])
+        full = forward_batch(arch, thetas, grid)[..., idx]
+        sub = forward_batch(arch, thetas, grid[:, idx])
+        assert sub.shape == full.shape
+        assert np.max(np.abs(sub - full)) <= 1e-12 * np.max(np.abs(full))
+
     def test_last_layer_positive_homogeneity(self):
         arch = Architecture((1, 3, 1), ("identity", "erf"))
         rng = RngStream(4)

@@ -13,12 +13,17 @@ from bnnlimits import (
     VarianceVector,
     gp_posterior,
     rescaled_kernel,
-    student_t_logpdf,
     tp_posterior_predict,
 )
 from bnnlimits.posteriors import LinearAlgebraError
 from bnnlimits.rng import RngStream
-from oracles import marginalize_nig_to_t, nig_posterior, solve_psd, tp_posterior_train
+from oracles import (
+    marginalize_nig_to_t,
+    nig_posterior,
+    solve_psd,
+    student_t_logpdf,
+    tp_posterior_train,
+)
 from test_kernels import _matching_lines
 
 
