@@ -26,7 +26,7 @@ import numpy as np
 import scipy
 from scipy import special
 
-from . import __version__, kernels, network
+from . import __version__, kernels
 from .gibbs import GibbsConfig, PosteriorSamples, gibbs_run, gibbs_run_fixed_variance
 from .kernels import (
     CLOSED_FORMS,
@@ -36,14 +36,9 @@ from .kernels import (
     check_hyperparams,
     kernel_recursion,
 )
-from .network import (
-    ACTIVATIONS,
-    Architecture,
-    Dataset,
-    VarianceVector,
-    forward_batch,
-    sample_prior_params,
-)
+from .network import ACTIVATIONS, Architecture, Dataset, VarianceVector, sample_prior_outputs
+# read by no code here: the benchmark hooks both names, until ROADMAP direction 1 drops them
+from .network import forward_batch, sample_prior_params  # noqa: F401
 from .posteriors import (
     GaussianPosterior,
     StudentTPosterior,
@@ -55,12 +50,6 @@ from .samplers import sample_mvn, sample_mvt
 from .wasserstein import ASSIGNMENT_CAP, w1_exact, sliced_w1
 
 log = logging.getLogger("bnnlimits")
-
-# Bytes of prior draws one width job holds at a time: each of its threads
-# draws and evaluates the prior in blocks of whole draws, whose parameters
-# and layer activations at the W1 subgrid points take about this size
-# divided by the thread count.
-PRIOR_BLOCK_BYTES = 2 << 20
 
 # The training inputs and the test grid are evenly spaced on this interval.
 DOMAIN = (-1.0, 1.0)
@@ -312,44 +301,26 @@ def _prior_threads() -> int:
     return min(W1_REPS, _cpu_count())
 
 
-def _prior_block_draws(arch: Architecture, m: int, threads: int) -> int:
-    """Draws per block: PRIOR_BLOCK_BYTES shared among the threads.
-
-    A draw holds its parameters and its layer activations at the m points
-    (the W1 subgrid's).
-    """
-    per_draw = 8 * (arch.n_params + m * sum(arch.widths[1:]))
-    return max(1, PRIOR_BLOCK_BYTES // (threads * per_draw))
-
-
 def _prior_width_job(cfg: ExperimentConfig, kernel: KernelMatrix,
                      width: int) -> tuple[list[float], list[float]]:
     """Per-width exact and sliced W1 between prior network draws and draws of
     the NNGP `kernel`, both at the W1 subgrid.
 
-    The networks are evaluated at the subgrid points alone, the inputs of
-    `kernel`. The repetitions run on _prior_threads() threads (numpy and
-    scipy release the GIL), each on its own child stream, and are collected
-    in order. Each thread draws and evaluates its prior parameters in blocks
-    of whole draws (_prior_block_draws), so only the (draws, subgrid) outputs
-    are kept; the draws are the same for any block size and thread count.
+    The networks are drawn at the subgrid points alone, the inputs of
+    `kernel`, in preactivation space (sample_prior_outputs), so a repetition
+    holds O(draws * width * subgrid points) floats. The repetitions run on
+    _prior_threads() threads (numpy and scipy release the GIL), each on its
+    own child stream, and are collected in order, so the thread count does
+    not change the draws.
     """
     threads = _prior_threads()
     points = cfg.make_test_grid()[:, cfg.w1_subgrid_idx()]
     arch = cfg.architecture(width)
     variances = cfg.variances()
-    block = _prior_block_draws(arch, points.shape[1], threads)
-    sizes = [min(block, cfg.draws - start) for start in range(0, cfg.draws, block)]
-    # build the shared prior scale once, not once per thread that misses the cache
-    network._prior_scale(arch, variances)
 
     def repetition(rep_rng: RngStream) -> tuple[float, float]:
         r_bnn, r_gp = rep_rng.split(2)
-        bnn = np.concatenate([
-            forward_batch(arch, sample_prior_params(arch, variances, r_bnn, n_draws=n),
-                          points)[:, 0, :]
-            for n in sizes
-        ])
+        bnn = sample_prior_outputs(arch, variances, r_bnn, cfg.draws, points)[:, 0, :]
         gp = sample_mvn(np.zeros(points.shape[1]), kernel.values, r_gp, size=cfg.draws)
         return w1_exact(bnn, gp), sliced_w1(bnn, gp, r_gp.child(1))
 

@@ -39,10 +39,10 @@ from .network import (
     Architecture,
     Dataset,
     VarianceVector,
-    _prior_scale,
     forward,
     last_layer_inputs,
     log_posterior_and_grad,
+    prior_scales,
 )
 from .nuts import DualAveraging, find_reasonable_epsilon, nuts_transition
 from .rng import RngStream
@@ -148,7 +148,7 @@ def gibbs_run(
     rng_theta, rng_sigma, rng_init = RngStream(cfg.seed).split(3)
     gen = rng_theta.gen
     variances = variances.unit_last_layer()
-    scale = _prior_scale(arch, variances)
+    scale = prior_scales(arch, variances)
     y = data.y
     a_prime = a + data.k * arch.d_out / 2.0
     b_prime = b + 0.5 * float(np.sum(y**2))
@@ -237,7 +237,7 @@ def _run_chain(
     """
     rng_theta, _, rng_init = RngStream(cfg.seed).split(3)
     gen = rng_theta.gen
-    scale = _prior_scale(arch, variances)
+    scale = prior_scales(arch, variances)
 
     def value_and_grad(z):
         # This name, like every other one from this module's imports, is

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.special import erf as _erf
@@ -180,20 +179,6 @@ def prior_scales(arch: Architecture, variances: VarianceVector) -> np.ndarray:
     return scale
 
 
-# Priors whose scale is kept. Every sampler and the prior sweep read one
-# prior per width, so one entry serves the width that runs, and the next
-# width's prior frees the array of the last one.
-PRIOR_CACHE_SIZE = 1
-
-
-@lru_cache(maxsize=PRIOR_CACHE_SIZE)
-def _prior_scale(arch: Architecture, variances: VarianceVector) -> np.ndarray:
-    """prior_scales of one prior, built once and read-only: every caller shares it."""
-    scale = prior_scales(arch, variances)
-    scale.flags.writeable = False
-    return scale
-
-
 def sample_prior_params(
     arch: Architecture,
     variances: VarianceVector,
@@ -204,13 +189,9 @@ def sample_prior_params(
 
     Draws are standard normals scaled per coordinate, so two calls with the
     same stream and different variances are coupled by an exact rescaling.
-    The scale is the cached one (_prior_scale), applied in place, so a call
-    builds no scale vector and allocates one array of the returned shape.
-    Consecutive calls on one stream give the same draws as one call for their
-    total, which lets callers draw in blocks.
     Returns shape (n_params,) or (n_draws, n_params).
     """
-    scale = _prior_scale(arch, variances)
+    scale = prior_scales(arch, variances)
     shape = (arch.n_params,) if n_draws is None else (n_draws, arch.n_params)
     theta = rng.gen.standard_normal(shape)
     theta *= scale
@@ -233,11 +214,8 @@ def forward_batch(
 ) -> np.ndarray:
     """Evaluate many parameter vectors at once.
 
-    thetas has shape (n, n_params); returns (n, d_out, m). Used by prior
-    Monte Carlo where per-draw python loops would dominate. Each draw is
-    evaluated independently of the others in the batch, so the prior sweep
-    passes one block of draws at a time and its memory stays bounded by one
-    block of parameters.
+    thetas has shape (n, n_params); returns (n, d_out, m). Each draw is
+    evaluated independently of the others in the batch.
     """
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     x = np.atleast_2d(np.asarray(inputs, dtype=float))
@@ -245,6 +223,36 @@ def forward_batch(
     h = np.broadcast_to(x, (n,) + x.shape)
     for ws, bs, n_out, n_in, phi, _ in arch._plan:
         h = thetas[:, ws].reshape(n, n_out, n_in) @ phi(h) + thetas[:, bs][:, :, None]
+    return h
+
+
+def sample_prior_outputs(
+    arch: Architecture, variances: VarianceVector, rng: RngStream, n_draws: int,
+    x: np.ndarray,
+) -> np.ndarray:
+    """Prior network outputs at the m columns of x, drawn in preactivation space.
+
+    Given layer l-1's scaled inputs psi = [s_w phi(h); s_b 1] at the m points,
+    the rows of layer l's preactivations are i.i.d. N(0, psi^T psi) (Neal,
+    Bayesian Learning for Neural Networks, 1996, ch. 2; Matthews et al., ICLR
+    2018). Each layer draws them as z r, with r the R factor of psi, so
+    r^T r = psi^T psi at any rank without squaring psi's magnitudes, and z
+    standard normals of shape (n_draws, n_out, min(n_in + 1, m)) from `rng`.
+    The outputs follow the law of forward_batch on sample_prior_params draws,
+    from n_out * min(n_in + 1, m) normals a layer instead of n_out * (n_in + 1).
+    Returns shape (n_draws, d_out, m).
+    """
+    _check_arch_vars(arch, variances)
+    h = np.atleast_2d(np.asarray(x, dtype=float))
+    for (_, _, n_out, n_in, phi, _), var_w, var_b in zip(
+        arch._plan, variances.weight, variances.bias
+    ):
+        # the first layer's psi is the same for every draw, so h is 2-D there
+        psi = np.concatenate([math.sqrt(var_w / n_in) * phi(h),
+                              np.full(h.shape[:-2] + (1, h.shape[-1]), math.sqrt(var_b))],
+                             axis=-2)
+        r = np.linalg.qr(psi, mode="r")
+        h = rng.gen.standard_normal((n_draws, n_out, r.shape[-2])) @ r
     return h
 
 

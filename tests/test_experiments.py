@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
-from bnnlimits import cli, experiments, gibbs, kernels, network
+from bnnlimits import cli, experiments, gibbs, kernels
 from bnnlimits.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from bnnlimits.experiments import (
     BoundDiagnostics,
@@ -323,78 +323,22 @@ class TestPosteriorDraws:
         assert np.array_equal(got.sigma2, direct.sigma2)
 
 
-class TestPriorBlocks:
-    """The prior sweep draws its parameters in blocks of whole draws."""
-
-    @staticmethod
-    def blocks(cfg, width, threads):
-        """Blocks per repetition of one width job, as the sweep sizes them."""
-        block = experiments._prior_block_draws(cfg.architecture(width),
-                                               len(cfg.w1_subgrid_idx()), threads)
-        return math.ceil(cfg.draws / block), block
-
-    def test_block_size_does_not_change_the_draws(self, monkeypatch):
-        cfg = ExperimentConfig(**{**FAST, "widths": (8, 128)})
-        _, block = self.blocks(cfg, 128, experiments._prior_threads())
-        assert 1 <= block < cfg.draws and cfg.draws % block != 0
-        blocked = run_prior_convergence(cfg)
-        monkeypatch.setattr(experiments, "PRIOR_BLOCK_BYTES", 1 << 40)
-        whole = run_prior_convergence(cfg)
-        assert np.array_equal(blocked.w1, whole.w1)
-        assert np.array_equal(blocked.w1_reps, whole.w1_reps)
-        assert np.array_equal(blocked.sliced, whole.sliced)
-
-    def test_prior_scales_built_once_per_prior(self, monkeypatch):
-        # width 128 takes 10 reps x several blocks; every block reads the cached scale
-        cfg = ExperimentConfig(**{**FAST, "widths": (8, 128)})
-        threads = experiments._prior_threads()
-        n_blocks = {w: self.blocks(cfg, w, threads)[0] for w in cfg.widths}
-        assert n_blocks[128] > 1
-        calls = {}
-
-        def counted(arch, variances):
-            calls[arch, variances] = calls.get((arch, variances), 0) + 1
-            return prior_scales(arch, variances)
-
-        prior_scales = network.prior_scales
-        network._prior_scale.cache_clear()
-        monkeypatch.setattr(network, "prior_scales", counted)
-        cached = run_prior_convergence(cfg)
-        assert sorted(calls.values()) == [1, 1]
-        assert {a.widths[1] for a, _ in calls} == {8, 128}
-
-        uncached = network._prior_scale.__wrapped__
-        monkeypatch.setattr(network, "_prior_scale", uncached)
-        rebuilt = run_prior_convergence(cfg)
-        # uncached: per width, one build before its threads start and one per
-        # block of each of its W1_REPS reps
-        reps = experiments.W1_REPS
-        assert sum(calls.values()) == 2 + sum(1 + reps * n for n in n_blocks.values())
-        assert np.array_equal(cached.w1, rebuilt.w1)
-        assert np.array_equal(cached.w1_reps, rebuilt.w1_reps)
-        assert np.array_equal(cached.sliced, rebuilt.sliced)
+class TestPriorThreads:
+    """The prior sweep runs its repetitions on threads."""
 
     def test_thread_count_does_not_change_the_draws(self, monkeypatch):
-        # 10 repetitions on this host's threads, on 3 and on 1, with several
-        # blocks per repetition at width 128 for every thread count
+        # 10 repetitions on this host's threads, on 3 and on 1
         cfg = ExperimentConfig(**{**FAST, "widths": (8, 128), "draws": 40})
         reports = []
         for cpus in (None, 3, 1):  # None: this host's CPUs
             if cpus is not None:
                 monkeypatch.setattr(experiments, "_cpu_count", lambda: cpus)
                 assert experiments._prior_threads() == cpus
-            assert self.blocks(cfg, 128, experiments._prior_threads())[0] > 1
             reports.append(run_prior_convergence(cfg))
         for other in reports[1:]:
             assert np.array_equal(reports[0].w1, other.w1)
             assert np.array_equal(reports[0].w1_reps, other.w1_reps)
             assert np.array_equal(reports[0].sliced, other.sliced)
-
-    def test_prior_cache_keeps_only_the_running_width(self):
-        network._prior_scale.cache_clear()
-        run_prior_convergence(ExperimentConfig(**{**FAST, "widths": (1, 2, 4)}))
-        held = network._prior_scale.cache_info().currsize
-        assert 1 <= held <= network.PRIOR_CACHE_SIZE
 
     def test_memory_does_not_grow_with_draws_times_params(self):
         # All 200 width-128 draws of the pinned config hold 51 MiB of parameters.

@@ -1,10 +1,13 @@
 """Core model tests: priors, forward evaluation, likelihood, gradients."""
 
+import json
 import math
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import stats
 
 from bnnlimits import (
     Architecture,
@@ -15,7 +18,8 @@ from bnnlimits import (
     log_posterior_and_grad,
     sample_prior_params,
 )
-from bnnlimits.network import ACTIVATIONS, prior_scales
+from bnnlimits.experiments import ExperimentConfig
+from bnnlimits.network import ACTIVATIONS, last_layer_inputs, prior_scales, sample_prior_outputs
 from bnnlimits.rng import RngStream
 from oracles import log_likelihood, log_prior, pack, unpack, with_last_layer
 
@@ -106,7 +110,7 @@ class TestForward:
     @pytest.mark.parametrize("width", [1, 8, 128])
     @pytest.mark.parametrize("m", [8, 64])
     def test_forward_batch_matches_loop(self, act, width, m):
-        # bit for bit: the Gibbs sigma2 step reads forward, the sweeps forward_batch
+        # bit for bit: the chains read forward, the weight-space prior in tests forward_batch
         arch = Architecture((1, width, width, 1), ("identity", act, act))
         v = VarianceVector.constant(5.0, arch.n_layers)
         thetas = sample_prior_params(arch, v, RngStream(3), n_draws=5)
@@ -118,7 +122,7 @@ class TestForward:
     @pytest.mark.parametrize("act", ["erf", "relu", "tanh"])
     @pytest.mark.parametrize("width", [1, 8, 128])
     def test_forward_batch_at_grid_columns_equals_those_columns(self, act, width):
-        # the prior sweep evaluates its draws at the W1 subgrid points alone
+        # a draw at some grid points equals those columns of its full-grid outputs
         arch = Architecture((1, width, width, 1), ("identity", act, act))
         v = VarianceVector.constant(5.0, arch.n_layers)
         thetas = sample_prior_params(arch, v, RngStream(4), n_draws=5)
@@ -158,6 +162,62 @@ class TestForward:
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError):
             forward(ARCH_121, np.zeros(ARCH_121.n_params), np.zeros((2, 3)))
+
+
+class TestPriorOutputs:
+    """sample_prior_outputs draws each layer as z r, with r^T r = psi^T psi."""
+
+    @pytest.mark.parametrize("act, width, rank", [("erf", 8, 5), ("relu", 8, 1), ("erf", 1, 2)],
+                             ids=["random", "rank-1", "m-above-n_in+1"])
+    def test_r_factor_reproduces_the_gram_matrix(self, act, width, rank):
+        # psi of a layer at 5 points, as sample_prior_outputs builds it: at
+        # rank 1 every relu unit is dead and only the bias row is left, and
+        # width 1 gives psi 2 rows for the 5 points
+        arch = Architecture((1, width, 1), ("identity", act))
+        hidden = RngStream(5).gen.standard_normal(arch.layout()[-1][0].start)
+        if rank == 1:
+            hidden[:width] = 0.0
+            hidden[width:] = -1.0
+        m = 5
+        psi = last_layer_inputs(arch, VarianceVector.constant(2.0, 2), hidden,
+                                np.linspace(-1, 1, m)[None, :])
+        assert np.linalg.matrix_rank(psi) == rank
+        r = np.linalg.qr(psi, mode="r")
+        assert r.shape == (min(width + 1, m), m)
+        gram = psi.T @ psi
+        assert np.max(np.abs(r.T @ r - gram)) <= 1e-12 * np.max(np.abs(gram))
+
+    @pytest.mark.parametrize("width", [1, 4, 64])
+    def test_outputs_match_weight_space_draws_in_distribution(self, width):
+        # the pinned prior config at its 2 W1 subgrid points
+        path = os.path.join(os.path.dirname(__file__), "..", "configs",
+                            "prior_convergence.json")
+        with open(path) as f:
+            cfg = ExperimentConfig.from_dict(json.load(f))
+        arch, v = cfg.architecture(width), cfg.variances()
+        x = cfg.make_test_grid()[:, cfg.w1_subgrid_idx()]
+        n, block = 20_000, 500
+        rng = RngStream(11)
+        weights = np.concatenate([
+            forward_batch(arch, sample_prior_params(arch, v, rng, n_draws=block), x)[:, 0, :]
+            for _ in range(n // block)])
+        pre = sample_prior_outputs(arch, v, RngStream(12), n, x)[:, 0, :]
+        assert pre.shape == weights.shape == (n, 2)
+        # rounded: where every unit of the last hidden layer is dead (often at
+        # width 1) the two points' outputs are equal, which weight space gives
+        # to the bit and the R factor up to rounding
+        for a, b in ((pre[:, 0], weights[:, 0]), (pre[:, 1], weights[:, 1]),
+                     (pre[:, 1] - pre[:, 0], weights[:, 1] - weights[:, 0])):
+            assert stats.ks_2samp(np.round(a, 12), np.round(b, 12)).pvalue > 1e-3
+
+    def test_finite_at_the_largest_finite_variances(self):
+        # psi^T psi would overflow here; its R factor does not
+        arch = Architecture((1, 8, 1), ("identity", "identity"))
+        v = VarianceVector.constant(3e153, 2)
+        with np.errstate(over="raise"):
+            out = sample_prior_outputs(arch, v, RngStream(0), 50, np.linspace(-1, 1, 4)[None, :])
+        assert out.shape == (50, 1, 4)
+        assert np.all(np.isfinite(out))
 
 
 class TestLogLikelihood:
