@@ -37,7 +37,7 @@ from .kernels import (
     kernel_recursion,
 )
 from .network import ACTIVATIONS, Architecture, Dataset, VarianceVector, sample_prior_outputs
-# read by no code here: the benchmark hooks both names, until ROADMAP direction 1 drops them
+# read by no code here: the benchmark hooks both names, until ROADMAP direction 2 drops them
 from .network import forward_batch, sample_prior_params  # noqa: F401
 from .posteriors import (
     GaussianPosterior,
@@ -275,8 +275,8 @@ def _gp_limit(cfg: ExperimentConfig, data: Dataset, e: np.ndarray) -> GaussianPo
 def posterior_draws(cfg: ExperimentConfig, width: int, gaussian: bool = False
                     ) -> PosteriorSamples:
     """Draws of the width's network posterior at the test grid: the hierarchical
-    slice, last-layer and sigma2 sweep (gibbs_run), or the NUTS chain at the fixed
-    variance noise_var if `gaussian`. The chain is seeded per (experiment seed,
+    slice, last-layer and sigma2 sweep (gibbs_run), or the same sweep with sigma2
+    held at noise_var if `gaussian`. The chain is seeded per (experiment seed,
     width, model); every finite-width chain of a run is made here."""
     h = hashlib.sha256(f"{cfg.seed}:{width}:{3 if gaussian else 1}".encode()).digest()
     gcfg = GibbsConfig(n_samples=cfg.draws, burn_in=cfg.burn_in,

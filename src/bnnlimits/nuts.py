@@ -1,12 +1,11 @@
-"""No-U-turn transitions, the initial step-size heuristic and its adaptation.
+"""No-U-turn transitions: recursive doubling with multinomial state selection
+and an identity mass matrix.
 
-Recursive doubling with multinomial state selection, identity mass matrix,
-and dual-averaged step size. Generic over one value-and-gradient callable,
-value_and_grad(theta) -> (log_density, grad), so the same transition serves
-the network posterior and scalar test targets. Each leapfrog step evaluates
-the target exactly once. The loop that drives these pieces is the
-fixed-variance baseline's (gibbs._run_chain); the hierarchical chain moves
-its hidden layers by elliptical slice steps instead.
+Generic over one value-and-gradient callable, value_and_grad(theta) ->
+(log_density, grad). Each leapfrog step evaluates the target exactly once.
+No sampler in this package runs a transition: both posterior chains
+(gibbs) are elliptical-slice sweeps. The benchmark hooks nuts_transition on
+gibbs by name, so it stays until that hook goes (ROADMAP direction 2).
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ import math
 
 DIVERGENCE_THRESHOLD = 1000.0
 MAX_TREE_DEPTH = 8
-TARGET_ACCEPT = 0.8
 _LOG2 = math.log(2.0)
 
 
@@ -144,52 +142,3 @@ def nuts_transition(value_and_grad, theta, logp, grad, eps, gen):
     mean_accept = sum_accept / max(n_accept, 1)
     theta, logp, grad = prop
     return theta, logp, grad, mean_accept, depth, divergent
-
-
-def find_reasonable_epsilon(value_and_grad, theta, gen) -> float:
-    """Heuristic initial step size: leapfrog acceptance near 0.5."""
-    eps = 1.0
-    r = gen.standard_normal(theta.shape[0])
-    logp, grad = value_and_grad(theta)
-    h0 = _hamiltonian(logp, r)
-
-    def log_accept(eps):
-        _, r1, _, logp1 = _leapfrog(value_and_grad, theta, r, grad, eps)
-        h1 = _hamiltonian(logp1, r1)
-        return (h1 if math.isfinite(h1) else -math.inf) - h0
-
-    direction = 1.0 if log_accept(eps) > math.log(0.5) else -1.0
-    for _ in range(50):
-        eps *= 2.0**direction
-        if direction * log_accept(eps) < direction * math.log(0.5):
-            break
-    return eps
-
-
-class DualAveraging:
-    """Nesterov dual averaging towards TARGET_ACCEPT (Hoffman & Gelman 2014)."""
-
-    gamma, t0, kappa = 0.05, 10.0, 0.75
-
-    def __init__(self, eps0: float):
-        self.mu = math.log(10.0 * eps0)
-        self.log_eps = math.log(eps0)
-        # adapted is eps0 until the first update, which overwrites the
-        # average exactly (its weight w is 1 at t = 1)
-        self.log_eps_bar = self.log_eps
-        self.h_bar = 0.0
-        self.t = 0
-
-    def update(self, accept: float) -> float:
-        self.t += 1
-        frac = 1.0 / (self.t + self.t0)
-        self.h_bar = (1 - frac) * self.h_bar + frac * (TARGET_ACCEPT - accept)
-        self.log_eps = self.mu - math.sqrt(self.t) / self.gamma * self.h_bar
-        w = self.t ** (-self.kappa)
-        self.log_eps_bar = w * self.log_eps + (1 - w) * self.log_eps_bar
-        return math.exp(self.log_eps)
-
-    @property
-    def adapted(self) -> float:
-        return math.exp(self.log_eps_bar)
-

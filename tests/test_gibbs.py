@@ -23,7 +23,7 @@ from bnnlimits import (
 from bnnlimits import gibbs
 from bnnlimits.experiments import ExperimentConfig
 from bnnlimits.kernels import LinearAlgebraError
-from bnnlimits.network import last_layer_inputs, prior_scales
+from bnnlimits.network import ACTIVATIONS, last_layer_inputs, prior_scales
 from bnnlimits.rng import RngStream
 from bnnlimits.samplers import SamplerError
 from oracles import student_t_logpdf
@@ -33,8 +33,9 @@ VARS = VarianceVector.constant(1.0, 2)
 EMPTY = Dataset(np.empty((1, 0)), np.empty((1, 0)))
 TEST_X = np.array([[-1.0, 1.0]])
 IS_BLOCK = 200_000  # importance draws per block
-POSTERIOR_CONFIG = (pathlib.Path(__file__).resolve().parent.parent
-                    / "configs" / "posterior_convergence.json")
+CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
+POSTERIOR_CONFIG = CONFIGS / "posterior_convergence.json"
+BASELINE_CONFIG = CONFIGS / "gaussian_baseline.json"
 
 
 def importance_oracle(arch, variances, a, b, data, test, n, seed):
@@ -67,6 +68,51 @@ def importance_oracle(arch, variances, a, b, data, test, n, seed):
     se_s2 = math.sqrt(float(w @ (s2 - est_s2) ** 2) / ess)
     se_f = np.sqrt((w @ (f_raw - est_f) ** 2) / ess)
     return est_s2, est_f, se_s2, se_f, ess
+
+
+def hidden_features(arch, variances, hidden, x):
+    """phi(h_L) at the columns of x, (draws, n_{L-1}, m), from forward_batch on
+    the hidden layers alone; hidden is (draws, n hidden parameters) of z."""
+    top = arch.layout()[-1][0].start
+    hidden_arch = Architecture(arch.widths[:-1], arch.activations[:-1])
+    h = forward_batch(hidden_arch, hidden * prior_scales(arch, variances)[:top], x)
+    return ACTIVATIONS[arch.activations[-1]][0](h)
+
+
+def baseline_importance_oracle(arch, variances, noise, data, test, n, seed):
+    """Self-normalized importance sampling of the fixed-variance posterior's
+    first and second moments of f(test), from the prior of the hidden layers.
+
+    Given the hidden layers, f at the training and test inputs is Gaussian
+    with covariance K = sigma_W^2 / n phi^T phi + sigma_b^2 (last layer),
+    so each draw is weighted by N(y; 0, K_DD + noise I) and carries the exact
+    conditional mean and variance of f(test): the last layer is integrated
+    out, not drawn. Returns ((estimate, stderr) of E f, of E f^2, and the ESS).
+    """
+    top, k, m = arch.layout()[-1][0].start, data.k, test.shape[1]
+    allx = np.concatenate([data.x, test], axis=1)
+    gen = RngStream(seed).gen
+    logw, moments = np.empty(n), np.empty((2, n, m))
+    step = IS_BLOCK // 10  # each draw holds a (k + m) x (k + m) kernel
+    for lo in range(0, n, step):
+        block = slice(lo, min(lo + step, n))
+        phi = hidden_features(arch, variances, gen.standard_normal((block.stop - lo, top)),
+                              allx)
+        K = (variances.weight[-1] / arch.widths[-2]) * (phi.transpose(0, 2, 1) @ phi)
+        K += variances.bias[-1]
+        c = K[:, :k, :k] + noise * np.eye(k)
+        y = np.broadcast_to(data.y[0][:, None], (len(c), k, 1))
+        sol = np.linalg.solve(c, np.concatenate([y, K[:, :k, k:]], axis=2))
+        logw[block] = -0.5 * np.linalg.slogdet(c)[1] - 0.5 * sol[..., 0] @ data.y[0]
+        mean = (K[:, k:, :k] @ sol[..., :1])[..., 0]
+        var = np.diagonal(K[:, k:, k:], axis1=1, axis2=2) - np.einsum(
+            "bij,bji->bi", K[:, k:, :k], sol[..., 1:])
+        moments[:, block] = mean, var + mean**2
+    w = np.exp(logw - logw.max())
+    w /= w.sum()
+    est = w @ moments
+    se = np.sqrt(w**2 @ (moments - est[:, None]) ** 2)
+    return (est[0], se[0]), (est[1], se[1]), 1.0 / float(np.sum(w**2))
 
 
 def record_raw_thetas(monkeypatch, test_x):
@@ -254,13 +300,55 @@ class TestOracleAgreement:
         densities, gaps = [], []
         for seed in (42, 43):
             hidden = RngStream(seed).gen.standard_normal(top)
-            psi, _, half_logdet, quad = gibbs._collapsed(arch, variances, hidden, data)
+            psi, _, half_logdet, quad = gibbs._collapsed(arch, variances, 1.0, hidden, data)
             t = student_t_logpdf(data.y[0], 2.0 * a, np.zeros(k),
                                  (b / a) * (psi.T @ psi + np.eye(k)))
             densities.append(t)
             gaps.append(t + half_logdet + (a + k / 2.0) * math.log(b + quad / 2.0))
         assert abs(densities[0] - densities[1]) > 0.1
         assert gaps[0] == pytest.approx(gaps[1], rel=0, abs=1e-10)
+
+    def test_baseline_collapsed_likelihood_is_the_gaussian_density(self):
+        # y | hidden ~ N(0, K_D + s I), K_D = sigma_W^2 / n phi^T phi + sigma_b^2;
+        # the chain's log N(y; 0, s (K'_D + I)) drops only -k log(2 pi s) / 2
+        cfg = ExperimentConfig.from_dict(json.loads(BASELINE_CONFIG.read_text()))
+        arch, data, k = cfg.architecture(4), cfg.make_dataset(), cfg.k
+        v = VarianceVector((2.0, 2.0, 3.0), (2.0, 2.0, 0.5))
+        s = cfg.noise_var
+        top = arch.layout()[-1][0].start
+        densities, gaps = [], []
+        for seed in (44, 45):
+            hidden = RngStream(seed).gen.standard_normal(top)
+            phi = hidden_features(arch, v, hidden[None, :], data.x)[0]
+            kd = (v.weight[-1] / arch.widths[-2]) * (phi.T @ phi) + v.bias[-1]
+            dense = stats.multivariate_normal.logpdf(data.y[0], np.zeros(k),
+                                                     kd + s * np.eye(k))
+            _, _, half_logdet, quad = gibbs._collapsed(arch, v, s, hidden, data)
+            densities.append(dense)
+            gaps.append(dense - (-half_logdet - quad / (2.0 * s)))
+        assert abs(densities[0] - densities[1]) > 0.1
+        for gap in gaps:
+            assert gap == pytest.approx(-0.5 * k * math.log(2.0 * math.pi * s), rel=0,
+                                        abs=1e-10)
+
+    def test_pinned_baseline_at_width_4_matches_importance_sampling(self):
+        # the pinned baseline config's data (k = 8, sin(2 pi x)), noise and W1
+        # subgrid, at width 4
+        cfg = ExperimentConfig.from_dict(json.loads(BASELINE_CONFIG.read_text()))
+        arch, data = cfg.architecture(4), cfg.make_dataset()
+        test = cfg.make_test_grid()[:, cfg.w1_subgrid_idx()]
+        *moments, ess = baseline_importance_oracle(
+            arch, cfg.variances(), cfg.noise_var, data, test, 400_000, seed=46)
+        assert ess > 1000
+        out = gibbs_run_fixed_variance(arch, cfg.variances(), cfg.noise_var, data, test,
+                                       GibbsConfig(n_samples=4000, burn_in=300, seed=47))
+        assert np.all(out.sigma2 == cfg.noise_var)
+        # E f and E f^2: the subgrid's targets are 0, so the means alone would
+        # not tell the posterior from the prior
+        for power, (est, se) in zip((1, 2), moments):
+            for j in range(test.shape[1]):
+                f = out.evals[:, j] ** power
+                assert abs(f.mean() - est[j]) < 3 * math.hypot(se[j], mcmc_stderr(f))
 
     def test_doubling_m_keeps_means_in_band(self):
         # chain-stationarity smoke test
@@ -321,15 +409,13 @@ class TestMechanics:
         assert out.diagnostics["n_divergent"] <= 0.5 * out.diagnostics["n_transitions"]
 
     @pytest.mark.parametrize("hierarchical", [True, False])
-    def test_chain_memory_does_not_grow_with_parameters_per_draw(self, monkeypatch,
-                                                                  hierarchical):
+    def test_chain_memory_does_not_grow_with_parameters_per_draw(self, hierarchical):
         # 500 kept draws of 1153 parameters would take 4.6 MB if stored; either
         # chain keeps sigma2 and the test evaluations only
         arch = Architecture((1, 32, 32, 1), ("identity", "erf", "erf"))
         data = Dataset(np.array([[0.2]]), np.array([[0.4]]))
         cfg = GibbsConfig(n_samples=500, burn_in=5, seed=35)
         v = VarianceVector.constant(1.0, 3)
-        monkeypatch.setattr(gibbs, "HMC_STEPS", 1)  # keeps the baseline's chain fast
         tracemalloc.start()
         try:
             with warnings.catch_warnings():
@@ -344,21 +430,25 @@ class TestMechanics:
 
     @pytest.mark.parametrize("noise_var", [1e308, 2.9e307])
     def test_target_not_finite_at_the_state_raises(self, noise_var, monkeypatch):
-        # log(2 pi sigma2) overflows, so the target is -inf at every theta: the
-        # chain stops before its first transition rather than after burn-in
-        transitions = []
-        real = gibbs.nuts_transition
+        # a log determinant that is inf at every state makes the baseline's
+        # likelihood -inf there: the check both chains share stops it before
+        # its first slice step rather than after burn-in, and names the
+        # variance it holds
+        evaluated = []
+        real = gibbs._collapsed
 
-        def counted(*args):
-            transitions.append(args)
-            return real(*args)
+        def infinite_logdet(*args):
+            evaluated.append(args)
+            psi, chol, _, quad = real(*args)
+            return psi, chol, math.inf, quad
 
-        monkeypatch.setattr(gibbs, "nuts_transition", counted)
+        monkeypatch.setattr(gibbs, "_collapsed", infinite_logdet)
         data = Dataset(np.array([[0.2, -0.3]]), np.array([[0.4, 0.1]]))
-        with pytest.raises(SamplerError, match=r"log target is -inf .*sigma2 = "):
+        with pytest.raises(SamplerError, match="log likelihood is -inf at the chain's") as err:
             gibbs_run_fixed_variance(ARCH, VARS, noise_var, data, TEST_X,
                                      GibbsConfig(n_samples=4, burn_in=2, seed=36))
-        assert transitions == []
+        assert f"(sigma2 = {noise_var:.3e})" in str(err.value)
+        assert len(evaluated) == 1  # the initial state's
 
     def test_likelihood_not_finite_at_the_state_raises(self, monkeypatch):
         # at sigma2 = 1e-320 the collapsed likelihood's quadratic term
@@ -376,15 +466,3 @@ class TestMechanics:
         with pytest.raises(LinearAlgebraError, match="initial state"):
             gibbs_run(arch, VarianceVector.constant(1e200, 3), 3.0, 2.0, data, TEST_X,
                       GibbsConfig(n_samples=4, burn_in=2, seed=36))
-
-    def test_persistent_divergence_raises_sampler_error(self, monkeypatch):
-        def always_divergent(value_and_grad, theta, logp, grad, eps, gen):
-            return theta, logp, grad, 0.0, 0, True
-
-        monkeypatch.setattr(gibbs, "nuts_transition", always_divergent)
-        data = Dataset(np.array([[0.2]]), np.array([[0.4]]))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            with pytest.raises(SamplerError, match="persistent divergence"):
-                gibbs_run_fixed_variance(ARCH, VARS, 0.1, data, TEST_X,
-                                         GibbsConfig(n_samples=5, burn_in=5, seed=34))

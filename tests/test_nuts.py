@@ -1,5 +1,5 @@
-"""Bit-for-bit identities the NUTS hot loop relies on, the leaf's acceptance,
-the cost of a transition and the step-size average before adaptation."""
+"""Bit-for-bit identities the NUTS hot loop relies on, the leaf's acceptance
+and the cost of a transition."""
 
 import math
 import struct
@@ -9,7 +9,6 @@ import pytest
 
 from bnnlimits import Architecture, Dataset, VarianceVector, log_posterior_and_grad, nuts
 from bnnlimits.nuts import (
-    DualAveraging,
     _build_tree,
     _hamiltonian,
     _log_uniform,
@@ -149,10 +148,3 @@ class TestTransition:
                                                     0.1, gen)
         # one leapfrog step per transition; the caller supplies the start's value
         assert len(calls) == 50
-
-
-class TestDualAveraging:
-    @pytest.mark.parametrize("eps0", [1e-6, 0.0731, 1.0, 4.0, 1e3])
-    def test_adapted_is_the_initial_step_before_any_update(self, eps0):
-        # a chain with no burn-in runs at this step: the heuristic one
-        assert math.isclose(DualAveraging(eps0).adapted, eps0, rel_tol=1e-15)
